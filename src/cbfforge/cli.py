@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, describe_keys, load_config
-from .dubins import nominal_policy, rollout, sample_initial_states, save_trajectory_csv
+from .dubins import OVERRIDE_THRESHOLD, nominal_policy, rollout, sample_initial_states, save_trajectory_csv
 from .experiments import (
     _build_backend,
     _filter_config,
@@ -93,7 +93,7 @@ def _cmd_demo(cfg: dict) -> int:
     )
     path = os.path.join(out_dir, "demo_trajectory.csv")
     save_trajectory_csv(rec, path)
-    n_over = int(np.count_nonzero(rec.override_magnitudes > 1e-9))
+    n_over = int(np.count_nonzero(rec.override_magnitudes >= OVERRIDE_THRESHOLD))
     print(
         f"demo rollout: {rec.n_steps} steps, collided={rec.collided}, "
         f"{n_over} overridden steps -> {path}"

@@ -233,10 +233,9 @@ def rollout(
         policy: callable state -> nominal action.
         x0: initial state (3,).
         n_steps: cap on executed steps, >= 1.
-        action_filter: optional callable (state, a_nominal) -> decision.  The
-            decision is either a plain action or an object with an ``action``
-            attribute plus feasible_count / q_nominal / q_fallback fields,
-            which are then recorded per step.
+        action_filter: optional callable (state, a_nominal) -> decision, a
+            filters.FilterDecision.  Its action is executed and its
+            feasible_count / q_nominal / q_fallback are recorded per step.
         failure: failure circles used for collision accounting.
         dt: integrator step.
     """
@@ -247,7 +246,6 @@ def rollout(
     margins = [signed_distance_margin(state, failure)]
     a_nom_hist, a_exec_hist = [], []
     diag_hist: list[tuple[int, float, float]] = []
-    has_diag = False
     collided = margins[0] < 0.0
 
     for _ in range(n_steps):
@@ -258,14 +256,10 @@ def rollout(
             a_exec = a_nom
         else:
             decision = action_filter(state, a_nom)
-            if hasattr(decision, "action"):
-                a_exec = float(decision.action)
-                diag_hist.append(
-                    (int(decision.feasible_count), float(decision.q_nominal), float(decision.q_fallback))
-                )
-                has_diag = True
-            else:
-                a_exec = float(decision)
+            a_exec = float(decision.action)
+            diag_hist.append(
+                (int(decision.feasible_count), float(decision.q_nominal), float(decision.q_fallback))
+            )
         state = dynamics_step(state, a_exec, dt)
         states.append(state.copy())
         margins.append(signed_distance_margin(state, failure))
@@ -277,7 +271,7 @@ def rollout(
     a_nom_arr = np.array(a_nom_hist)
     a_exec_arr = np.array(a_exec_hist)
     diagnostics: dict[str, np.ndarray] = {}
-    if has_diag:
+    if diag_hist:
         diag_arr = np.array(diag_hist)
         diagnostics = {
             "feasible_count": diag_arr[:, 0],

@@ -3,21 +3,22 @@
 Each experiment consumes a flat config dict (see config.SCHEMA), writes every
 artifact under output_dir, and returns a MetricsTable.  Runs are reproducible
 bit-for-bit given (config, seed): initial states come from one master stream
-and each rollout owns a derived stream, so rollout-level parallelism (capped
-by the CBFFORGE_THREADS environment variable) cannot change any result.
+and each rollout owns a derived stream for its nominal-policy noise.  Grids
+are solved to convergence or not at all: a value solve that stops at
+vi_max_sweeps raises.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError, format_config
 from .dubins import (
+    OVERRIDE_THRESHOLD,
     NominalPolicyConfig,
     estimate_dynamics_lipschitz,
     equispaced_actions,
@@ -40,7 +41,6 @@ from .margin import (
 from .nets import load_model, save_model
 from .rl import RlConfig, critic_error_vs_oracle, train_safety_rl
 
-OVERRIDE_FLOOR = 1e-9
 METRICS_HEADER = (
     "method,margin_mode,alpha,safety_rate,avg_override,override_std,"
     "f1,max_step_delta_mean,max_step_delta_std"
@@ -101,23 +101,6 @@ class MetricsTable:
             fh.write("\n".join(lines) + "\n")
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("CBFFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, n: int) -> list:
-    """Apply fn to 0..n-1, in order, optionally on a thread pool."""
-    workers = _n_threads()
-    if workers == 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def _nominal_cfg(cfg: dict) -> NominalPolicyConfig:
     return NominalPolicyConfig(
         goal=(cfg["nominal_goal_x"], cfg["nominal_goal_y"]),
@@ -176,7 +159,10 @@ def _margin_for_field(cfg: dict, margin_fn, net):
 
 
 def _resolve_grid(cfg: dict, out_dir: str, field_margin_fn):
-    """Load or solve the (margin, value) field pair for the config."""
+    """Load or solve the (margin, value) field pair for the config.
+
+    Raises RuntimeError when the solve stops at vi_max_sweeps unconverged.
+    """
     if cfg["value_grid"] or cfg["margin_grid"]:
         if not (cfg["value_grid"] and cfg["margin_grid"]):
             raise ConfigError("value_grid and margin_grid must be set together")
@@ -198,6 +184,12 @@ def _resolve_grid(cfg: dict, out_dir: str, field_margin_fn):
         tol=cfg["vi_tol"],
         max_iters=cfg["vi_max_sweeps"],
     )
+    if not sol.converged:
+        raise RuntimeError(
+            f"value iteration did not converge: residual {sol.residuals[-1]:.3g} after {sol.sweeps} sweeps "
+            f"is not below vi_tol = {cfg['vi_tol']:g}; raise vi_max_sweeps (now {cfg['vi_max_sweeps']}) "
+            "or loosen vi_tol"
+        )
     save_field(sol.field, os.path.join(out_dir, "value_grid.txt"))
     save_field(margin, os.path.join(out_dir, "margin_grid.txt"))
     return margin, sol.field
@@ -282,25 +274,24 @@ def _run_rollouts(cfg: dict, action_filter, label: str, out_dir: str) -> list:
     starts = _evaluation_starts(cfg)
     traj_dir = os.path.join(out_dir, "trajectories")
     os.makedirs(traj_dir, exist_ok=True)
-
-    def one(k: int):
+    records = []
+    for k in range(cfg["n_rollouts"]):
         rng = np.random.default_rng([cfg["seed"], 1000 + k])
         policy = lambda s: nominal_policy(s, nom, rng=rng)
         rec = rollout(policy, starts[k], cfg["rollout_steps"], action_filter=action_filter, dt=cfg["dt"])
         save_trajectory_csv(rec, os.path.join(traj_dir, f"{label}_{k:03d}.csv"))
-        return rec
-
-    return _map_indexed(one, cfg["n_rollouts"])
+        records.append(rec)
+    return records
 
 
 def override_statistics(records) -> tuple[float, float]:
     """Mean and std of override magnitudes over steps where the filter acted.
 
-    Steps with |a_exec - a_nom| below 1e-9 do not count as interventions;
-    with no interventions at all both statistics are 0.
+    Steps with |a_exec - a_nom| below dubins.OVERRIDE_THRESHOLD do not count
+    as interventions; with no interventions at all both statistics are 0.
     """
     deltas = np.concatenate([rec.override_magnitudes for rec in records]) if records else np.array([])
-    acted = deltas[deltas >= OVERRIDE_FLOOR]
+    acted = deltas[deltas >= OVERRIDE_THRESHOLD]
     if acted.size == 0:
         return 0.0, 0.0
     return float(acted.mean()), float(acted.std())

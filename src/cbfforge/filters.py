@@ -24,47 +24,28 @@ from .dubins import ACTION_BOUND, DEFAULT_DT, dynamics_step, equispaced_actions
 from .hj import GridField, q_from_value
 from .nets import MlpNet, mlp_forward
 
-_ANCHOR_NAMES = ("nominal", "fallback", "zero")
 _QUERY_MODES = ("model_free", "model_based")
-_SAMPLER_KINDS = ("equispaced_1d", "line_interpolation")
+_SAMPLER_KINDS = ("equispaced_1d",)
 
 
 @dataclass(frozen=True)
 class SamplerSpec:
     """Candidate-action sampling scheme for the control-barrier filter.
 
-    kind "equispaced_1d" draws n equally spaced scalar actions spanning the
-    full action interval, endpoints included.  kind "line_interpolation"
-    draws n points whose coordinates in interp_dims sweep linearly from
-    from_anchor to to_anchor while the remaining coordinates stay pinned at
-    static_anchor.  Anchors are the strings "nominal", "fallback", "zero",
-    or an explicit constant (scalar or vector).
-
-    The nominal and fallback actions are always appended after the n sampled
+    kind "equispaced_1d", the only kind, draws n equally spaced scalar
+    actions spanning the full action interval, endpoints included.  The
+    nominal and fallback actions are always appended after the n sampled
     points; duplicates are retained.
     """
 
     kind: str = "equispaced_1d"
     n: int = 25
-    interp_dims: tuple = (0,)
-    from_anchor: object = "nominal"
-    to_anchor: object = "fallback"
-    static_anchor: object = "zero"
 
     def __post_init__(self):
         if self.kind not in _SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.kind == "line_interpolation":
-            if self.n < 2:
-                raise ValueError("line_interpolation needs n >= 2")
-            dims = tuple(self.interp_dims)
-            if len(dims) == 0 or len(set(dims)) != len(dims) or min(dims) < 0:
-                raise ValueError("interp_dims must be distinct non-negative indices")
-        for anchor in (self.from_anchor, self.to_anchor, self.static_anchor):
-            if isinstance(anchor, str) and anchor not in _ANCHOR_NAMES:
-                raise ValueError(f"unknown anchor selector {anchor!r}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +96,7 @@ class FilterDecision:
     control-barrier filter only.
     """
 
-    action: object
+    action: float
     overridden: bool
     delta_a: float
     feasible_count: int
@@ -177,20 +158,29 @@ class GridBackend:
         return q_from_value(self.value, self.margin, states, actions, self.gamma, self.dt)
 
     def _q_table(self, states: np.ndarray) -> np.ndarray:
-        """Q over the backend action set, shape (n_actions, n_states)."""
+        """Q over the backend action set, shape (n_states, n_actions).
+
+        Every (state, action) row goes through one q_from_value call.
+        """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        return np.stack(
-            [q_from_value(self.value, self.margin, states, a, self.gamma, self.dt) for a in self.actions]
+        k = self.actions.size
+        q = q_from_value(
+            self.value,
+            self.margin,
+            np.repeat(states, k, axis=0),
+            np.tile(self.actions, states.shape[0]),
+            self.gamma,
+            self.dt,
         )
+        return q.reshape(states.shape[0], k)
 
     def fallback_q(self, states: np.ndarray) -> np.ndarray:
         """Q(z, greedy(z)) for a batch of states, shape (n,)."""
-        return self._q_table(states).max(axis=0)
+        return self._q_table(states).max(axis=1)
 
     def fallback_action(self, state: np.ndarray) -> float:
         """Greedy action at one state (first maximizer on ties)."""
-        table = self._q_table(np.asarray(state, dtype=float)[None, :])[:, 0]
-        return float(self.actions[int(np.argmax(table))])
+        return float(self.actions[int(np.argmax(self._q_table(state)[0]))])
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
         return self._step_fn(state, action, self.dt)
@@ -236,59 +226,21 @@ class CriticBackend:
         return self._step_fn(state, action, self.dt)
 
 
-def _resolve_anchor(anchor, a_nominal: np.ndarray, a_fallback: np.ndarray) -> np.ndarray:
-    if isinstance(anchor, str):
-        if anchor == "nominal":
-            return a_nominal
-        if anchor == "fallback":
-            return a_fallback
-        if anchor == "zero":
-            return np.zeros_like(a_nominal)
-        raise ValueError(f"unknown anchor selector {anchor!r}")
-    value = np.atleast_1d(np.asarray(anchor, dtype=float))
-    if value.size == 1 and a_nominal.size > 1:
-        value = np.full_like(a_nominal, value[0])
-    if value.shape != a_nominal.shape:
-        raise ValueError("constant anchor does not match the action dimension")
-    return value
-
-
 def sample_actions(spec: SamplerSpec, a_nominal, a_fallback) -> np.ndarray:
     """Build the candidate-action batch for one filtering step.
 
-    Returns the n sampled actions with a_nominal and a_fallback appended, in
-    that order, duplicates retained.  Shape (n + 2,) for scalar actions,
-    (n + 2, action_dim) for vector actions.
+    Returns the n equispaced sampler points with a_nominal and a_fallback
+    appended, in that order, duplicates retained; shape (n + 2,).
 
     Args:
         spec: sampling scheme.
-        a_nominal: nominal action (scalar or vector).
-        a_fallback: fallback action, same shape as a_nominal.
+        a_nominal: nominal action, a scalar.
+        a_fallback: fallback action, a scalar.
     """
-    a_nom = np.atleast_1d(np.asarray(a_nominal, dtype=float))
-    a_fb = np.atleast_1d(np.asarray(a_fallback, dtype=float))
-    if a_nom.shape != a_fb.shape:
-        raise ValueError("nominal and fallback actions must share a shape")
-    dim = a_nom.size
-
-    if spec.kind == "equispaced_1d":
-        if dim != 1:
-            raise ValueError("equispaced_1d requires a scalar action space")
-        pts = equispaced_actions(spec.n)[:, None]
-    else:
-        start = _resolve_anchor(spec.from_anchor, a_nom, a_fb)
-        stop = _resolve_anchor(spec.to_anchor, a_nom, a_fb)
-        static = _resolve_anchor(spec.static_anchor, a_nom, a_fb)
-        dims = tuple(spec.interp_dims)
-        if max(dims) >= dim:
-            raise ValueError("interp_dims out of range for the action dimension")
-        eta = np.arange(spec.n, dtype=float) / (spec.n - 1)
-        pts = np.tile(static, (spec.n, 1))
-        for d in dims:
-            pts[:, d] = (1.0 - eta) * start[d] + eta * stop[d]
-
-    out = np.vstack([pts, a_nom[None, :], a_fb[None, :]])
-    return out[:, 0] if dim == 1 else out
+    anchors = [np.asarray(a, dtype=float) for a in (a_nominal, a_fallback)]
+    if any(a.size != 1 for a in anchors):
+        raise ValueError("equispaced_1d requires a scalar action space")
+    return np.concatenate([equispaced_actions(spec.n)] + [a.ravel() for a in anchors])
 
 
 def cbf_constraint_check(q_of_a, q_of_fallback: float, cfg: FilterConfig):

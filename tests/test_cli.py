@@ -87,6 +87,16 @@ def test_solve_grid_writes_loadable_fields(tmp_path, capsys):
     assert np.all(value.values <= margin.values + 1e-12)
 
 
+def test_unconverged_grid_solve_exits_1(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, *TINY_GRID, "vi_max_sweeps = 2")
+    out = tmp_path / "grid"
+    assert main(["solve-grid", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "after 2 sweeps" in err
+    assert "vi_tol = 0.0001" in err and "vi_max_sweeps (now 2)" in err
+    assert not (out / "value_grid.txt").exists()
+
+
 def test_demo_writes_trajectory_with_diagnostics(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, *TINY_GRID, "rollout_steps = 15")
     out = tmp_path / "demo"

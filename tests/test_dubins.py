@@ -19,6 +19,7 @@ from cbfforge.dubins import (
     state_distance,
     wrap_angle,
 )
+from cbfforge.filters import FilterDecision
 
 
 def euler_reference(state, action, dt, n_sub=20000):
@@ -179,9 +180,13 @@ class TestRollout:
         x0 = np.array([-1.2, 0.3, 0.1])
         cfg = NominalPolicyConfig()
         plain = rollout(lambda s: nominal_policy(s, cfg), x0, 30)
-        filtered = rollout(lambda s: nominal_policy(s, cfg), x0, 30, action_filter=lambda s, a: a)
+        keep = lambda s, a: FilterDecision(
+            action=a, overridden=False, delta_a=0.0, feasible_count=1, q_nominal=0.5, q_fallback=0.5
+        )
+        filtered = rollout(lambda s: nominal_policy(s, cfg), x0, 30, action_filter=keep)
         np.testing.assert_array_equal(plain.states, filtered.states)
         assert np.all(filtered.override_magnitudes == 0.0)
+        assert np.all(filtered.diagnostics["feasible_count"] == 1)
 
     def test_trajectory_csv(self, tmp_path):
         rec = rollout(lambda s: 0.5, np.array([-1.2, -0.8, 0.0]), 5)

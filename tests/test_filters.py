@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cbfforge import filters
 from cbfforge.dubins import (
     dynamics_step,
     equispaced_actions,
@@ -24,7 +25,7 @@ from cbfforge.filters import (
     q_query,
     sample_actions,
 )
-from cbfforge.hj import GridSpec, interpolate, margin_field, value_iteration
+from cbfforge.hj import GridSpec, interpolate, margin_field, q_from_value, value_iteration
 from cbfforge.nets import MlpNet, mlp_forward, mlp_init
 
 
@@ -96,55 +97,15 @@ def test_sampler_retains_duplicates():
     assert np.count_nonzero(samples == 2.0) == 2
 
 
-def test_line_sampler_scalar_sweep():
-    spec = SamplerSpec(kind="line_interpolation", n=3, interp_dims=(0,), from_anchor=0.0, to_anchor=1.0, static_anchor=0.0)
-    samples = sample_actions(spec, 0.7, -0.7)
-    assert samples.shape == (5,)
-    assert np.allclose(samples[:3], [0.0, 0.5, 1.0])
-    assert samples[3] == 0.7 and samples[4] == -0.7
-
-
-def test_line_sampler_vector_anchors():
-    spec = SamplerSpec(
-        kind="line_interpolation",
-        n=5,
-        interp_dims=(1,),
-        from_anchor="nominal",
-        to_anchor="fallback",
-        static_anchor=(9.0, 9.0, 9.0),
-    )
-    a_nom = np.array([1.0, -2.0, 3.0])
-    a_fb = np.array([0.0, 2.0, 0.0])
-    samples = sample_actions(spec, a_nom, a_fb)
-    assert samples.shape == (7, 3)
-    assert np.allclose(samples[:5, 1], np.linspace(-2.0, 2.0, 5))
-    assert np.all(samples[:5, 0] == 9.0) and np.all(samples[:5, 2] == 9.0)
-    assert np.allclose(samples[5], a_nom) and np.allclose(samples[6], a_fb)
-
-
-def test_line_sampler_zero_anchor_and_constant_scalar():
-    spec = SamplerSpec(kind="line_interpolation", n=2, interp_dims=(0,), from_anchor="zero", to_anchor=1.5, static_anchor="zero")
-    samples = sample_actions(spec, 0.4, -0.4)
-    assert np.allclose(samples[:2], [0.0, 1.5])
-
-
 def test_sampler_validation():
     with pytest.raises(ValueError):
         SamplerSpec(kind="sobol")
     with pytest.raises(ValueError):
-        SamplerSpec(kind="line_interpolation", n=1)
+        SamplerSpec(kind="line_interpolation")
     with pytest.raises(ValueError):
         SamplerSpec(kind="equispaced_1d", n=0)
     with pytest.raises(ValueError):
-        SamplerSpec(kind="line_interpolation", n=3, interp_dims=(0, 0))
-    with pytest.raises(ValueError):
-        SamplerSpec(kind="equispaced_1d", from_anchor="median")
-    with pytest.raises(ValueError):
         sample_actions(SamplerSpec(kind="equispaced_1d", n=5), np.array([1.0, 2.0]), np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        sample_actions(
-            SamplerSpec(kind="line_interpolation", n=3, interp_dims=(4,)), 0.1, 0.2
-        )
 
 
 # ---------------------------------------------------------- constraint check
@@ -307,11 +268,23 @@ def test_critic_backend_validation():
 
 
 def test_grid_backend_fallback_is_greedy(grid_backend):
-    state = np.array([-0.7, -0.2, 0.4])
-    table = grid_backend.q_values(state, grid_backend.actions)
-    best = grid_backend.actions[int(np.argmax(table))]
-    assert grid_backend.fallback_action(state) == pytest.approx(best)
-    assert grid_backend.fallback_q(state[None, :])[0] == pytest.approx(table.max())
+    # Reference: one q_from_value call per action, first maximizer on ties.
+    b = grid_backend
+    anywhere = np.random.default_rng(6).uniform([-1.5, -1.5, -np.pi], [1.5, 1.5, np.pi], (100, 3))
+    states = np.vstack([sample_initial_states(np.random.default_rng(5), 100), anywhere])
+    table = np.stack([q_from_value(b.value, b.margin, states, a, b.gamma, b.dt) for a in b.actions], axis=1)
+    greedy = b.actions[np.argmax(table, axis=1)]
+    assert np.array_equal([b.fallback_action(s) for s in states], greedy)
+    assert np.max(np.abs(b.fallback_q(states) - table.max(axis=1))) <= 1e-15
+
+
+def test_grid_backend_fallback_makes_one_q_call(grid_backend, monkeypatch):
+    calls = []
+    inner = filters.q_from_value
+    monkeypatch.setattr(filters, "q_from_value", lambda *args: calls.append(len(args[2])) or inner(*args))
+    grid_backend.fallback_action(np.array([-0.7, -0.2, 0.4]))
+    grid_backend.fallback_q(np.zeros((4, 3)))
+    assert calls == [25, 100]
 
 
 def test_grid_backend_rejects_swapped_fields(solved_grid):

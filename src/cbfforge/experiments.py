@@ -29,7 +29,7 @@ from .dubins import (
     signed_distance_margin,
 )
 from .filters import CriticBackend, FilterConfig, GridBackend, SamplerSpec, cbf_filter, lr_filter, q_query
-from .hj import GridSpec, load_field, margin_field, save_field, value_iteration, verify_margin_value_bound
+from .hj import GridSpec, load_field, margin_field, require_converged, save_field, value_iteration, verify_margin_value_bound
 from .margin import (
     MarginTrainConfig,
     build_margin_dataset,
@@ -184,12 +184,7 @@ def _resolve_grid(cfg: dict, out_dir: str, field_margin_fn):
         tol=cfg["vi_tol"],
         max_iters=cfg["vi_max_sweeps"],
     )
-    if not sol.converged:
-        raise RuntimeError(
-            f"value iteration did not converge: residual {sol.residuals[-1]:.3g} after {sol.sweeps} sweeps "
-            f"is not below vi_tol = {cfg['vi_tol']:g}; raise vi_max_sweeps (now {cfg['vi_max_sweeps']}) "
-            "or loosen vi_tol"
-        )
+    require_converged(sol, cfg["vi_tol"], cfg["vi_max_sweeps"])
     save_field(sol.field, os.path.join(out_dir, "value_grid.txt"))
     save_field(margin, os.path.join(out_dir, "margin_grid.txt"))
     return margin, sol.field

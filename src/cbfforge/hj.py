@@ -7,8 +7,17 @@ The solver iterates the discounted backup
 to its fixed point on a regular (x, y, theta) grid with trilinear
 interpolation, periodic in theta.  gamma = 1 gives the undiscounted avoid
 value, which is a fixed point but not a contraction, so it may legitimately
-stop non-converged.  A brute-force finite-horizon oracle and empirical
-Lipschitz scans provide independent checks on the solved fields.
+stop non-converged.
+
+On this grid the successor offset f(s, a) - s depends only on the heading
+and the action, and clamping a successor into the box is the same as
+edge-padding the field.  Each sweep is therefore a semi-Lagrangian stencil
+(Falcone & Ferretti, SIAM 2013): per action, one theta lerp and a bilinear
+shift of edge-padded xy planes, with per-heading weights.  It needs a few
+copies of the field and no per-node tables.  `interpolate` and
+`q_from_value` are the query path for arbitrary states.  A brute-force
+finite-horizon oracle and empirical Lipschitz scans provide independent
+checks on the solved fields.
 """
 
 from __future__ import annotations
@@ -87,7 +96,8 @@ class GridField:
 
     def __post_init__(self) -> None:
         expected = (self.spec.nx, self.spec.ny, self.spec.ntheta)
-        self.values = np.asarray(self.values, dtype=float).reshape(expected)
+        # C order keeps values.ravel() in interpolate a view, not a copy.
+        self.values = np.ascontiguousarray(self.values, dtype=float).reshape(expected)
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if not np.all(np.isfinite(self.values)):
@@ -100,6 +110,13 @@ def margin_field(spec: GridSpec, margin_fn) -> GridField:
     return GridField(spec, values.reshape(spec.nx, spec.ny, spec.ntheta), kind="margin")
 
 
+def _theta_corners(spec: GridSpec, theta: np.ndarray):
+    """Lower and upper theta node indices of each heading, and the upper weight."""
+    ft = (wrap_angle(theta) + np.pi) / spec.dtheta
+    it0 = np.minimum(ft.astype(np.int64), spec.ntheta - 1)
+    return it0, (it0 + 1) % spec.ntheta, ft - it0
+
+
 def _interp_coeffs(spec: GridSpec, states: np.ndarray):
     """Trilinear corner indices and weights for a batch of query states.
 
@@ -110,17 +127,14 @@ def _interp_coeffs(spec: GridSpec, states: np.ndarray):
     states = np.asarray(states, dtype=float)
     fx = (np.clip(states[:, 0], -XY_BOUND, XY_BOUND) + XY_BOUND) / spec.dx
     fy = (np.clip(states[:, 1], -XY_BOUND, XY_BOUND) + XY_BOUND) / spec.dy
-    ft = (wrap_angle(states[:, 2]) + np.pi) / spec.dtheta
+    it0, it1, wt = _theta_corners(spec, states[:, 2])
 
     ix0 = np.minimum(fx.astype(np.int64), spec.nx - 2)
     iy0 = np.minimum(fy.astype(np.int64), spec.ny - 2)
-    it0 = np.minimum(ft.astype(np.int64), spec.ntheta - 1)
     wx = fx - ix0
     wy = fy - iy0
-    wt = ft - it0
     ix1 = ix0 + 1
     iy1 = iy0 + 1
-    it1 = (it0 + 1) % spec.ntheta
 
     n = states.shape[0]
     idx = np.empty((8, n), dtype=np.int64)
@@ -176,6 +190,14 @@ def value_iteration(
         V(s) = (1 - gamma) * margin(s)
                + gamma * min(margin(s), max_a Interp(V, f(s, a))).
 
+    Interp(V, f(s, a)) is the trilinear value `interpolate` would return at
+    the successor, computed as a shift stencil: f(s, a) - s depends only on
+    the heading and the action, so for each action the sweep lerps the two
+    successor theta planes of every heading into an edge-padded buffer and
+    blends four shifted xy windows of it with per-heading weights.  Edge
+    padding reproduces the clamping of successors into the box.  Memory is a
+    few copies of the field; nothing is stored per node and action.
+
     For gamma < 1 this is a gamma-contraction and must converge; gamma = 1 is
     the undiscounted fixed point and may hit max_iters, in which case the
     solution is returned flagged non-converged.
@@ -197,21 +219,68 @@ def value_iteration(
         raise ValueError("tol must be positive")
 
     spec = margin.spec
-    nodes = spec.nodes()
-    coeffs = []
-    for a in action_set:
-        succ = dynamics_step_batch(nodes, a, dt)
-        coeffs.append(_interp_coeffs(spec, succ))
+    nt, nx, ny = spec.ntheta, spec.nx, spec.ny
+    # One column of headings, stepped from two opposite corners of the box.
+    # Each copy clamps only the displacements that leave the box through its
+    # far side, so their sum is the displacement capped at the box width,
+    # beyond which every clamped successor sits on the edge anyway.
+    column = np.zeros((2 * nt, 3))
+    column[:nt, :2] = -XY_BOUND
+    column[nt:, :2] = XY_BOUND
+    column[:, 2] = np.tile(spec.thetas, 2)
+    succs = [dynamics_step_batch(column, a, dt) for a in action_set]
+    shifts = [((s[:nt, :2] + XY_BOUND) + (s[nt:, :2] - XY_BOUND)) / (spec.dx, spec.dy) for s in succs]
+    pad = int(np.ceil(np.abs(shifts).max())) + 1
 
-    ell = margin.values.ravel()
-    v = ell.copy()
+    # Theta-major planes, edge-padded by `pad` cells in x and y.  Window
+    # (u, w) of a padded plane is the plane shifted by (u - pad, w - pad)
+    # cells, with shifted-out positions clamped to the edge.
+    padded = np.empty((nt, nx + 2 * pad, ny + 2 * pad))
+    lo = np.empty_like(padded)
+    lerp = np.empty_like(padded)
+    windows = np.lib.stride_tricks.sliding_window_view(lerp, (nx, ny), axis=(1, 2))
+    ks = np.arange(nt)
+    taps = []
+    for succ, shift in zip(succs, shifts):
+        it0, it1, wt = _theta_corners(spec, succ[:nt, 2])
+        base = np.floor(shift)
+        fx, fy = (shift - base).T[:, :, None, None]
+        ux, uy = (pad + base.astype(np.int64)).T
+        corners = (
+            (ux, uy, (1.0 - fx) * (1.0 - fy)),
+            (ux + 1, uy, fx * (1.0 - fy)),
+            (ux, uy + 1, (1.0 - fx) * fy),
+            (ux + 1, uy + 1, fx * fy),
+        )
+        taps.append((it0, it1, wt[:, None, None], corners))
+
+    ell = np.ascontiguousarray(np.moveaxis(margin.values, 2, 0))
+    v = ell
     residuals: list[float] = []
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
+        # Lerping padded planes keeps their pads exact, so pad V once per sweep.
+        padded[:, pad : pad + nx, pad : pad + ny] = v
+        padded[:, pad : pad + nx, :pad] = v[:, :, :1]
+        padded[:, pad : pad + nx, pad + ny :] = v[:, :, -1:]
+        padded[:, :pad] = padded[:, pad : pad + 1]
+        padded[:, pad + nx :] = padded[:, pad + nx - 1 : pad + nx]
         best = np.full(v.shape, -np.inf)
-        for idx, w in coeffs:
-            np.maximum(best, np.einsum("cn,cn->n", w, v[idx]), out=best)
+        for it0, it1, wt, corners in taps:
+            # The indices are in range; "clip" only skips buffering `out`.
+            np.take(padded, it0, axis=0, out=lo, mode="clip")
+            np.take(padded, it1, axis=0, out=lerp, mode="clip")
+            lerp -= lo
+            lerp *= wt
+            lerp += lo
+            ux, uy, w = corners[0]
+            acc = windows[ks, ux, uy] * w
+            for ux, uy, w in corners[1:]:
+                pick = windows[ks, ux, uy]
+                pick *= w
+                acc += pick
+            np.maximum(best, acc, out=best)
         v_new = (1.0 - gamma) * ell + gamma * np.minimum(ell, best)
         residual = float(np.max(np.abs(v_new - v)))
         residuals.append(residual)
@@ -219,8 +288,17 @@ def value_iteration(
         if residual < tol:
             converged = True
             break
-    field = GridField(spec, v.reshape(margin.values.shape), kind="value")
+    field = GridField(spec, np.moveaxis(v, 0, 2), kind="value")
     return ValueSolution(field, converged, sweeps, residuals)
+
+
+def require_converged(solution: ValueSolution, vi_tol: float, max_sweeps: int) -> None:
+    """Raise RuntimeError unless the solve stopped on its residual test."""
+    if not solution.converged:
+        raise RuntimeError(
+            f"value iteration did not converge: residual {solution.residuals[-1]:.3g} after {solution.sweeps} "
+            f"sweeps is not below vi_tol = {vi_tol:g}; raise vi_max_sweeps (now {max_sweeps}) or loosen vi_tol"
+        )
 
 
 def q_from_value(
@@ -333,13 +411,16 @@ def verify_margin_value_bound(
     """Solve the discounted field and check the margin-to-value
     Lipschitz bound L_V <= L_ell * max(1, (1-gamma)/(1-gamma L_f)).
 
-    Rejects gamma * L_f >= 1, where the bound's hypothesis fails.
+    Rejects gamma * L_f >= 1, where the bound's hypothesis fails, and raises
+    RuntimeError when the solve stops at max_iters unconverged: L_V of such
+    a field says nothing about the value function.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("the bound needs gamma in [0, 1)")
     if gamma * L_f >= 1.0:
         raise ValueError(f"hypothesis violated: gamma * L_f = {gamma * L_f:.4f} >= 1")
     solution = value_iteration(margin, action_set, gamma, dt, tol=vi_tol, max_iters=max_iters)
+    require_converged(solution, vi_tol, max_iters)
     l_ell = empirical_lipschitz(margin)
     l_v = empirical_lipschitz(solution.field)
     bound = l_ell * max(1.0, (1.0 - gamma) / (1.0 - gamma * L_f))

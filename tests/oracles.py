@@ -1,15 +1,17 @@
 """Independent oracles used by the test suite.
 
 Everything here is written as a second route to the same quantity: central
-finite differences for derivatives, and a plain recursive enumeration for the
-finite-horizon avoid value.  None of it shares code with the package
-implementations it checks.
+finite differences for derivatives, a plain recursive enumeration for the
+finite-horizon avoid value, and value iteration by gathering through the
+public query path.  None of it shares code with the package implementations
+it checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from cbfforge.hj import GridField, ValueSolution, q_from_value
 from cbfforge.nets import MlpGrads, MlpNet
 
 
@@ -75,3 +77,28 @@ def recursive_avoid_value(state, margin_fn, step_fn, actions, horizon: int) -> f
         return m
     best = max(recursive_avoid_value(step_fn(state, a), margin_fn, step_fn, actions, horizon - 1) for a in actions)
     return min(m, best)
+
+
+def gather_value_iteration(margin: GridField, actions, gamma: float, dt: float, tol: float, max_iters: int) -> ValueSolution:
+    """Jacobi value iteration with each sweep V <- max_a q_from_value(V, margin, nodes, a).
+
+    At a node the interpolated margin is the node value, so this is the
+    solver's backup evaluated by trilinear gathers at every successor state,
+    with the same stopping rule as `hj.value_iteration`.
+    """
+    spec = margin.spec
+    nodes = spec.nodes()
+    v = margin.values.ravel()
+    residuals: list[float] = []
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_iters + 1):
+        field = GridField(spec, v, kind="value")
+        v_new = np.max([q_from_value(field, margin, nodes, a, gamma, dt) for a in actions], axis=0)
+        residual = float(np.max(np.abs(v_new - v)))
+        residuals.append(residual)
+        v = v_new
+        if residual < tol:
+            converged = True
+            break
+    return ValueSolution(GridField(spec, v, kind="value"), converged, sweeps, residuals)

@@ -97,6 +97,17 @@ def test_unconverged_grid_solve_exits_1(tmp_path, capsys):
     assert not (out / "value_grid.txt").exists()
 
 
+def test_unconverged_bound_solve_exits_1(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, *TINY_GRID, "vi_max_sweeps = 2", "lip_margin_modes = exact", "lip_fd_samples = 500")
+    out = tmp_path / "bound"
+    assert main(["verify-bound", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "after 2 sweeps" in err
+    assert "vi_tol = 0.0001" in err and "vi_max_sweeps (now 2)" in err
+    report = out / "bound_report.csv"
+    assert not report.exists() or "true" not in report.read_text()
+
+
 def test_demo_writes_trajectory_with_diagnostics(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, *TINY_GRID, "rollout_steps = 15")
     out = tmp_path / "demo"

@@ -1,6 +1,8 @@
 """Grid solver checks: interpolation, fixed-point properties, the brute-force
 oracle crosscheck, Lipschitz scans, and field serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from cbfforge.hj import (
     value_iteration,
     verify_margin_value_bound,
 )
-from oracles import recursive_avoid_value
+from oracles import gather_value_iteration, recursive_avoid_value
 
 
 def small_spec():
@@ -55,6 +57,14 @@ class TestGridSpec:
         values[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             GridField(spec, values)
+
+    def test_field_from_a_view_is_c_contiguous(self):
+        spec = GridSpec(nx=5, ny=4, ntheta=6)
+        theta_major = np.random.default_rng(3).normal(size=(6, 5, 4))
+        field = GridField(spec, np.moveaxis(theta_major, 0, 2))
+        assert field.values.flags.c_contiguous
+        assert np.shares_memory(field.values.ravel(), field.values)
+        np.testing.assert_array_equal(field.values, np.moveaxis(theta_major, 0, 2))
 
 
 class TestInterpolate:
@@ -158,6 +168,46 @@ class TestValueIteration:
         with pytest.raises(ValueError):
             value_iteration(margin, equispaced_actions(3), 0.9, tol=0.0)
 
+    @pytest.mark.parametrize("shape", [(41, 41, 21), (17, 23, 9), (9, 9, 6)])
+    @pytest.mark.parametrize("dt", [0.1, 0.35, 2.0])
+    @pytest.mark.parametrize(
+        "actions",
+        [equispaced_actions(5), equispaced_actions(25), np.array([1.3, -2.0, 0.4])],
+        ids=["a5", "a25", "unsorted3"],
+    )
+    def test_one_sweep_matches_gather_oracle(self, shape, dt, actions):
+        # dt = 2.0 moves the car farther than the half-width of the box, so
+        # successors clamp on both sides of it.
+        spec = GridSpec(*shape)
+        margin = GridField(spec, np.random.default_rng(8).normal(size=shape), kind="margin")
+        sol = value_iteration(margin, actions, 1.0, dt, max_iters=1)
+        ref = gather_value_iteration(margin, actions, 1.0, dt, tol=1e-6, max_iters=1)
+        assert np.max(np.abs(sol.field.values - ref.field.values)) <= 1e-13
+        assert sol.residuals == pytest.approx(ref.residuals, abs=1e-13)
+
+    def test_solve_matches_gather_oracle(self):
+        spec = GridSpec(nx=41, ny=41, ntheta=21)
+        margin = margin_field(spec, signed_distance_margin)
+        actions = equispaced_actions(25)
+        sol = value_iteration(margin, actions, 0.995, tol=1e-5)
+        ref = gather_value_iteration(margin, actions, 0.995, 0.1, tol=1e-5, max_iters=2000)
+        assert (sol.sweeps, sol.converged) == (ref.sweeps, ref.converged)
+        assert np.max(np.abs(sol.field.values - ref.field.values)) <= 1e-12
+        assert sol.field.values.flags.c_contiguous
+
+    def test_peak_memory_is_a_few_fields(self):
+        # The solve may hold a few copies of the field, never per-node tables
+        # over actions and interpolation corners (25 * 8 * N here).
+        spec = GridSpec(nx=41, ny=41, ntheta=21)
+        margin = margin_field(spec, signed_distance_margin)
+        tracemalloc.start()
+        try:
+            value_iteration(margin, equispaced_actions(25), 0.995, max_iters=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * margin.values.nbytes
+
     def test_sign_agreement_with_oracle_sample(self):
         # Desk-scale echo of the solver-vs-oracle agreement check: solved
         # discounted field against the 3-action horizon-6 enumeration, on a
@@ -259,6 +309,12 @@ class TestLipschitzScan:
         assert report.L_V == pytest.approx(0.0, abs=1e-9)
         assert report.bound == 0.0
         assert report.holds
+
+    def test_unconverged_solve_rejected(self):
+        spec = GridSpec(nx=9, ny=9, ntheta=6)
+        margin = margin_field(spec, signed_distance_margin)
+        with pytest.raises(RuntimeError, match="did not converge.*after 2 sweeps.*vi_max_sweeps \\(now 2\\)"):
+            verify_margin_value_bound(margin, 0.9, 0.1, equispaced_actions(5), L_f=1.05, max_iters=2)
 
     def test_hypothesis_violation_rejected(self):
         spec = GridSpec(nx=9, ny=9, ntheta=6)

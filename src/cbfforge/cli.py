@@ -14,37 +14,32 @@ import sys
 import numpy as np
 
 from .config import ConfigError, describe_keys, load_config
-from .dubins import OVERRIDE_THRESHOLD, nominal_policy, rollout, sample_initial_states, save_trajectory_csv
+from .dubins import OVERRIDE_THRESHOLD, save_trajectory_csv
 from .experiments import (
-    _build_backend,
-    _filter_config,
-    _nominal_cfg,
-    _resolve_actor_critic,
-    _resolve_grid,
-    _resolve_margin,
-    _margin_for_field,
-    _train_margin_net,
+    action_filter,
+    actor_critic,
+    build_backend,
+    grid_fields,
     run_experiment,
+    run_rollouts,
+    train_margin_net,
 )
-from .filters import cbf_filter
 
-_EXPERIMENT_COMMANDS = {
-    "filter-eval": ("filter_comparison", ("filter_comparison", "alpha_ablation")),
-    "verify-bound": ("lipschitz_bound", ("lipschitz_bound",)),
-    "bench": ("throughput", ("throughput",)),
-}
+
+def _run_table(cfg: dict) -> int:
+    table = run_experiment(cfg)
+    print(f"{cfg['experiment']}: {len(table.rows)} rows -> {cfg['output_dir']}/metrics.csv")
+    return 0
 
 
 def _cmd_train_margin(cfg: dict) -> int:
     if cfg["experiment"] == "margin_quality":
-        table = run_experiment(cfg)
-        print(f"margin_quality: {len(table.rows)} rows -> {cfg['output_dir']}/metrics.csv")
-        return 0
+        return _run_table(cfg)
     mode = cfg["margin_mode"]
     if mode == "exact":
         raise ConfigError("train-margin needs margin_mode = gp or nogp (exact has nothing to train)")
     os.makedirs(cfg["output_dir"], exist_ok=True)
-    _train_margin_net(cfg, use_gp=(mode == "gp"), out_dir=cfg["output_dir"])
+    train_margin_net(cfg, use_gp=(mode == "gp"), out_dir=cfg["output_dir"])
     path = os.path.join(cfg["output_dir"], f"margin_{mode}.txt")
     print(f"trained margin ({mode}) -> {path}")
     return 0
@@ -53,10 +48,7 @@ def _cmd_train_margin(cfg: dict) -> int:
 def _cmd_solve_grid(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    cfg = dict(cfg)
-    cfg["value_grid"] = cfg["margin_grid"] = ""  # always solve fresh
-    margin_fn, net = _resolve_margin(cfg, out_dir)
-    _resolve_grid(cfg, out_dir, _margin_for_field(cfg, margin_fn, net))
+    grid_fields(dict(cfg, value_grid="", margin_grid=""), out_dir)  # always solve fresh
     print(f"solved {cfg['grid_nx']}x{cfg['grid_ny']}x{cfg['grid_ntheta']} grid -> {out_dir}/value_grid.txt")
     return 0
 
@@ -68,10 +60,7 @@ def _cmd_train_rl(cfg: dict) -> int:
         return 0
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    cfg = dict(cfg)
-    cfg["critic_model"] = cfg["actor_model"] = ""  # always train
-    margin_fn, _ = _resolve_margin(cfg, out_dir)
-    _resolve_actor_critic(cfg, out_dir, margin_fn)
+    actor_critic(dict(cfg, critic_model="", actor_model=""), out_dir)  # always train
     print(f"trained safety actor-critic -> {out_dir}/rl/")
     return 0
 
@@ -79,18 +68,8 @@ def _cmd_train_rl(cfg: dict) -> int:
 def _cmd_demo(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    backend = _build_backend(cfg, out_dir)
-    fcfg = _filter_config(cfg)
-    nom = _nominal_cfg(cfg)
-    rng = np.random.default_rng([cfg["seed"], 1000])
-    start = sample_initial_states(np.random.default_rng([cfg["seed"], 777]), 1)[0]
-    rec = rollout(
-        lambda s: nominal_policy(s, nom, rng=rng),
-        start,
-        cfg["rollout_steps"],
-        action_filter=lambda s, a: cbf_filter(s, a, backend, fcfg),
-        dt=cfg["dt"],
-    )
+    backend = build_backend(cfg, out_dir)
+    rec = run_rollouts(dict(cfg, n_rollouts=1), action_filter("cbf", backend, cfg))[0]
     path = os.path.join(out_dir, "demo_trajectory.csv")
     save_trajectory_csv(rec, path)
     n_over = int(np.count_nonzero(rec.override_magnitudes >= OVERRIDE_THRESHOLD))
@@ -101,38 +80,28 @@ def _cmd_demo(cfg: dict) -> int:
     return 0
 
 
-def _make_experiment_cmd(command: str):
-    default, allowed = _EXPERIMENT_COMMANDS[command]
+def _experiment_cmd(*allowed: str):
+    """Run cfg["experiment"] if it is one of allowed, else allowed[0]."""
 
     def _run(cfg: dict) -> int:
         if cfg["experiment"] not in allowed:
-            cfg = dict(cfg)
-            cfg["experiment"] = default
-        table = run_experiment(cfg)
-        print(f"{cfg['experiment']}: {len(table.rows)} rows -> {cfg['output_dir']}/metrics.csv")
-        return 0
+            cfg = dict(cfg, experiment=allowed[0])
+        return _run_table(cfg)
 
     return _run
 
 
 _COMMANDS = {
-    "train-margin": _cmd_train_margin,
-    "solve-grid": _cmd_solve_grid,
-    "train-rl": _cmd_train_rl,
-    "filter-eval": _make_experiment_cmd("filter-eval"),
-    "verify-bound": _make_experiment_cmd("verify-bound"),
-    "bench": _make_experiment_cmd("bench"),
-    "demo": _cmd_demo,
-}
-
-_DESCRIPTIONS = {
-    "train-margin": "train a margin net (or run the margin_quality experiment)",
-    "solve-grid": "solve the avoid value function on the grid and save both fields",
-    "train-rl": "train the safety actor-critic (or run the mix_ablation experiment)",
-    "filter-eval": "compare runtime filters over evaluation rollouts",
-    "verify-bound": "check the margin-to-value Lipschitz bound",
-    "bench": "benchmark candidate-scoring throughput",
-    "demo": "dump one filtered rollout as CSV",
+    "train-margin": ("train a margin net (or run the margin_quality experiment)", _cmd_train_margin),
+    "solve-grid": ("solve the avoid value function on the grid and save both fields", _cmd_solve_grid),
+    "train-rl": ("train the safety actor-critic (or run the mix_ablation experiment)", _cmd_train_rl),
+    "filter-eval": (
+        "compare runtime filters over evaluation rollouts",
+        _experiment_cmd("filter_comparison", "alpha_ablation"),
+    ),
+    "verify-bound": ("check the margin-to-value Lipschitz bound", _experiment_cmd("lipschitz_bound")),
+    "bench": ("benchmark candidate-scoring throughput", _experiment_cmd("throughput")),
+    "demo": ("dump one filtered rollout as CSV", _cmd_demo),
 }
 
 
@@ -144,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _DESCRIPTIONS.items():
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -161,7 +130,7 @@ def main(argv=None) -> int:
         overrides["output_dir"] = args.out
     try:
         cfg = load_config(args.config, overrides)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][1](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -6,13 +6,19 @@ bit-for-bit given (config, seed): initial states come from one master stream
 and each rollout owns a derived stream for its nominal-policy noise.  Grids
 are solved to convergence or not at all: a value solve that stops at
 vi_max_sweeps raises.
+
+The pipeline stages are public and the CLI calls them directly:
+train_margin_net, resolve_margin and field_margin (margin), grid_fields and
+actor_critic (value source), build_backend and action_filter (filter), and
+run_rollouts (evaluation).  Each stage loads a saved artifact or trains and
+saves one only when it is about to use it.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -63,17 +69,7 @@ class MetricsRow:
     max_step_delta_std: object = NA
 
     def cells(self):
-        return (
-            self.method,
-            self.margin_mode,
-            self.alpha,
-            self.safety_rate,
-            self.avg_override,
-            self.override_std,
-            self.f1,
-            self.max_step_delta_mean,
-            self.max_step_delta_std,
-        )
+        return astuple(self)
 
 
 @dataclass
@@ -101,7 +97,7 @@ class MetricsTable:
             fh.write("\n".join(lines) + "\n")
 
 
-def _nominal_cfg(cfg: dict) -> NominalPolicyConfig:
+def nominal_config(cfg: dict) -> NominalPolicyConfig:
     return NominalPolicyConfig(
         goal=(cfg["nominal_goal_x"], cfg["nominal_goal_y"]),
         gain=cfg["nominal_gain"],
@@ -110,8 +106,10 @@ def _nominal_cfg(cfg: dict) -> NominalPolicyConfig:
     )
 
 
-def _margin_train_config(cfg: dict, use_gp: bool) -> MarginTrainConfig:
-    return MarginTrainConfig(
+def train_margin_net(cfg: dict, use_gp: bool, out_dir: str):
+    """Train a margin net on a fresh dataset and save it as margin_<mode>.txt."""
+    dataset = build_margin_dataset(cfg["margin_train_points"], seed=cfg["seed"])
+    train_cfg = MarginTrainConfig(
         lambda_zs=cfg["lambda_zs"],
         lambda_gp=cfg["lambda_gp"],
         lambda_sign=cfg["lambda_sign"],
@@ -124,16 +122,12 @@ def _margin_train_config(cfg: dict, use_gp: bool) -> MarginTrainConfig:
         hidden_dims=tuple(cfg["margin_hidden_dims"]),
         seed=cfg["seed"],
     )
-
-
-def _train_margin_net(cfg: dict, use_gp: bool, out_dir: str):
-    dataset = build_margin_dataset(cfg["margin_train_points"], seed=cfg["seed"])
-    net = train_margin(dataset, _margin_train_config(cfg, use_gp))
+    net = train_margin(dataset, train_cfg)
     save_model(net, os.path.join(out_dir, f"margin_{'gp' if use_gp else 'nogp'}.txt"))
     return net
 
 
-def _resolve_margin(cfg: dict, out_dir: str):
+def resolve_margin(cfg: dict, out_dir: str):
     """Return (raw margin callable, net or None) for cfg["margin_mode"]."""
     mode = cfg["margin_mode"]
     if mode == "exact":
@@ -143,7 +137,7 @@ def _resolve_margin(cfg: dict, out_dir: str):
             raise ConfigError(f"margin_model file not found: {cfg['margin_model']}")
         net = load_model(cfg["margin_model"])
     elif cfg["train_missing"]:
-        net = _train_margin_net(cfg, use_gp=(mode == "gp"), out_dir=out_dir)
+        net = train_margin_net(cfg, use_gp=(mode == "gp"), out_dir=out_dir)
     else:
         raise ConfigError(
             f"margin net ({mode}) missing: set margin_model or train_missing = true"
@@ -151,31 +145,43 @@ def _resolve_margin(cfg: dict, out_dir: str):
     return net_margin_fn(net), net
 
 
-def _margin_for_field(cfg: dict, margin_fn, net):
-    """Margin used to label grid cells: unbounded nets are clipped."""
+def field_margin(cfg: dict, out_dir: str):
+    """Margin used to label grid cells: unbounded (GP) nets are clipped to [-1, 1]."""
+    margin_fn, net = resolve_margin(cfg, out_dir)
     if net is not None and cfg["margin_mode"] == "gp":
         return net_margin_fn(net, clip=(-1.0, 1.0))
     return margin_fn
 
 
-def _resolve_grid(cfg: dict, out_dir: str, field_margin_fn):
-    """Load or solve the (margin, value) field pair for the config.
+def _saved_pair(cfg: dict, first: str, second: str) -> bool:
+    """Whether the config names a saved artifact pair; both must be set and exist."""
+    if not (cfg[first] or cfg[second]):
+        return False
+    if not (cfg[first] and cfg[second]):
+        raise ConfigError(f"{first} and {second} must be set together")
+    for key in (first, second):
+        if not os.path.exists(cfg[key]):
+            raise ConfigError(f"{key} file not found: {cfg[key]}")
+    return True
 
-    Raises RuntimeError when the solve stops at vi_max_sweeps unconverged.
+
+def grid_fields(cfg: dict, out_dir: str, margin_fn=None):
+    """Load the saved (margin, value) field pair, or solve and save it.
+
+    Only a solve resolves a margin: margin_fn labels the grid cells, and
+    defaults to field_margin(cfg, out_dir).  Raises RuntimeError when the
+    solve stops at vi_max_sweeps unconverged.
     """
-    if cfg["value_grid"] or cfg["margin_grid"]:
-        if not (cfg["value_grid"] and cfg["margin_grid"]):
-            raise ConfigError("value_grid and margin_grid must be set together")
-        for key in ("value_grid", "margin_grid"):
-            if not os.path.exists(cfg[key]):
-                raise ConfigError(f"{key} file not found: {cfg[key]}")
+    if _saved_pair(cfg, "value_grid", "margin_grid"):
         value = load_field(cfg["value_grid"], kind="value")
         margin = load_field(cfg["margin_grid"], kind="margin")
         if value.spec != margin.spec:
             raise ConfigError("value_grid and margin_grid disagree on the grid shape")
         return margin, value
+    if margin_fn is None:
+        margin_fn = field_margin(cfg, out_dir)
     spec = GridSpec(nx=cfg["grid_nx"], ny=cfg["grid_ny"], ntheta=cfg["grid_ntheta"])
-    margin = margin_field(spec, field_margin_fn)
+    margin = margin_field(spec, margin_fn)
     sol = value_iteration(
         margin,
         equispaced_actions(cfg["n_action_samples"]),
@@ -190,17 +196,18 @@ def _resolve_grid(cfg: dict, out_dir: str, field_margin_fn):
     return margin, sol.field
 
 
-def _resolve_actor_critic(cfg: dict, out_dir: str, margin_fn, mix_nominal: bool | None = None, tag: str = "rl"):
-    """Load or train the fallback actor and safety critic."""
-    if cfg["critic_model"] or cfg["actor_model"]:
-        if not (cfg["critic_model"] and cfg["actor_model"]):
-            raise ConfigError("critic_model and actor_model must be set together")
-        for key in ("critic_model", "actor_model"):
-            if not os.path.exists(cfg[key]):
-                raise ConfigError(f"{key} file not found: {cfg[key]}")
+def actor_critic(cfg: dict, out_dir: str, margin_fn=None, mix_nominal: bool | None = None, tag: str = "rl"):
+    """Load the saved fallback actor and safety critic, or train them.
+
+    Only training resolves a margin: margin_fn labels the replay buffer, and
+    defaults to the raw margin of resolve_margin(cfg, out_dir).
+    """
+    if _saved_pair(cfg, "critic_model", "actor_model"):
         return load_model(cfg["actor_model"]), load_model(cfg["critic_model"])
     if not cfg["train_missing"]:
         raise ConfigError("critic/actor missing: set critic_model and actor_model or train_missing = true")
+    if margin_fn is None:
+        margin_fn, _ = resolve_margin(cfg, out_dir)
     rl_cfg = RlConfig(
         gamma=cfg["gamma"],
         critic_lr=cfg["rl_critic_lr"],
@@ -217,15 +224,14 @@ def _resolve_actor_critic(cfg: dict, out_dir: str, margin_fn, mix_nominal: bool 
         mix_nominal=cfg["rl_mix_nominal"] if mix_nominal is None else mix_nominal,
         seed=cfg["seed"],
     )
-    actor, critic, _ = train_safety_rl(margin_fn, _nominal_cfg(cfg), rl_cfg, out_dir=os.path.join(out_dir, tag))
+    actor, critic, _ = train_safety_rl(margin_fn, nominal_config(cfg), rl_cfg, out_dir=os.path.join(out_dir, tag))
     return actor, critic
 
 
-def _build_backend(cfg: dict, out_dir: str):
+def build_backend(cfg: dict, out_dir: str):
     """Backend for the runtime filters, per filter_backend."""
-    margin_fn, net = _resolve_margin(cfg, out_dir)
     if cfg["filter_backend"] == "grid":
-        margin_f, value_f = _resolve_grid(cfg, out_dir, _margin_for_field(cfg, margin_fn, net))
+        margin_f, value_f = grid_fields(cfg, out_dir)
         return GridBackend(
             value_f,
             margin_f,
@@ -233,49 +239,52 @@ def _build_backend(cfg: dict, out_dir: str):
             gamma=cfg["gamma"],
             dt=cfg["dt"],
         )
-    actor, critic = _resolve_actor_critic(cfg, out_dir, margin_fn)
+    actor, critic = actor_critic(cfg, out_dir)
     return CriticBackend(critic, actor, dt=cfg["dt"])
 
 
-def _filter_config(cfg: dict, alpha: float | None = None) -> FilterConfig:
-    return FilterConfig(
-        alpha=cfg["alpha"] if alpha is None else alpha,
-        epsilon=cfg["epsilon"],
-        query_mode=cfg["query_mode"],
-        sampler=SamplerSpec(kind="equispaced_1d", n=cfg["n_action_samples"]),
-        gamma=cfg["gamma"],
-        dt=cfg["dt"],
-    )
-
-
-def _make_action_filter(method: str, backend, cfg: dict, alpha: float | None = None):
+def action_filter(method: str, backend, cfg: dict, alpha: float | None = None):
+    """Per-step filter (state, a_nom) -> FilterDecision, or None for "none"."""
     if method == "none":
         return None
     if method == "lr":
         return lambda state, a_nom: lr_filter(state, a_nom, backend, cfg["epsilon"])
     if method == "cbf":
-        fcfg = _filter_config(cfg, alpha)
+        fcfg = FilterConfig(
+            alpha=cfg["alpha"] if alpha is None else alpha,
+            epsilon=cfg["epsilon"],
+            query_mode=cfg["query_mode"],
+            sampler=SamplerSpec(kind="equispaced_1d", n=cfg["n_action_samples"]),
+            gamma=cfg["gamma"],
+            dt=cfg["dt"],
+        )
         return lambda state, a_nom: cbf_filter(state, a_nom, backend, fcfg)
     raise ConfigError(f"unknown filter method {method!r}")
 
 
-def _evaluation_starts(cfg: dict) -> np.ndarray:
-    return sample_initial_states(np.random.default_rng([cfg["seed"], 777]), cfg["n_rollouts"])
+def run_rollouts(cfg: dict, filter_fn) -> list:
+    """n_rollouts evaluation trajectories under filter_fn (None: unfiltered).
 
-
-def _run_rollouts(cfg: dict, action_filter, label: str, out_dir: str) -> list:
-    """n_rollouts trajectories with per-rollout policy-noise streams."""
-    nom = _nominal_cfg(cfg)
-    starts = _evaluation_starts(cfg)
-    traj_dir = os.path.join(out_dir, "trajectories")
-    os.makedirs(traj_dir, exist_ok=True)
+    Start states come from the master stream [seed, 777]; rollout k draws its
+    nominal-policy noise from its own stream [seed, 1000 + k].
+    """
+    nom = nominal_config(cfg)
+    starts = sample_initial_states(np.random.default_rng([cfg["seed"], 777]), cfg["n_rollouts"])
     records = []
     for k in range(cfg["n_rollouts"]):
         rng = np.random.default_rng([cfg["seed"], 1000 + k])
         policy = lambda s: nominal_policy(s, nom, rng=rng)
-        rec = rollout(policy, starts[k], cfg["rollout_steps"], action_filter=action_filter, dt=cfg["dt"])
+        records.append(rollout(policy, starts[k], cfg["rollout_steps"], action_filter=filter_fn, dt=cfg["dt"]))
+    return records
+
+
+def _saved_rollouts(cfg: dict, filter_fn, label: str, out_dir: str) -> list:
+    """run_rollouts, each record written to trajectories/<label>_<k>.csv."""
+    records = run_rollouts(cfg, filter_fn)
+    traj_dir = os.path.join(out_dir, "trajectories")
+    os.makedirs(traj_dir, exist_ok=True)
+    for k, rec in enumerate(records):
         save_trajectory_csv(rec, os.path.join(traj_dir, f"{label}_{k:03d}.csv"))
-        records.append(rec)
     return records
 
 
@@ -302,10 +311,10 @@ def safety_rate(records) -> float:
 
 def _experiment_margin_quality(cfg: dict, out_dir: str) -> MetricsTable:
     """Train both margin variants and score them along nominal rollouts."""
-    records = _run_rollouts(cfg, None, "nominal", out_dir)
+    records = _saved_rollouts(cfg, None, "nominal", out_dir)
     rows = []
     for mode, use_gp in (("gp", True), ("nogp", False)):
-        net = _train_margin_net(cfg, use_gp, out_dir)
+        net = train_margin_net(cfg, use_gp, out_dir)
         metrics = evaluate_margin(net, records)
         save_metrics_csv(metrics, os.path.join(out_dir, f"margin_metrics_{mode}.csv"))
         rows.append(
@@ -320,43 +329,32 @@ def _experiment_margin_quality(cfg: dict, out_dir: str) -> MetricsTable:
     return MetricsTable(rows)
 
 
-def _experiment_filter_comparison(cfg: dict, out_dir: str) -> MetricsTable:
-    backend = _build_backend(cfg, out_dir)
+def _filter_table(cfg: dict, out_dir: str, runs) -> MetricsTable:
+    """One row per (method, label, alpha) run on one backend; alpha None is n/a."""
+    backend = build_backend(cfg, out_dir)
     rows = []
-    for method in cfg["methods"]:
-        records = _run_rollouts(cfg, _make_action_filter(method, backend, cfg), method, out_dir)
+    for method, label, alpha in runs:
+        records = _saved_rollouts(cfg, action_filter(method, backend, cfg, alpha), label, out_dir)
         avg, std = override_statistics(records)
         rows.append(
             MetricsRow(
                 method=method,
                 margin_mode=cfg["margin_mode"],
-                alpha=cfg["alpha"] if method == "cbf" else NA,
+                alpha=NA if alpha is None else alpha,
                 safety_rate=safety_rate(records),
                 avg_override=avg,
                 override_std=std,
             )
         )
     return MetricsTable(rows)
+
+
+def _experiment_filter_comparison(cfg: dict, out_dir: str) -> MetricsTable:
+    return _filter_table(cfg, out_dir, [(m, m, cfg["alpha"] if m == "cbf" else None) for m in cfg["methods"]])
 
 
 def _experiment_alpha_ablation(cfg: dict, out_dir: str) -> MetricsTable:
-    backend = _build_backend(cfg, out_dir)
-    rows = []
-    for alpha in cfg["alpha_list"]:
-        label = f"cbf_alpha_{alpha:g}"
-        records = _run_rollouts(cfg, _make_action_filter("cbf", backend, cfg, alpha), label, out_dir)
-        avg, std = override_statistics(records)
-        rows.append(
-            MetricsRow(
-                method="cbf",
-                margin_mode=cfg["margin_mode"],
-                alpha=float(alpha),
-                safety_rate=safety_rate(records),
-                avg_override=avg,
-                override_std=std,
-            )
-        )
-    return MetricsTable(rows)
+    return _filter_table(cfg, out_dir, [("cbf", f"cbf_alpha_{a:g}", float(a)) for a in cfg["alpha_list"]])
 
 
 def _saturated_margin(cfg: dict):
@@ -382,10 +380,7 @@ def _experiment_lipschitz_bound(cfg: dict, out_dir: str) -> MetricsTable:
         elif mode == "sat":
             fn = _saturated_margin(cfg)
         else:
-            sub = dict(cfg)
-            sub["margin_mode"] = "gp"
-            margin_fn, net = _resolve_margin(sub, out_dir)
-            fn = _margin_for_field(sub, margin_fn, net)
+            fn = field_margin(dict(cfg, margin_mode="gp"), out_dir)
         report = verify_margin_value_bound(
             margin_field(spec, fn),
             gamma=gamma,
@@ -411,15 +406,13 @@ def _experiment_mix_ablation(cfg: dict, out_dir: str) -> MetricsTable:
     The critic learns tanh-squashed labels, so the oracle grid is solved on
     the tanh of the same margin before the mean absolute errors compare.
     """
-    margin_fn, _ = _resolve_margin(cfg, out_dir)
+    margin_fn, _ = resolve_margin(cfg, out_dir)
     tanh_fn = lambda pts: np.tanh(margin_fn(np.atleast_2d(pts)))
-    grid_cfg = dict(cfg)
-    grid_cfg["value_grid"] = grid_cfg["margin_grid"] = ""
-    margin_f, value_f = _resolve_grid(grid_cfg, out_dir, tanh_fn)
-    nom = _nominal_cfg(cfg)
+    margin_f, value_f = grid_fields(dict(cfg, value_grid="", margin_grid=""), out_dir, tanh_fn)
+    nom = nominal_config(cfg)
     rows, lines = [], ["variant,eval_source,mae"]
     for variant, mixed in (("critic_mixed", True), ("critic_fallback_only", False)):
-        actor, critic = _resolve_actor_critic(cfg, out_dir, margin_fn, mix_nominal=mixed, tag=variant)
+        actor, critic = actor_critic(cfg, out_dir, margin_fn, mix_nominal=mixed, tag=variant)
         for source in ("nominal_policy", "fallback_policy"):
             mae = critic_error_vs_oracle(
                 critic,
@@ -478,8 +471,7 @@ def throughput_benchmark(backend, sizes, query_mode: str, reps: int, gamma: floa
 
 
 def _experiment_throughput(cfg: dict, out_dir: str) -> MetricsTable:
-    margin_fn, _ = _resolve_margin(cfg, out_dir)
-    actor, critic = _resolve_actor_critic(cfg, out_dir, margin_fn)
+    actor, critic = actor_critic(cfg, out_dir)
     backend = CriticBackend(critic, actor, dt=cfg["dt"])
     rows, lines = [], ["query_mode,n_samples,reps,mean_ms,std_ms,per_sample_us"]
     for mode in cfg["bench_modes"]:

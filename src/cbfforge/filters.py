@@ -138,7 +138,6 @@ class GridBackend:
         actions: np.ndarray | None = None,
         gamma: float = 0.995,
         dt: float = DEFAULT_DT,
-        step_fn=None,
     ):
         if value.kind != "value" or margin.kind != "margin":
             raise ValueError("expected a value field and a margin field")
@@ -149,7 +148,6 @@ class GridBackend:
             raise ValueError("action set must be non-empty")
         self.gamma = float(gamma)
         self.dt = float(dt)
-        self._step_fn = dynamics_step if step_fn is None else step_fn
 
     def q_values(self, state: np.ndarray, actions) -> np.ndarray:
         """Backup Q(z, a) for one state and a batch of actions."""
@@ -183,7 +181,7 @@ class GridBackend:
         return float(self.actions[int(np.argmax(self._q_table(state)[0]))])
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
-        return self._step_fn(state, action, self.dt)
+        return dynamics_step(state, action, self.dt)
 
 
 class CriticBackend:
@@ -193,7 +191,7 @@ class CriticBackend:
     maps a state to a tanh-bounded action rescaled to the action interval.
     """
 
-    def __init__(self, critic: MlpNet, actor: MlpNet, dt: float = DEFAULT_DT, step_fn=None):
+    def __init__(self, critic: MlpNet, actor: MlpNet, dt: float = DEFAULT_DT):
         if critic.output_dim != 1:
             raise ValueError("critic must have a single output")
         if actor.output_dim != 1 or actor.output_activation != "tanh":
@@ -203,7 +201,6 @@ class CriticBackend:
         self.critic = critic
         self.actor = actor
         self.dt = float(dt)
-        self._step_fn = dynamics_step if step_fn is None else step_fn
 
     def q_values(self, state: np.ndarray, actions) -> np.ndarray:
         """Critic Q(z, a) for one state and a batch of actions, one forward pass."""
@@ -223,7 +220,7 @@ class CriticBackend:
         return float(actor_action(self.actor, np.asarray(state, dtype=float)))
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
-        return self._step_fn(state, action, self.dt)
+        return dynamics_step(state, action, self.dt)
 
 
 def sample_actions(spec: SamplerSpec, a_nominal, a_fallback) -> np.ndarray:

@@ -22,7 +22,6 @@ checks on the solved fields.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -458,15 +457,3 @@ def load_field(path: str, kind: str = "value") -> GridField:
         raise ValueError(f"{path}: expected {expected} values, found {len(lines) - 1}")
     values = np.array([float(ln) for ln in lines[1:]]).reshape(nx, ny, ntheta)
     return GridField(GridSpec(nx, ny, ntheta), values, kind=kind)
-
-
-def save_slice_csv(field: GridField, theta: float, path: str) -> None:
-    """Write the x,y,value plane at the grid theta nearest to the request."""
-    spec = field.spec
-    k = int(np.argmin(np.abs(wrap_angle(spec.thetas - theta))))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"])
-        for i, x in enumerate(spec.xs):
-            for j, y in enumerate(spec.ys):
-                writer.writerow(["%.17g" % x, "%.17g" % y, "%.17g" % field.values[i, j, k]])

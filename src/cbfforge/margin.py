@@ -98,9 +98,8 @@ def sign_loss(margin_net: MlpNet, batch_safe: np.ndarray, batch_fail: np.ndarray
     batch_fail = np.atleast_2d(batch_fail)
     if batch_safe.shape[0] == 0 or batch_fail.shape[0] == 0:
         raise ValueError("sign_loss needs non-empty batches")
-    l_safe = mlp_forward(margin_net, batch_safe)[:, 0]
-    l_fail = mlp_forward(margin_net, batch_fail)[:, 0]
-    return float(np.mean(np.maximum(0.0, delta - l_safe)) + np.mean(np.maximum(0.0, delta + l_fail)))
+    value, _ = _hinge(mlp_forward(margin_net, batch_safe)[:, 0], mlp_forward(margin_net, batch_fail)[:, 0], delta)
+    return float(value)
 
 
 def interpolate_pair(z_plus: np.ndarray, z_minus: np.ndarray, eta) -> np.ndarray:
@@ -123,10 +122,19 @@ def interpolate_pair(z_plus: np.ndarray, z_minus: np.ndarray, eta) -> np.ndarray
     return out[0] if single else out
 
 
-def _hinge_seed(values: np.ndarray, delta: float, sign: float) -> np.ndarray:
-    """d/d l of mean max(0, delta - sign * l): -sign/n on active hinges."""
-    active = (delta - sign * values) > 0.0
-    return np.where(active, -sign / values.size, 0.0)
+def _hinge(l_safe: np.ndarray, l_fail: np.ndarray, delta: float):
+    """The hinge mean max(0, delta - l(z+)) + mean max(0, delta + l(z-)).
+
+    Returns (value, seed): seed is d value / d l over the stacked
+    (safe, fail) outputs, -1/n+ or +1/n- on active hinges and 0 elsewhere.
+    """
+    gap_safe = delta - l_safe
+    gap_fail = delta + l_fail
+    value = np.mean(np.maximum(0.0, gap_safe)) + np.mean(np.maximum(0.0, gap_fail))
+    seed = np.concatenate(
+        [np.where(gap_safe > 0.0, -1.0 / l_safe.size, 0.0), np.where(gap_fail > 0.0, 1.0 / l_fail.size, 0.0)]
+    )
+    return value, seed
 
 
 def wgan_loss(
@@ -195,12 +203,7 @@ def train_margin(dataset: MarginDataset, cfg: MarginTrainConfig) -> MlpNet:
         batch_fail = dataset.fail_points[rng.integers(0, n_f, cfg.batch_size)]
 
         def sign_term(outputs):
-            l_safe = outputs[: cfg.batch_size, 0]
-            l_fail = outputs[cfg.batch_size :, 0]
-            value = np.mean(np.maximum(0.0, sign_delta - l_safe)) + np.mean(
-                np.maximum(0.0, sign_delta + l_fail)
-            )
-            seed = np.concatenate([_hinge_seed(l_safe, sign_delta, 1.0), _hinge_seed(l_fail, sign_delta, -1.0)])
+            value, seed = _hinge(outputs[: cfg.batch_size, 0], outputs[cfg.batch_size :, 0], sign_delta)
             return cfg.lambda_sign * value, cfg.lambda_sign * seed[:, None]
 
         _, grads = param_gradient(net, np.vstack([batch_safe, batch_fail]), sign_term)

@@ -9,6 +9,7 @@ import pytest
 
 from cbfforge.cli import main
 from cbfforge.hj import load_field
+from cbfforge.nets import mlp_init, save_model
 
 TINY_GRID = [
     "grid_nx = 17",
@@ -119,6 +120,14 @@ def test_demo_writes_trajectory_with_diagnostics(tmp_path, capsys):
     assert len(lines) == 1 + 15
 
 
+def test_demo_matches_first_filter_eval_trajectory(tmp_path):
+    cfg = _write_cfg(tmp_path, *TINY_GRID, "rollout_steps = 15", "n_rollouts = 1", "methods = cbf")
+    assert main(["demo", "--config", cfg, "--out", str(tmp_path / "demo")]) == 0
+    assert main(["filter-eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 0
+    demo = (tmp_path / "demo" / "demo_trajectory.csv").read_bytes()
+    assert demo == (tmp_path / "eval" / "trajectories" / "cbf_000.csv").read_bytes()
+
+
 def test_seed_flag_changes_the_demo_start(tmp_path):
     cfg = _write_cfg(tmp_path, *TINY_GRID, "rollout_steps = 5")
     main(["demo", "--config", cfg, "--out", str(tmp_path / "s0")])
@@ -135,6 +144,42 @@ def test_filter_eval_runs_and_reports(tmp_path, capsys):
     assert "3 rows" in capsys.readouterr().out
     lines = (out / "metrics.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines] == ["method", "none", "lr", "cbf"]
+
+
+def test_filter_eval_on_saved_grid_needs_no_margin_net(tmp_path):
+    grid = tmp_path / "grid"
+    assert main(["solve-grid", "--config", _write_cfg(tmp_path, *TINY_GRID), "--out", str(grid)]) == 0
+    cfg = _write_cfg(
+        tmp_path,
+        f"value_grid = {grid / 'value_grid.txt'}",
+        f"margin_grid = {grid / 'margin_grid.txt'}",
+        "margin_mode = nogp",
+        "train_missing = false",
+        "n_rollouts = 2",
+        "rollout_steps = 5",
+    )
+    out = tmp_path / "eval"
+    assert main(["filter-eval", "--config", cfg, "--out", str(out)]) == 0
+    assert not list(out.glob("margin_*.txt"))
+
+
+def test_filter_eval_on_saved_models_needs_no_margin_net(tmp_path):
+    critic, actor = tmp_path / "critic.txt", tmp_path / "actor.txt"
+    save_model(mlp_init([4, 16, 16, 1], seed=5), str(critic))
+    save_model(mlp_init([3, 16, 16, 1], output_activation="tanh", seed=6), str(actor))
+    cfg = _write_cfg(
+        tmp_path,
+        "filter_backend = critic",
+        f"critic_model = {critic}",
+        f"actor_model = {actor}",
+        "margin_mode = nogp",
+        "train_missing = false",
+        "n_rollouts = 2",
+        "rollout_steps = 5",
+    )
+    out = tmp_path / "eval"
+    assert main(["filter-eval", "--config", cfg, "--out", str(out)]) == 0
+    assert not list(out.glob("margin_*.txt"))
 
 
 def test_bench_subcommand(tmp_path):

@@ -14,7 +14,7 @@ from cbfforge.experiments import (
     MetricsRow,
     MetricsTable,
     NA,
-    _nominal_cfg,
+    nominal_config,
     override_statistics,
     run_experiment,
     safety_rate,
@@ -151,7 +151,7 @@ def test_filter_comparison_outputs(filter_run):
 
 def test_filter_comparison_none_matches_unfiltered(filter_run):
     cfg, table, _ = filter_run
-    nom = _nominal_cfg(cfg)
+    nom = nominal_config(cfg)
     starts = sample_initial_states(np.random.default_rng([cfg["seed"], 777]), cfg["n_rollouts"])
     recs = []
     for k in range(cfg["n_rollouts"]):

@@ -18,7 +18,6 @@ from cbfforge.hj import (
     margin_field,
     q_from_value,
     save_field,
-    save_slice_csv,
     value_iteration,
     verify_margin_value_bound,
 )
@@ -338,18 +337,6 @@ class TestFieldIo:
         path.write_text("grid 2 2 4\n1.0\n2.0\n")
         with pytest.raises(ValueError):
             load_field(str(path))
-
-    def test_slice_csv(self, tmp_path):
-        spec = GridSpec(nx=4, ny=3, ntheta=4)
-        gx = spec.nodes()[:, 0].reshape(4, 3, 4)
-        field = GridField(spec, gx)
-        path = tmp_path / "slice.csv"
-        save_slice_csv(field, 0.0, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,value"
-        assert len(lines) == 1 + 4 * 3
-        first = lines[1].split(",")
-        assert float(first[2]) == pytest.approx(float(first[0]))
 
 
 class TestDiscretizationStability:

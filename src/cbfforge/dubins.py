@@ -21,22 +21,8 @@ DEFAULT_DT = 0.1
 # differ by at least this much.
 OVERRIDE_THRESHOLD = 1e-9
 
-
-@dataclass(frozen=True)
-class FailureSpec:
-    """Failure set: union of circles, each (center_x, center_y, radius)."""
-
-    circles: tuple[tuple[float, float, float], ...] = (
-        (0.25, 0.65, 0.5),
-        (0.25, -0.65, 0.5),
-    )
-
-    def __post_init__(self) -> None:
-        if not self.circles or any(r <= 0 for _, _, r in self.circles):
-            raise ValueError("failure circles need positive radii")
-
-
-DEFAULT_FAILURE = FailureSpec()
+# The failure set: a union of circles, each (center_x, center_y, radius).
+FAILURE_CIRCLES = ((0.25, 0.65, 0.5), (0.25, -0.65, 0.5))
 
 
 def wrap_angle(theta):
@@ -111,8 +97,8 @@ def dynamics_step(state: np.ndarray, action: float, dt: float = DEFAULT_DT) -> n
     return dynamics_step_batch(np.asarray(state, dtype=float)[None, :], action, dt)[0]
 
 
-def signed_distance_margin(states: np.ndarray, spec: FailureSpec = DEFAULT_FAILURE):
-    """Signed distance to the failure set: min over circles of (dist - r).
+def signed_distance_margin(states: np.ndarray):
+    """Signed distance to the failure set: min over FAILURE_CIRCLES of (dist - r).
 
     Negative inside a circle.  Accepts a single state (3,) or a batch (n, 3);
     theta is ignored.
@@ -121,7 +107,7 @@ def signed_distance_margin(states: np.ndarray, spec: FailureSpec = DEFAULT_FAILU
     single = states.ndim == 1
     pts = states[None, :2] if single else states[..., :2]
     margins = np.full(pts.shape[0], np.inf)
-    for cx, cy, r in spec.circles:
+    for cx, cy, r in FAILURE_CIRCLES:
         d = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - r
         margins = np.minimum(margins, d)
     return float(margins[0]) if single else margins
@@ -141,7 +127,6 @@ class NominalPolicyConfig:
     gain: float = 2.0
     mode: str = "obstacle_blind"
     noise_std: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.gain <= 0:
@@ -156,7 +141,6 @@ def nominal_policy(
     state: np.ndarray,
     cfg: NominalPolicyConfig,
     rng: np.random.Generator | None = None,
-    failure: FailureSpec = DEFAULT_FAILURE,
 ) -> float:
     """Proportional heading controller toward cfg.goal, clamped to [-2, 2].
 
@@ -171,7 +155,7 @@ def nominal_policy(
     if cfg.mode == "obstacle_aware":
         # Push the desired heading away from any circle we are about to graze.
         influence = 0.45
-        for cx, cy, r in failure.circles:
+        for cx, cy, r in FAILURE_CIRCLES:
             away = np.array([x - cx, y - cy])
             dist = np.linalg.norm(away)
             margin = dist - r
@@ -224,7 +208,6 @@ def rollout(
     x0: np.ndarray,
     n_steps: int,
     action_filter=None,
-    failure: FailureSpec = DEFAULT_FAILURE,
     dt: float = DEFAULT_DT,
 ) -> TrajectoryRecord:
     """Execute a policy for n_steps or until the state enters the failure set.
@@ -236,14 +219,13 @@ def rollout(
         action_filter: optional callable (state, a_nominal) -> decision, a
             filters.FilterDecision.  Its action is executed and its
             feasible_count / q_nominal / q_fallback are recorded per step.
-        failure: failure circles used for collision accounting.
         dt: integrator step.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     state = np.asarray(x0, dtype=float).copy()
     states = [state.copy()]
-    margins = [signed_distance_margin(state, failure)]
+    margins = [signed_distance_margin(state)]
     a_nom_hist, a_exec_hist = [], []
     diag_hist: list[tuple[int, float, float]] = []
     collided = margins[0] < 0.0
@@ -262,7 +244,7 @@ def rollout(
             )
         state = dynamics_step(state, a_exec, dt)
         states.append(state.copy())
-        margins.append(signed_distance_margin(state, failure))
+        margins.append(signed_distance_margin(state))
         a_nom_hist.append(a_nom)
         a_exec_hist.append(a_exec)
         if margins[-1] < 0.0:
@@ -317,30 +299,21 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
             writer.writerow(row)
 
 
-def estimate_dynamics_lipschitz(
-    dt: float = DEFAULT_DT,
-    n_samples: int = 1000,
-    perturbation: float = 1e-4,
-    seed: int = 0,
-    step_fn=None,
-) -> float:
+def estimate_dynamics_lipschitz(dt: float = DEFAULT_DT, n_samples: int = 1000, seed: int = 0) -> float:
     """Empirical Lipschitz constant of the one-step dynamics in the state.
 
     Samples (state, action, unit direction) triples and returns the largest
-    ratio ||f(s + h d, a) - f(s, a)|| / h, with the angular component of both
-    the perturbation and the distance taken geodesically.
+    ratio ||f(s + h d, a) - f(s, a)|| / h at the finite-difference step
+    h = 1e-4, with the angular component of both the perturbation and the
+    distance taken geodesically.
 
     Args:
-        dt: integrator step for the default dynamics.
+        dt: integrator step.
         n_samples: number of sampled triples, >= 1000 for the reported figure.
-        perturbation: finite-difference step h.
         seed: RNG seed; the reference figure is the seed-0 run.
-        step_fn: override (state, action) -> state, e.g. toy dynamics in tests.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if step_fn is None:
-        step_fn = lambda s, a: dynamics_step(s, a, dt)
     rng = np.random.default_rng(seed)
     states = np.empty((n_samples, 3))
     states[:, 0] = rng.uniform(-XY_BOUND, XY_BOUND, size=n_samples)
@@ -350,10 +323,11 @@ def estimate_dynamics_lipschitz(
     dirs = rng.standard_normal(size=(n_samples, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
+    h = 1e-4
     worst = 0.0
     for s, a, d in zip(states, actions, dirs):
-        s_pert = s + perturbation * d
+        s_pert = s + h * d
         s_pert[2] = wrap_angle(s_pert[2])
-        dist = state_distance(step_fn(s_pert, a), step_fn(s, a))
-        worst = max(worst, float(dist) / perturbation)
+        dist = state_distance(dynamics_step(s_pert, a, dt), dynamics_step(s, a, dt))
+        worst = max(worst, float(dist) / h)
     return worst

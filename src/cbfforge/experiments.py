@@ -223,6 +223,7 @@ def actor_critic(cfg: dict, out_dir: str, margin_fn=None, mix_nominal: bool | No
         exploration_std_final=cfg["rl_exploration_std_final"],
         mix_nominal=cfg["rl_mix_nominal"] if mix_nominal is None else mix_nominal,
         seed=cfg["seed"],
+        dt=cfg["dt"],
     )
     actor, critic, _ = train_safety_rl(margin_fn, nominal_config(cfg), rl_cfg, out_dir=os.path.join(out_dir, tag))
     return actor, critic
@@ -405,14 +406,17 @@ def _experiment_mix_ablation(cfg: dict, out_dir: str) -> MetricsTable:
 
     The critic learns tanh-squashed labels, so the oracle grid is solved on
     the tanh of the same margin before the mean absolute errors compare.
+    Saved grids and saved actor/critic models are ignored: the oracle must
+    match the margin, and each variant trains its own pair.
     """
     margin_fn, _ = resolve_margin(cfg, out_dir)
     tanh_fn = lambda pts: np.tanh(margin_fn(np.atleast_2d(pts)))
-    margin_f, value_f = grid_fields(dict(cfg, value_grid="", margin_grid=""), out_dir, tanh_fn)
+    fresh = dict(cfg, value_grid="", margin_grid="", critic_model="", actor_model="")
+    margin_f, value_f = grid_fields(fresh, out_dir, tanh_fn)
     nom = nominal_config(cfg)
     rows, lines = [], ["variant,eval_source,mae"]
     for variant, mixed in (("critic_mixed", True), ("critic_fallback_only", False)):
-        actor, critic = actor_critic(cfg, out_dir, margin_fn, mix_nominal=mixed, tag=variant)
+        actor, critic = actor_critic(fresh, out_dir, margin_fn, mix_nominal=mixed, tag=variant)
         for source in ("nominal_policy", "fallback_policy"):
             mae = critic_error_vs_oracle(
                 critic,

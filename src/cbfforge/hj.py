@@ -15,14 +15,12 @@ edge-padding the field.  Each sweep is therefore a semi-Lagrangian stencil
 (Falcone & Ferretti, SIAM 2013): per action, one theta lerp and a bilinear
 shift of edge-padded xy planes, with per-heading weights.  It needs a few
 copies of the field and no per-node tables.  `interpolate` and
-`q_from_value` are the query path for arbitrary states.  A brute-force
-finite-horizon oracle and empirical Lipschitz scans provide independent
-checks on the solved fields.
+`q_from_value` are the query path for arbitrary states.  Empirical
+Lipschitz scans check the solved fields against the margin-to-value bound.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,44 +324,6 @@ def q_from_value(
     return float(q[0]) if single else q
 
 
-def brute_force_avoid_oracle(
-    state: np.ndarray,
-    margin_fn,
-    action_subset: np.ndarray,
-    horizon: int,
-    dt: float = DEFAULT_DT,
-) -> float:
-    """Finite-horizon avoid value by exhaustive sequence enumeration.
-
-    Returns max over all |A|^horizon action sequences of the min margin along
-    the induced trajectory (including the start state).  No grid is involved;
-    this is the independent check on the solver.
-
-    Args:
-        state: start state (3,).
-        margin_fn: batched margin, (n, 3) -> (n,).
-        action_subset: 1-D array of allowed turn rates.
-        horizon: number of steps, >= 0.
-        dt: dynamics step.
-    """
-    action_subset = np.atleast_1d(np.asarray(action_subset, dtype=float))
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    n_seq = action_subset.size**horizon
-    if n_seq > 10**6:
-        raise ValueError(f"{action_subset.size}^{horizon} sequences exceed the 1e6 budget")
-    start = float(margin_fn(np.asarray(state, dtype=float)[None, :])[0])
-    if horizon == 0:
-        return start
-    seqs = np.array(list(itertools.product(action_subset, repeat=horizon)))
-    cur = np.broadcast_to(np.asarray(state, dtype=float), (n_seq, 3)).copy()
-    worst = np.full(n_seq, start)
-    for t in range(horizon):
-        cur = dynamics_step_batch(cur, seqs[:, t], dt)
-        worst = np.minimum(worst, margin_fn(cur))
-    return float(worst.max())
-
-
 def empirical_lipschitz(field: GridField) -> float:
     """Largest |value difference| / distance over axis-adjacent node pairs.
 
@@ -371,14 +331,11 @@ def empirical_lipschitz(field: GridField) -> float:
     """
     v = field.values
     spec = field.spec
-    worst = 0.0
-    if spec.nx > 1:
-        worst = max(worst, float(np.max(np.abs(np.diff(v, axis=0)))) / spec.dx)
-    if spec.ny > 1:
-        worst = max(worst, float(np.max(np.abs(np.diff(v, axis=1)))) / spec.dy)
-    d_theta = np.abs(v - np.roll(v, -1, axis=2))
-    worst = max(worst, float(np.max(d_theta)) / spec.dtheta)
-    return worst
+    return max(
+        float(np.max(np.abs(np.diff(v, axis=0)))) / spec.dx,
+        float(np.max(np.abs(np.diff(v, axis=1)))) / spec.dy,
+        float(np.max(np.abs(v - np.roll(v, -1, axis=2)))) / spec.dtheta,
+    )
 
 
 @dataclass

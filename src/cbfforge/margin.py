@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dubins import DEFAULT_FAILURE, FailureSpec, signed_distance_margin, wrap_angle
+from .dubins import signed_distance_margin, wrap_angle
 from .nets import (
     AdamState,
     MlpNet,
@@ -39,11 +39,7 @@ class MarginDataset:
         self.fail_points = np.atleast_2d(np.asarray(self.fail_points, dtype=float))
 
 
-def build_margin_dataset(
-    n_total: int = 50_000,
-    seed: int = 0,
-    failure: FailureSpec = DEFAULT_FAILURE,
-) -> MarginDataset:
+def build_margin_dataset(n_total: int = 50_000, seed: int = 0) -> MarginDataset:
     """Sample n_total states uniformly over the box and label by true margin."""
     rng = np.random.default_rng(seed)
     states = np.stack(
@@ -54,7 +50,7 @@ def build_margin_dataset(
         ],
         axis=1,
     )
-    safe = signed_distance_margin(states, failure) >= 0.0
+    safe = signed_distance_margin(states) >= 0.0
     return MarginDataset(states[safe], states[~safe])
 
 

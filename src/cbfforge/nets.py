@@ -267,13 +267,6 @@ def input_gradient(net: MlpNet, x: np.ndarray) -> np.ndarray:
     return g[0] if single else g
 
 
-def penalty_values(net: MlpNet, points: np.ndarray, beta: float) -> np.ndarray:
-    """Per-point values of the gradient-norm penalty (||d y/d z|| - beta)^2."""
-    g = input_gradient(net, np.atleast_2d(points))
-    norms = np.linalg.norm(g, axis=1)
-    return (norms - beta) ** 2
-
-
 def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
     """Mean gradient-norm penalty over points and its parameter gradient.
 

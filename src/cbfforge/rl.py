@@ -4,7 +4,7 @@ The critic regresses the discounted safety backup
 
     y = (1 - gamma) * l + gamma * min(l, Q_target(z', pi_target(z')))
 
-over transitions (z, a, l, z', a') collected through the true dynamics,
+over transitions (z, a, l, z') collected through the true dynamics,
 where l = tanh(margin(z)) keeps labels bounded and the bootstrap action is
 the target actor's choice at z', so the critic scores any action by the
 safety of following the fallback policy afterwards.  Episodes come from
@@ -56,7 +56,7 @@ class RlConfig:
     is available through the same field.  exploration_std anneals linearly
     to exploration_std_final over the run and perturbs fallback actions
     only.  mix_nominal toggles the per-episode coin between the nominal and
-    fallback behavior policies.
+    fallback behavior policies.  dt is the integrator step of collection.
     """
 
     gamma: float = 0.995
@@ -74,11 +74,12 @@ class RlConfig:
     mix_nominal: bool = True
     seed: int = 0
     log_every: int = 50
+    dt: float = DEFAULT_DT
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        for name in ("critic_lr", "actor_lr", "tau"):
+        for name in ("critic_lr", "actor_lr", "tau", "dt"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("batch_size", "buffer_capacity", "iterations", "episode_len", "log_every"):
@@ -90,21 +91,8 @@ class RlConfig:
             raise ValueError("actor and critic need at least one hidden layer")
 
 
-@dataclass
-class Transition:
-    """One stored step: state, action, bounded margin label, successor,
-    successor action from the same behavior policy, and that policy's tag."""
-
-    z: np.ndarray
-    a: float
-    l: float
-    z_next: np.ndarray
-    a_next: float
-    source: int
-
-
 class ReplayBuffer:
-    """Fixed-capacity FIFO transition store with per-source counters."""
+    """Fixed-capacity FIFO store of transition rows (z, a, l, z_next, source)."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -114,33 +102,27 @@ class ReplayBuffer:
         self.a = np.zeros(capacity)
         self.l = np.zeros(capacity)
         self.z_next = np.zeros((capacity, 3))
-        self.a_next = np.zeros(capacity)
         self.source = np.zeros(capacity, dtype=np.int8)
         self._next = 0
         self._size = 0
-        self.source_counts = {SOURCE_FALLBACK: 0, SOURCE_NOMINAL: 0}
 
     def __len__(self) -> int:
         return self._size
 
-    def add(self, tr: Transition) -> None:
+    def add(self, z: np.ndarray, a: float, l: float, z_next: np.ndarray, source: int) -> None:
         i = self._next
-        if self._size == self.capacity:
-            self.source_counts[int(self.source[i])] -= 1
-        self.z[i] = tr.z
-        self.a[i] = tr.a
-        self.l[i] = tr.l
-        self.z_next[i] = tr.z_next
-        self.a_next[i] = tr.a_next
-        self.source[i] = tr.source
-        self.source_counts[tr.source] += 1
+        self.z[i] = z
+        self.a[i] = a
+        self.l[i] = l
+        self.z_next[i] = z_next
+        self.source[i] = source
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def nominal_fraction(self) -> float:
         if self._size == 0:
             return 0.0
-        return self.source_counts[SOURCE_NOMINAL] / self._size
+        return np.count_nonzero(self.source[: self._size] == SOURCE_NOMINAL) / self._size
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> dict:
         if self._size == 0:
@@ -151,16 +133,8 @@ class ReplayBuffer:
             "a": self.a[idx],
             "l": self.l[idx],
             "z_next": self.z_next[idx],
-            "a_next": self.a_next[idx],
             "source": self.source[idx],
         }
-
-
-def _as_margin_fn(margin_net):
-    """Accept a trained net or any batched callable as the margin source."""
-    if isinstance(margin_net, MlpNet):
-        return lambda pts: mlp_forward(margin_net, np.atleast_2d(pts))[:, 0]
-    return lambda pts: np.atleast_1d(np.asarray(margin_net(np.atleast_2d(pts)), dtype=float))
 
 
 def _reset_state(rng: np.random.Generator) -> np.ndarray:
@@ -177,38 +151,31 @@ def _reset_state(rng: np.random.Generator) -> np.ndarray:
 def collect_episode(
     actor: MlpNet,
     nominal_cfg: NominalPolicyConfig,
-    margin_net,
+    margin_fn,
     buffer: ReplayBuffer,
     cfg: RlConfig,
     rng: np.random.Generator,
     exploration_std: float | None = None,
-    dt: float = DEFAULT_DT,
-) -> list[Transition]:
+) -> None:
     """Roll one episode through the true dynamics and append its transitions.
 
     A fair coin picks the behavior policy for the whole episode (nominal
     task policy vs fallback actor) when cfg.mix_nominal is set; otherwise
     every episode is fallback-driven.  Fallback actions receive clipped
     Gaussian exploration noise; nominal actions are stored as produced.
-    Labels are l = tanh(margin(z)); the stored a' of each step is the action
-    the same policy takes at the successor.
+    Labels are l = tanh(margin(z)).
 
     Args:
         actor: current fallback actor (tanh head).
         nominal_cfg: nominal task policy parameters.
-        margin_net: margin net or batched callable state -> margin.
+        margin_fn: batched callable (n, 3) -> (n,) margins.
         buffer: destination buffer.
-        cfg: supplies episode_len, mix_nominal, exploration_std.
+        cfg: supplies episode_len, mix_nominal, exploration_std, dt.
         rng: generator driving resets, the coin, and the noise.
         exploration_std: override of cfg.exploration_std (the trainer passes
             the annealed value).
-        dt: integrator step.
-
-    Returns:
-        The list of transitions appended, in time order.
     """
     sigma = cfg.exploration_std if exploration_std is None else float(exploration_std)
-    margin_fn = _as_margin_fn(margin_net)
     use_nominal = bool(cfg.mix_nominal) and rng.random() < 0.5
     source = SOURCE_NOMINAL if use_nominal else SOURCE_FALLBACK
 
@@ -222,18 +189,14 @@ def collect_episode(
 
     state = _reset_state(rng)
     action = behavior(state)
-    out: list[Transition] = []
     for _ in range(cfg.episode_len):
-        succ = dynamics_step(state, action, dt)
+        succ = dynamics_step(state, action, cfg.dt)
+        # Drawn on the last step too: unused then, but it advances the rng
+        # that the next episode and the batch sampling share.
         action_next = behavior(succ)
-        label = float(np.tanh(margin_fn(state)[0]))
-        tr = Transition(
-            z=state.copy(), a=action, l=label, z_next=succ.copy(), a_next=action_next, source=source
-        )
-        buffer.add(tr)
-        out.append(tr)
+        label = float(np.tanh(margin_fn(state[None, :])[0]))
+        buffer.add(state, action, label, succ, source)
         state, action = succ, action_next
-    return out
 
 
 def _critic_features(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -262,15 +225,14 @@ def critic_update(
     critic estimates the value of playing a once and then following the
     fallback policy.  Stored transitions supply (z, a, l, z_next) from both
     source policies, which is what keeps the estimate accurate at nominal
-    actions; the stored successor action is a data-collection artifact and
-    does not enter the target.  Takes one Adam step on the critic and
-    Polyak-updates the target critic by tau.
+    actions.  Takes one Adam step on the critic and Polyak-updates the
+    target critic by tau.
 
     Args:
         critic: live critic (state+action input, scalar output).
         target_critic: slow copy providing the bootstrap term.
         target_actor: slow actor copy choosing the bootstrap action at z_next.
-        batch: arrays z, a, l, z_next, a_next.
+        batch: arrays z, a, l, z_next.
         cfg: supplies gamma, critic_lr, tau.
         opt: persistent Adam state; a fresh one is used when omitted.
 
@@ -280,8 +242,8 @@ def critic_update(
     if batch["z"].shape[0] == 0:
         raise ValueError("batch must be non-empty")
     opt = opt if opt is not None else AdamState(learning_rate=cfg.critic_lr)
-    a_next = actor_action(target_actor, batch["z_next"])
-    q_next = mlp_forward(target_critic, _critic_features(batch["z_next"], a_next))[:, 0]
+    a_boot = actor_action(target_actor, batch["z_next"])
+    q_next = mlp_forward(target_critic, _critic_features(batch["z_next"], a_boot))[:, 0]
     y = (1.0 - cfg.gamma) * batch["l"] + cfg.gamma * np.minimum(batch["l"], q_next)
     n = y.size
 
@@ -354,7 +316,7 @@ class TrainingHistory:
 
 
 def train_safety_rl(
-    margin_net,
+    margin_fn,
     nominal_cfg: NominalPolicyConfig,
     cfg: RlConfig,
     out_dir: str | None = None,
@@ -368,7 +330,7 @@ def train_safety_rl(
     at the end.
 
     Args:
-        margin_net: margin net or batched callable labeling states.
+        margin_fn: batched callable (n, 3) -> (n,) labeling states.
         nominal_cfg: nominal task policy parameters.
         cfg: hyperparameters.
         out_dir: optional directory for checkpoints and the curve CSV.
@@ -396,7 +358,7 @@ def train_safety_rl(
     for it in range(cfg.iterations):
         frac = it / span
         sigma = cfg.exploration_std + frac * (cfg.exploration_std_final - cfg.exploration_std)
-        collect_episode(actor, nominal_cfg, margin_net, buffer, cfg, rng, exploration_std=sigma)
+        collect_episode(actor, nominal_cfg, margin_fn, buffer, cfg, rng, exploration_std=sigma)
         if len(buffer) >= cfg.batch_size:
             batch = buffer.sample(rng, cfg.batch_size)
             critic_loss = critic_update(critic, target_critic, target_actor, batch, cfg, critic_opt)

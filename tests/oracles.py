@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here is written as a second route to the same quantity: central
-finite differences for derivatives, a plain recursive enumeration for the
+finite differences for derivatives, per-point gradient-norm penalties from
+the input gradient, exhaustive and plain recursive enumerations for the
 finite-horizon avoid value, and value iteration by gathering through the
 public query path.  None of it shares code with the package implementations
 it checks.
@@ -9,10 +10,13 @@ it checks.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from cbfforge.dubins import DEFAULT_DT, dynamics_step_batch
 from cbfforge.hj import GridField, ValueSolution, q_from_value
-from cbfforge.nets import MlpGrads, MlpNet
+from cbfforge.nets import MlpGrads, MlpNet, input_gradient
 
 
 def fd_input_gradient(net_eval, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -64,6 +68,51 @@ def relative_error(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-10) 
 def flat_grads(grads: MlpGrads) -> np.ndarray:
     """Concatenate an MlpGrads into one flat vector."""
     return np.concatenate([a.ravel() for a in grads.weights + grads.biases])
+
+
+def penalty_values(net: MlpNet, points: np.ndarray, beta: float) -> np.ndarray:
+    """Per-point values of the gradient-norm penalty (||d y/d z|| - beta)^2."""
+    g = input_gradient(net, np.atleast_2d(points))
+    norms = np.linalg.norm(g, axis=1)
+    return (norms - beta) ** 2
+
+
+def brute_force_avoid_oracle(
+    state: np.ndarray,
+    margin_fn,
+    action_subset: np.ndarray,
+    horizon: int,
+    dt: float = DEFAULT_DT,
+) -> float:
+    """Finite-horizon avoid value by exhaustive sequence enumeration.
+
+    Returns max over all |A|^horizon action sequences of the min margin along
+    the induced trajectory (including the start state).  No grid is involved;
+    this is the independent check on the solver.
+
+    Args:
+        state: start state (3,).
+        margin_fn: batched margin, (n, 3) -> (n,).
+        action_subset: 1-D array of allowed turn rates.
+        horizon: number of steps, >= 0.
+        dt: dynamics step.
+    """
+    action_subset = np.atleast_1d(np.asarray(action_subset, dtype=float))
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    n_seq = action_subset.size**horizon
+    if n_seq > 10**6:
+        raise ValueError(f"{action_subset.size}^{horizon} sequences exceed the 1e6 budget")
+    start = float(margin_fn(np.asarray(state, dtype=float)[None, :])[0])
+    if horizon == 0:
+        return start
+    seqs = np.array(list(itertools.product(action_subset, repeat=horizon)))
+    cur = np.broadcast_to(np.asarray(state, dtype=float), (n_seq, 3)).copy()
+    worst = np.full(n_seq, start)
+    for t in range(horizon):
+        cur = dynamics_step_batch(cur, seqs[:, t], dt)
+        worst = np.minimum(worst, margin_fn(cur))
+    return float(worst.max())
 
 
 def recursive_avoid_value(state, margin_fn, step_fn, actions, horizon: int) -> float:

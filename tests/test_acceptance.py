@@ -26,7 +26,6 @@ from cbfforge.filters import (
 )
 from cbfforge.hj import (
     GridSpec,
-    brute_force_avoid_oracle,
     interpolate,
     margin_field,
     q_from_value,
@@ -38,9 +37,15 @@ from cbfforge.nets import (
     mlp_init,
     param_gradient,
     penalty_param_gradient,
-    penalty_values,
 )
-from oracles import fd_input_gradient, fd_param_gradient, flat_grads, relative_error
+from oracles import (
+    brute_force_avoid_oracle,
+    fd_input_gradient,
+    fd_param_gradient,
+    flat_grads,
+    penalty_values,
+    relative_error,
+)
 
 # Shared evaluation setting: the goal sits on the far boundary so the
 # nominal controller parks there instead of orbiting back through the

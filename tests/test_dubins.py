@@ -5,8 +5,7 @@ import pytest
 
 from cbfforge.dubins import (
     ACTION_BOUND,
-    DEFAULT_FAILURE,
-    FailureSpec,
+    FAILURE_CIRCLES,
     NominalPolicyConfig,
     dynamics_step,
     dynamics_step_batch,
@@ -103,7 +102,7 @@ class TestMargin:
         pts = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
         margins = signed_distance_margin(pts)
         inside = np.zeros(pts.shape[0], dtype=bool)
-        for cx, cy, r in DEFAULT_FAILURE.circles:
+        for cx, cy, r in FAILURE_CIRCLES:
             inside |= np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) < r
         np.testing.assert_array_equal(margins < 0, inside)
 
@@ -114,10 +113,6 @@ class TestMargin:
         gap = np.abs(signed_distance_margin(a) - signed_distance_margin(b))
         dist = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
         assert np.all(gap <= dist + 1e-12)
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            FailureSpec(circles=((0.0, 0.0, 0.0),))
 
 
 class TestNominalPolicy:
@@ -208,17 +203,19 @@ class TestRollout:
 
 
 class TestLipschitz:
-    def test_identity_dynamics(self):
-        lf = estimate_dynamics_lipschitz(n_samples=200, step_fn=lambda s, a: s)
+    def test_identity_dynamics(self, monkeypatch):
+        monkeypatch.setattr("cbfforge.dubins.dynamics_step", lambda s, a, dt: s)
+        lf = estimate_dynamics_lipschitz(n_samples=200)
         assert lf == pytest.approx(1.0, rel=1e-6)
 
-    def test_pure_rotation_is_isometry(self):
-        def rot(s, a):
+    def test_pure_rotation_is_isometry(self, monkeypatch):
+        def rot(s, a, dt):
             out = s.copy()
-            out[2] = wrap_angle(out[2] + a * 0.1)
+            out[2] = wrap_angle(out[2] + a * dt)
             return out
 
-        lf = estimate_dynamics_lipschitz(n_samples=200, step_fn=rot)
+        monkeypatch.setattr("cbfforge.dubins.dynamics_step", rot)
+        lf = estimate_dynamics_lipschitz(n_samples=200)
         assert lf == pytest.approx(1.0, rel=1e-6)
 
     def test_dubins_reference_value(self):

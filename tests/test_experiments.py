@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from cbfforge.config import ConfigError, load_config
-from cbfforge.dubins import nominal_policy, rollout, sample_initial_states
+from cbfforge.dubins import nominal_policy, rollout, sample_initial_states, signed_distance_margin
 from cbfforge.experiments import (
     METRICS_HEADER,
     MetricsRow,
     MetricsTable,
     NA,
+    actor_critic,
     nominal_config,
     override_statistics,
     run_experiment,
@@ -21,7 +22,7 @@ from cbfforge.experiments import (
     throughput_benchmark,
 )
 from cbfforge.filters import CriticBackend
-from cbfforge.nets import mlp_init
+from cbfforge.nets import mlp_init, save_model
 
 TINY = {
     "n_rollouts": 4,
@@ -240,6 +241,27 @@ def test_mix_ablation_report(tmp_path):
     ]
     maes = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(np.isfinite(m) and m >= 0.0 for m in maes)
+
+
+def test_mix_ablation_trains_both_variants_despite_saved_models(tmp_path):
+    critic, actor = tmp_path / "critic.txt", tmp_path / "actor.txt"
+    save_model(mlp_init([4, 16, 16, 1], seed=5), str(critic))
+    save_model(mlp_init([3, 16, 16, 1], output_activation="tanh", seed=6), str(actor))
+    out = tmp_path / "out"
+    run_experiment(_tiny_cfg("mix_ablation", out, critic_model=str(critic), actor_model=str(actor)))
+    maes = [float(line.split(",")[2]) for line in (out / "mix_report.csv").read_text().splitlines()[1:]]
+    assert maes[0] != maes[2] and maes[1] != maes[3]  # mixed vs fallback-only, per eval source
+    for variant in ("critic_mixed", "critic_fallback_only"):
+        assert (out / variant / "critic.txt").exists()
+
+
+def test_actor_critic_trains_at_configured_dt(tmp_path):
+    (actor_a, critic_a), (actor_b, critic_b) = [
+        actor_critic(_tiny_cfg("filter_comparison", tmp_path, dt=dt), str(tmp_path), signed_distance_margin)
+        for dt in (0.05, 0.1)
+    ]
+    assert any(not np.array_equal(a, b) for a, b in zip(critic_a.weights, critic_b.weights))
+    assert any(not np.array_equal(a, b) for a, b in zip(actor_a.weights, actor_b.weights))
 
 
 def test_missing_margin_artifact_is_config_error(tmp_path):

@@ -11,7 +11,6 @@ from cbfforge.hj import (
     GridField,
     GridSpec,
     LipschitzReport,
-    brute_force_avoid_oracle,
     empirical_lipschitz,
     interpolate,
     load_field,
@@ -21,7 +20,7 @@ from cbfforge.hj import (
     value_iteration,
     verify_margin_value_bound,
 )
-from oracles import gather_value_iteration, recursive_avoid_value
+from oracles import brute_force_avoid_oracle, gather_value_iteration, recursive_avoid_value
 
 
 def small_spec():

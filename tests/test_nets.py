@@ -18,10 +18,9 @@ from cbfforge.nets import (
     mlp_init,
     param_gradient,
     penalty_param_gradient,
-    penalty_values,
     save_model,
 )
-from oracles import fd_input_gradient, fd_param_gradient, flat_grads, relative_error
+from oracles import fd_input_gradient, fd_param_gradient, flat_grads, penalty_values, relative_error
 
 
 def random_net(rng, dims=None, hidden="silu", output="identity"):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cbfforge.dubins import NominalPolicyConfig, signed_distance_margin
+from cbfforge.dubins import NominalPolicyConfig, dynamics_step, signed_distance_margin
 from cbfforge.filters import actor_action
 from cbfforge.hj import GridSpec, margin_field, value_iteration, q_from_value
 from cbfforge.dubins import equispaced_actions
@@ -16,7 +16,6 @@ from cbfforge.rl import (
     RlConfig,
     SOURCE_FALLBACK,
     SOURCE_NOMINAL,
-    Transition,
     actor_update,
     collect_episode,
     critic_error_vs_oracle,
@@ -45,15 +44,8 @@ def _tiny_cfg(**overrides):
     return RlConfig(**base)
 
 
-def _transition(i, source=SOURCE_FALLBACK):
-    return Transition(
-        z=np.array([0.1 * i, 0.0, 0.0]),
-        a=float(i),
-        l=0.0,
-        z_next=np.zeros(3),
-        a_next=0.0,
-        source=source,
-    )
+def _add_row(buf, i, source=SOURCE_FALLBACK):
+    buf.add(np.array([0.1 * i, 0.0, 0.0]), float(i), 0.0, np.zeros(3), source)
 
 
 def _constant_critic(value):
@@ -91,6 +83,8 @@ def test_config_validation():
         RlConfig(exploration_std=-0.5)
     with pytest.raises(ValueError):
         RlConfig(actor_dims=())
+    with pytest.raises(ValueError):
+        RlConfig(dt=0.0)
 
 
 def test_config_paper_scale_defaults():
@@ -110,12 +104,12 @@ def test_config_paper_scale_defaults():
 def test_buffer_fifo_eviction_and_counters():
     buf = ReplayBuffer(3)
     for i in range(5):
-        buf.add(_transition(i, SOURCE_NOMINAL if i % 2 else SOURCE_FALLBACK))
+        _add_row(buf, i, SOURCE_NOMINAL if i % 2 else SOURCE_FALLBACK)
     assert len(buf) == 3
     # transitions 0 and 1 were evicted; 2, 3, 4 remain
     assert sorted(buf.a.tolist()) == [2.0, 3.0, 4.0]
-    assert buf.source_counts[SOURCE_NOMINAL] == 1  # only i=3
-    assert buf.source_counts[SOURCE_FALLBACK] == 2  # i=2 and i=4
+    assert np.count_nonzero(buf.source == SOURCE_NOMINAL) == 1  # only i=3
+    assert np.count_nonzero(buf.source == SOURCE_FALLBACK) == 2  # i=2 and i=4
     assert buf.nominal_fraction() == pytest.approx(1.0 / 3.0)
 
 
@@ -124,7 +118,7 @@ def test_buffer_sampling_and_empty_rejected():
     with pytest.raises(ValueError):
         buf.sample(np.random.default_rng(0), 4)
     for i in range(8):
-        buf.add(_transition(i))
+        _add_row(buf, i)
     batch = buf.sample(np.random.default_rng(0), 16)
     assert batch["z"].shape == (16, 3)
     assert set(batch["a"].tolist()) <= set(float(i) for i in range(8))
@@ -139,33 +133,39 @@ def test_collect_all_fallback_without_mixing():
     cfg = _tiny_cfg(mix_nominal=False, episode_len=6)
     buf = ReplayBuffer(64)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=0)
-    out = collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(0))
-    assert len(out) == 6 and len(buf) == 6
-    assert all(tr.source == SOURCE_FALLBACK for tr in out)
+    assert collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(0)) is None
+    assert len(buf) == 6
+    assert np.all(buf.source[:6] == SOURCE_FALLBACK)
 
 
-def test_collect_single_step_same_source_next_action():
+def test_collect_single_step_stores_noise_free_actor_action():
     cfg = _tiny_cfg(mix_nominal=False, episode_len=1, exploration_std=0.0)
     buf = ReplayBuffer(8)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=1)
-    (tr,) = collect_episode(
-        actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(5), exploration_std=0.0
-    )
-    # noise-free fallback: both actions are exactly the actor's outputs
-    assert tr.a == pytest.approx(actor_action(actor, tr.z))
-    assert tr.a_next == pytest.approx(actor_action(actor, tr.z_next))
+    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(5), exploration_std=0.0)
+    # noise-free fallback: the stored action is exactly the actor's output
+    assert len(buf) == 1
+    assert buf.a[0] == pytest.approx(actor_action(actor, buf.z[0]))
 
 
 def test_collect_chains_states_and_actions():
     cfg = _tiny_cfg(episode_len=5)
     buf = ReplayBuffer(64)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=2)
-    out = collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(9))
-    sources = {tr.source for tr in out}
-    assert len(sources) == 1  # one coin flip per episode
-    for prev, nxt in zip(out, out[1:]):
-        assert np.array_equal(prev.z_next, nxt.z)
-        assert prev.a_next == nxt.a
+    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(9))
+    assert len(buf) == 5
+    assert len(set(buf.source[:5].tolist())) == 1  # one coin flip per episode
+    for k in range(4):
+        assert np.array_equal(buf.z_next[k], buf.z[k + 1])
+
+
+def test_collect_steps_at_configured_dt():
+    cfg = _tiny_cfg(mix_nominal=False, episode_len=5, dt=0.05)
+    buf = ReplayBuffer(64)
+    actor = mlp_init([3, 8, 1], output_activation="tanh", seed=2)
+    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(9))
+    for k in range(5):
+        np.testing.assert_array_equal(buf.z_next[k], dynamics_step(buf.z[k], buf.a[k], 0.05))
 
 
 def test_collect_labels_bounded_even_for_wild_margins():
@@ -173,9 +173,9 @@ def test_collect_labels_bounded_even_for_wild_margins():
     buf = ReplayBuffer(64)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=0)
     wild = lambda pts: 1e6 * np.ones(len(np.atleast_2d(pts)))
-    out = collect_episode(actor, NOM_CFG, wild, buf, cfg, np.random.default_rng(1))
-    assert all(-1.0 <= tr.l <= 1.0 for tr in out)
-    assert out[0].l == pytest.approx(1.0)
+    collect_episode(actor, NOM_CFG, wild, buf, cfg, np.random.default_rng(1))
+    assert np.all((-1.0 <= buf.l[:4]) & (buf.l[:4] <= 1.0))
+    assert buf.l[0] == pytest.approx(1.0)
 
 
 def test_collect_fair_coin_proportion():
@@ -192,8 +192,8 @@ def test_collect_exploration_noise_is_clipped():
     cfg = _tiny_cfg(mix_nominal=False, episode_len=32, buffer_capacity=4096, exploration_std=5.0)
     buf = ReplayBuffer(4096)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=0)
-    out = collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(2))
-    acts = np.array([tr.a for tr in out])
+    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(2))
+    acts = buf.a[: len(buf)]
     assert np.all(np.abs(acts) <= 2.0)
     assert np.any(np.abs(np.abs(acts) - 2.0) < 1e-12)  # sigma=5 saturates some
 
@@ -217,7 +217,6 @@ def test_critic_target_arithmetic_examples():
             "a": np.zeros(4),
             "l": np.full(4, l),
             "z_next": np.zeros((4, 3)),
-            "a_next": np.zeros(4),
         }
         cfg = _tiny_cfg(gamma=0.995)
         loss = critic_update(critic, target, target_actor, batch, cfg)
@@ -227,7 +226,7 @@ def test_critic_target_arithmetic_examples():
 def test_critic_bootstrap_uses_target_actor_not_stored_action():
     # Target critic Q(z, a) = a exposes which successor action is scored:
     # the zeroed target actor picks 0, so y = 0.005*1 + 0.995*min(1, 0),
-    # while the stored a_next = 1.7 would have produced y = 1.
+    # while scoring the batch's own action 1.7 at z_next would give y = 1.
     critic = mlp_init([4, 1], seed=0)
     critic.weights[0][:] = 0.0
     critic.biases[0][:] = 0.0
@@ -236,10 +235,9 @@ def test_critic_bootstrap_uses_target_actor_not_stored_action():
     target.biases[0][:] = 0.0
     batch = {
         "z": np.zeros((4, 3)),
-        "a": np.zeros(4),
+        "a": np.full(4, 1.7),
         "l": np.ones(4),
         "z_next": np.zeros((4, 3)),
-        "a_next": np.full(4, 1.7),
     }
     loss = critic_update(critic, target, _zero_actor(), batch, _tiny_cfg(gamma=0.995))
     assert loss == pytest.approx(0.005**2)
@@ -255,7 +253,6 @@ def test_critic_update_moves_critic_and_target():
         "a": rng.normal(size=16),
         "l": rng.uniform(-1, 1, size=16),
         "z_next": rng.normal(size=(16, 3)),
-        "a_next": rng.normal(size=16),
     }
     cfg = _tiny_cfg()
     critic_update(critic, target, _zero_actor(), batch, cfg)
@@ -276,7 +273,6 @@ def test_critic_regression_converges_on_fixed_batch():
         "a": rng.uniform(-2, 2, size=64),
         "l": rng.uniform(-1, 1, size=64),
         "z_next": rng.uniform(-1, 1, size=(64, 3)),
-        "a_next": rng.uniform(-2, 2, size=64),
     }
     cfg = _tiny_cfg(critic_lr=3e-3)
     opt = AdamState(learning_rate=cfg.critic_lr)

@@ -17,11 +17,12 @@ from .config import ConfigError, describe_keys, load_config
 from .dubins import OVERRIDE_THRESHOLD, save_trajectory_csv
 from .experiments import (
     action_filter,
-    actor_critic,
     build_backend,
     grid_fields,
+    resolve_margin,
     run_experiment,
     run_rollouts,
+    train_actor_critic,
     train_margin_net,
 )
 
@@ -60,7 +61,8 @@ def _cmd_train_rl(cfg: dict) -> int:
         return 0
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    actor_critic(dict(cfg, critic_model="", actor_model=""), out_dir)  # always train
+    margin_fn, _ = resolve_margin(cfg, out_dir)
+    train_actor_critic(cfg, out_dir, margin_fn)
     print(f"trained safety actor-critic -> {out_dir}/rl/")
     return 0
 

@@ -8,10 +8,11 @@ are solved to convergence or not at all: a value solve that stops at
 vi_max_sweeps raises.
 
 The pipeline stages are public and the CLI calls them directly:
-train_margin_net, resolve_margin and field_margin (margin), grid_fields and
-actor_critic (value source), build_backend and action_filter (filter), and
-run_rollouts (evaluation).  Each stage loads a saved artifact or trains and
-saves one only when it is about to use it.
+train_margin_net, resolve_margin and field_margin (margin), grid_fields,
+actor_critic and train_actor_critic (value source), build_backend and
+action_filter (filter), and run_rollouts (evaluation).  Each stage loads a
+saved artifact or trains and saves one only when it is about to use it;
+train_actor_critic always trains.
 """
 
 from __future__ import annotations
@@ -196,18 +197,27 @@ def grid_fields(cfg: dict, out_dir: str, margin_fn=None):
     return margin, sol.field
 
 
-def actor_critic(cfg: dict, out_dir: str, margin_fn=None, mix_nominal: bool | None = None, tag: str = "rl"):
+def actor_critic(cfg: dict, out_dir: str):
     """Load the saved fallback actor and safety critic, or train them.
 
-    Only training resolves a margin: margin_fn labels the replay buffer, and
-    defaults to the raw margin of resolve_margin(cfg, out_dir).
+    Only training resolves a margin: the raw margin of
+    resolve_margin(cfg, out_dir) labels the replay buffer.
     """
     if _saved_pair(cfg, "critic_model", "actor_model"):
         return load_model(cfg["actor_model"]), load_model(cfg["critic_model"])
     if not cfg["train_missing"]:
         raise ConfigError("critic/actor missing: set critic_model and actor_model or train_missing = true")
-    if margin_fn is None:
-        margin_fn, _ = resolve_margin(cfg, out_dir)
+    margin_fn, _ = resolve_margin(cfg, out_dir)
+    return train_actor_critic(cfg, out_dir, margin_fn)
+
+
+def train_actor_critic(cfg: dict, out_dir: str, margin_fn, mix_nominal: bool | None = None, tag: str = "rl"):
+    """Train the fallback actor and safety critic and save them under out_dir/tag.
+
+    margin_fn labels the replay buffer; mix_nominal overrides rl_mix_nominal.
+    Saved models and train_missing are not consulted: callers that always
+    train call this directly.
+    """
     rl_cfg = RlConfig(
         gamma=cfg["gamma"],
         critic_lr=cfg["rl_critic_lr"],
@@ -411,12 +421,11 @@ def _experiment_mix_ablation(cfg: dict, out_dir: str) -> MetricsTable:
     """
     margin_fn, _ = resolve_margin(cfg, out_dir)
     tanh_fn = lambda pts: np.tanh(margin_fn(np.atleast_2d(pts)))
-    fresh = dict(cfg, value_grid="", margin_grid="", critic_model="", actor_model="")
-    margin_f, value_f = grid_fields(fresh, out_dir, tanh_fn)
+    margin_f, value_f = grid_fields(dict(cfg, value_grid="", margin_grid=""), out_dir, tanh_fn)
     nom = nominal_config(cfg)
     rows, lines = [], ["variant,eval_source,mae"]
     for variant, mixed in (("critic_mixed", True), ("critic_fallback_only", False)):
-        actor, critic = actor_critic(fresh, out_dir, margin_fn, mix_nominal=mixed, tag=variant)
+        actor, critic = train_actor_critic(cfg, out_dir, margin_fn, mix_nominal=mixed, tag=variant)
         for source in ("nominal_policy", "fallback_policy"):
             mae = critic_error_vs_oracle(
                 critic,

@@ -133,20 +133,25 @@ def _hinge(l_safe: np.ndarray, l_fail: np.ndarray, delta: float):
     return value, seed
 
 
-def wgan_loss(
+def margin_loss(
     margin_net: MlpNet,
     batch_safe: np.ndarray,
     batch_fail: np.ndarray,
     cfg: MarginTrainConfig,
     rng: np.random.Generator | None = None,
 ):
-    """Separation term plus gradient penalty, with parameter gradients.
+    """The objective train_margin minimises, with its parameter gradient.
 
-    loss = lambda_zs * (mean l(z-) - mean l(z+))
-         + lambda_gp * mean (||grad l(zhat)|| - beta)^2,
+    GP (cfg.use_gp):
+        loss = lambda_sign * hinge at delta 0
+             + lambda_zs * (mean l(z-) - mean l(z+))
+             + lambda_gp * mean (||grad l(zhat)|| - beta)^2,
+    where each zhat interpolates one (z+, z-) pair at its own
+    eta ~ U(0, 1); pairs are formed by index up to the shorter batch.
+    NoGP: loss = lambda_sign * hinge at cfg.delta.
 
-    where each zhat interpolates one (z+, z-) pair at its own eta ~ U(0, 1).
-    Pairs are formed by index up to the shorter batch.
+    The hinge and separation seeds are summed before one parameter pass over
+    the stacked (safe, fail) batch; GP adds one penalty pass.
 
     Returns:
         (loss value, MlpGrads).
@@ -154,36 +159,39 @@ def wgan_loss(
     batch_safe = np.atleast_2d(batch_safe)
     batch_fail = np.atleast_2d(batch_fail)
     if batch_safe.shape[0] == 0 or batch_fail.shape[0] == 0:
-        raise ValueError("wgan_loss needs non-empty batches")
+        raise ValueError("margin_loss needs non-empty batches")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
     n_s, n_f = batch_safe.shape[0], batch_fail.shape[0]
+    delta = 0.0 if cfg.use_gp else cfg.delta
 
-    def zs_term(outputs):
-        l_safe = outputs[:n_s, 0]
-        l_fail = outputs[n_s:, 0]
-        value = cfg.lambda_zs * (l_fail.mean() - l_safe.mean())
-        seed = np.concatenate([np.full(n_s, -cfg.lambda_zs / n_s), np.full(n_f, cfg.lambda_zs / n_f)])
+    def stacked_terms(outputs):
+        l_safe, l_fail = outputs[:n_s, 0], outputs[n_s:, 0]
+        hinge, hinge_seed = _hinge(l_safe, l_fail, delta)
+        value, seed = cfg.lambda_sign * hinge, cfg.lambda_sign * hinge_seed
+        if cfg.use_gp:
+            value += cfg.lambda_zs * (l_fail.mean() - l_safe.mean())
+            seed += np.concatenate([np.full(n_s, -cfg.lambda_zs / n_s), np.full(n_f, cfg.lambda_zs / n_f)])
         return value, seed[:, None]
 
-    value, grads = param_gradient(margin_net, np.vstack([batch_safe, batch_fail]), zs_term)
-
-    n_pairs = min(n_s, n_f)
-    eta = rng.uniform(0.0, 1.0, size=n_pairs)
-    zhat = interpolate_pair(batch_safe[:n_pairs], batch_fail[:n_pairs], eta)
-    pen_value, pen_grads = penalty_param_gradient(margin_net, zhat, cfg.beta)
-    grads.add_scaled(pen_grads, cfg.lambda_gp)
-    return value + cfg.lambda_gp * pen_value, grads
+    value, grads = param_gradient(margin_net, np.vstack([batch_safe, batch_fail]), stacked_terms)
+    if cfg.use_gp:
+        n_pairs = min(n_s, n_f)
+        eta = rng.uniform(0.0, 1.0, size=n_pairs)
+        zhat = interpolate_pair(batch_safe[:n_pairs], batch_fail[:n_pairs], eta)
+        pen_value, pen_grads = penalty_param_gradient(margin_net, zhat, cfg.beta)
+        grads.add_scaled(pen_grads, cfg.lambda_gp)
+        value += cfg.lambda_gp * pen_value
+    return value, grads
 
 
 def train_margin(dataset: MarginDataset, cfg: MarginTrainConfig) -> MlpNet:
-    """Train a margin net on labeled states.
+    """Train a margin net on labeled states by Adam on margin_loss.
 
-    GP mode (cfg.use_gp): identity output; minimizes the wgan_loss plus
-    lambda_sign times the zero-margin hinge.  NoGP mode: tanh output;
-    minimizes the hinge sign loss at cfg.delta only.  Deterministic given
-    (dataset, cfg).
+    GP mode (cfg.use_gp): identity output, the hinge at delta 0 plus the
+    separation term and the gradient penalty.  NoGP mode: tanh output, the
+    hinge at cfg.delta only.  Deterministic given (dataset, cfg).
     """
     if dataset.safe_points.shape[0] == 0 or dataset.fail_points.shape[0] == 0:
         raise ValueError("train_margin needs both classes in the dataset")
@@ -193,19 +201,10 @@ def train_margin(dataset: MarginDataset, cfg: MarginTrainConfig) -> MlpNet:
     adam = AdamState(learning_rate=cfg.learning_rate)
 
     n_s, n_f = dataset.safe_points.shape[0], dataset.fail_points.shape[0]
-    sign_delta = 0.0 if cfg.use_gp else cfg.delta
     for _ in range(cfg.iterations):
         batch_safe = dataset.safe_points[rng.integers(0, n_s, cfg.batch_size)]
         batch_fail = dataset.fail_points[rng.integers(0, n_f, cfg.batch_size)]
-
-        def sign_term(outputs):
-            value, seed = _hinge(outputs[: cfg.batch_size, 0], outputs[cfg.batch_size :, 0], sign_delta)
-            return cfg.lambda_sign * value, cfg.lambda_sign * seed[:, None]
-
-        _, grads = param_gradient(net, np.vstack([batch_safe, batch_fail]), sign_term)
-        if cfg.use_gp:
-            _, wgan_grads = wgan_loss(net, batch_safe, batch_fail, cfg, rng)
-            grads.add_scaled(wgan_grads)
+        _, grads = margin_loss(net, batch_safe, batch_fail, cfg, rng)
         adam_step(net, grads, adam)
     return net
 

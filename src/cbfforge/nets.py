@@ -3,12 +3,21 @@
 Everything downstream (margin training, the safety critic and actor) runs on
 the small MLP type defined here.  Three derivative routes are provided:
 
-* parameter gradients of scalar losses (reverse mode),
-* gradients of a scalar-valued network with respect to its input,
-* parameter gradients of the gradient-norm penalty ``(||d y / d z|| - beta)^2``,
-  which needs mixed second derivatives.  These are computed with a tangent
-  (forward-mode) pass in the input direction followed by reverse mode over the
-  augmented computation, never by finite differences.
+* parameter gradients of scalar losses (reverse mode, ``param_gradient``);
+  the seed is never carried past the first layer to the input,
+* the output and input gradient of a scalar-valued network from one forward
+  pass (``input_gradient`` returns ``(y, dy/dx)``); its reverse pass forms
+  only the input chain, no weight-gradient products,
+* parameter gradients of the gradient-norm penalty ``(||d y / d z|| - beta)^2``
+  (``penalty_param_gradient``), which needs mixed second derivatives.  These
+  are computed with a tangent (forward-mode) pass in the input direction
+  followed by reverse mode over the augmented computation, never by finite
+  differences.  The input-only pass supplies the first activation
+  derivatives that the tangent and reverse passes reuse.
+
+The forward pass caches each activation's auxiliary value (the sigmoid for
+SiLU, the output for tanh), and every derivative reads it instead of
+re-evaluating ``exp`` or ``tanh``.
 
 Weights are stored row-major: ``weights[k]`` has shape ``(fan_out, fan_in)``
 and layer k maps ``h -> act(weights[k] @ h + biases[k])``.  Batched calls take
@@ -29,60 +38,66 @@ OUTPUT_ACTIVATIONS = ("identity", "tanh")
 GRAD_NORM_FLOOR = 1e-12
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+# Each activation returns (value, aux); its derivatives read the
+# pre-activation x and the aux cached by the forward pass, so no derivative
+# re-evaluates exp or tanh.  ReLU and identity carry no aux.
 
 
-def _relu_d(x: np.ndarray) -> np.ndarray:
+def _relu(x: np.ndarray):
+    return np.maximum(x, 0.0), None
+
+
+def _relu_d(x: np.ndarray, aux) -> np.ndarray:
     # Subgradient 0 at exactly 0.
     return (x > 0.0).astype(x.dtype)
 
 
-def _relu_dd(x: np.ndarray) -> np.ndarray:
+def _relu_dd(x: np.ndarray, aux) -> np.ndarray:
     return np.zeros_like(x)
 
 
-def _silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+def _silu(x: np.ndarray):
+    # The value is x / e, not x * s, which would round differently.
+    e = np.exp(-x)
+    e += 1.0
+    value = x / e
+    return value, np.reciprocal(e, out=e)
 
 
-def _silu_d(x: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-x))
+def _silu_d(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * (1.0 + x * (1.0 - s))
 
 
-def _silu_dd(x: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-x))
+def _silu_dd(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
 
 
-def _tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def _tanh_d(x: np.ndarray) -> np.ndarray:
+def _tanh(x: np.ndarray):
     t = np.tanh(x)
+    return t, t
+
+
+def _tanh_d(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 1.0 - t * t
 
 
-def _tanh_dd(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(x)
+def _tanh_dd(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return -2.0 * t * (1.0 - t * t)
 
 
-def _identity(x: np.ndarray) -> np.ndarray:
-    return x
+def _identity(x: np.ndarray):
+    return x, None
 
 
-def _identity_d(x: np.ndarray) -> np.ndarray:
+def _identity_d(x: np.ndarray, aux) -> np.ndarray:
     return np.ones_like(x)
 
 
-def _identity_dd(x: np.ndarray) -> np.ndarray:
+def _identity_dd(x: np.ndarray, aux) -> np.ndarray:
     return np.zeros_like(x)
 
 
-# name -> (value, first derivative, second derivative), all elementwise
+# name -> (value and aux, first derivative, second derivative), all elementwise
 _ACT_TABLE = {
     "relu": (_relu, _relu_d, _relu_dd),
     "silu": (_silu, _silu_d, _silu_dd),
@@ -192,44 +207,65 @@ def mlp_init(
 
 
 def _forward_cached(net: MlpNet, x: np.ndarray):
-    """Batched forward pass keeping pre-activations for later backward passes.
+    """Batched forward pass keeping what the reverse passes read.
 
-    Returns (output (n, out), pre_acts list of (n, d_k+1), acts list of
-    (n, d_k) inputs to each layer).
+    Returns (output (n, out), layers) where layers[k] is the triple
+    (input h_k (n, d_k), pre-activation s_k (n, d_k+1), activation aux).
     """
     h = x
-    pre_acts, acts = [], []
+    layers = []
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        acts.append(h)
         s = h @ w.T + b
-        pre_acts.append(s)
         act, _, _ = net._activation_at(k)
-        h = act(s)
-    return h, pre_acts, acts
+        h_next, aux = act(s)
+        layers.append((h, s, aux))
+        h = h_next
+    return h, layers
 
 
 def mlp_forward(net: MlpNet, x: np.ndarray) -> np.ndarray:
     """Evaluate the network on one input (d,) or a batch (n, d)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    out, _, _ = _forward_cached(net, x[None, :] if single else x)
+    out, _ = _forward_cached(net, x[None, :] if single else x)
     return out[0] if single else out
 
 
-def _backward(net: MlpNet, pre_acts, acts, out_seed: np.ndarray):
-    """Reverse pass from d(loss)/d(output) seeds.
+def _param_backward(net: MlpNet, layers, out_seed: np.ndarray) -> MlpGrads:
+    """Reverse pass from d(loss)/d(output) seeds to parameter gradients.
 
-    Returns (MlpGrads summed over the batch, d(loss)/d(input) of shape (n, d)).
+    Gradients are summed over the batch.  The product that would carry the
+    seed past layer 0 to the input is never formed.
     """
-    grads = MlpGrads.zeros_like(net)
+    n_layers = len(layers)
+    grad_w, grad_b = [None] * n_layers, [None] * n_layers
     u = out_seed
-    for k in reversed(range(len(net.weights))):
+    for k in reversed(range(n_layers)):
+        h, s, aux = layers[k]
         _, act_d, _ = net._activation_at(k)
-        s_bar = u * act_d(pre_acts[k])
-        grads.weights[k] += s_bar.T @ acts[k]
-        grads.biases[k] += s_bar.sum(axis=0)
-        u = s_bar @ net.weights[k]
-    return grads, u
+        s_bar = u * act_d(s, aux)
+        grad_w[k] = s_bar.T @ h
+        grad_b[k] = s_bar.sum(axis=0)
+        if k > 0:
+            u = s_bar @ net.weights[k]
+    return MlpGrads(grad_w, grad_b)
+
+
+def _input_backward(net: MlpNet, layers):
+    """Input gradient of a scalar-output network from a cached forward pass.
+
+    Forms only the chain d y / d h_k, no parameter-gradient products.
+    Returns (d y / d x of shape (n, d), each layer's first activation
+    derivative) so that later passes need not recompute the derivatives.
+    """
+    d1 = [None] * len(layers)
+    u = np.ones((layers[0][0].shape[0], 1))
+    for k in reversed(range(len(layers))):
+        _, s, aux = layers[k]
+        _, act_d, _ = net._activation_at(k)
+        d1[k] = act_d(s, aux)
+        u = (u * d1[k]) @ net.weights[k]
+    return u, d1
 
 
 def param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn):
@@ -246,25 +282,24 @@ def param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn):
         (loss value, MlpGrads).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    out, pre_acts, acts = _forward_cached(net, inputs)
+    out, layers = _forward_cached(net, inputs)
     loss, out_seed = loss_fn(out)
-    grads, _ = _backward(net, pre_acts, acts, np.asarray(out_seed, dtype=float))
-    return float(loss), grads
+    return float(loss), _param_backward(net, layers, np.asarray(out_seed, dtype=float))
 
 
-def input_gradient(net: MlpNet, x: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar-output network with respect to its input.
+def input_gradient(net: MlpNet, x: np.ndarray):
+    """Output and input gradient of a scalar-output network, one forward pass.
 
-    Accepts one state (d,) or a batch (n, d); returns matching shape.
+    Accepts one state (d,) or a batch (n, d).  Returns (y, g): y shaped as
+    mlp_forward(net, x) returns it and g = d y / d x shaped like x.
     """
     if net.output_dim != 1:
         raise ValueError("input_gradient requires a scalar-output network")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    xb = x[None, :] if single else x
-    _, pre_acts, acts = _forward_cached(net, xb)
-    _, g = _backward(net, pre_acts, acts, np.ones((xb.shape[0], 1)))
-    return g[0] if single else g
+    y, layers = _forward_cached(net, x[None, :] if single else x)
+    g, _ = _input_backward(net, layers)
+    return (y[0], g[0]) if single else (y, g)
 
 
 def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
@@ -291,15 +326,14 @@ def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
     z = np.atleast_2d(np.asarray(points, dtype=float))
     n = z.shape[0]
 
-    _, pre_acts, acts = _forward_cached(net, z)
-    _, g = _backward(net, pre_acts, acts, np.ones((n, 1)))
+    _, layers = _forward_cached(net, z)
+    g, d1 = _input_backward(net, layers)
     norms = np.linalg.norm(g, axis=1)
     value = float(np.mean((norms - beta) ** 2))
 
     live = norms >= GRAD_NORM_FLOOR
-    grads = MlpGrads.zeros_like(net)
     if not np.any(live):
-        return value, grads
+        return value, MlpGrads.zeros_like(net)
     safe_norms = np.where(live, norms, 1.0)
     w_dir = (2.0 * (norms - beta) / safe_norms)[:, None] * g
     w_dir[~live] = 0.0
@@ -310,25 +344,27 @@ def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
     for k, w in enumerate(net.weights):
         t = r @ w.T
         tangents_pre.append(t)
-        _, act_d, _ = net._activation_at(k)
-        r = act_d(pre_acts[k]) * t
+        r = d1[k] * t
         tangents_post.append(r)
 
     # Reverse pass over the augmented (forward + tangent) computation.  The
     # scalar being differentiated is mean_i of the tangent output r_L[i].
+    n_layers = len(layers)
+    grad_w, grad_b = [None] * n_layers, [None] * n_layers
     r_bar = np.full((n, 1), 1.0 / n)
     h_bar = np.zeros((n, 1))
-    for k in reversed(range(len(net.weights))):
-        _, act_d, act_dd = net._activation_at(k)
-        d1 = act_d(pre_acts[k])
-        t_bar = r_bar * d1
-        s_bar = r_bar * act_dd(pre_acts[k]) * tangents_pre[k] + h_bar * d1
+    for k in reversed(range(n_layers)):
+        h, s, aux = layers[k]
+        _, _, act_dd = net._activation_at(k)
+        t_bar = r_bar * d1[k]
+        s_bar = r_bar * act_dd(s, aux) * tangents_pre[k] + h_bar * d1[k]
         r_prev = w_dir if k == 0 else tangents_post[k - 1]
-        grads.weights[k] += s_bar.T @ acts[k] + t_bar.T @ r_prev
-        grads.biases[k] += s_bar.sum(axis=0)
-        h_bar = s_bar @ net.weights[k]
-        r_bar = t_bar @ net.weights[k]
-    return value, grads
+        grad_w[k] = s_bar.T @ h + t_bar.T @ r_prev
+        grad_b[k] = s_bar.sum(axis=0)
+        if k > 0:
+            h_bar = s_bar @ net.weights[k]
+            r_bar = t_bar @ net.weights[k]
+    return value, MlpGrads(grad_w, grad_b)
 
 
 @dataclass
@@ -358,11 +394,22 @@ def adam_step(net: MlpNet, grads: MlpGrads, state: AdamState) -> None:
     ms = state.first_moment.weights + state.first_moment.biases
     vs = state.second_moment.weights + state.second_moment.biases
     for p, g, m, v in zip(params, gs, ms, vs):
+        # Two temporaries per parameter; the arithmetic and its order are
+        # those of m += (1-b1) g, v += (1-b2) g g, p -= lr (m/c1) / (sqrt(v/c2) + eps).
+        step = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += step
+        np.multiply(g, 1.0 - state.beta2, out=step)
+        step *= g
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        v += step
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        np.divide(m, c1, out=step)
+        step *= state.learning_rate
+        step /= denom
+        p -= step
 
 
 def save_model(net: MlpNet, path: str) -> None:

@@ -268,6 +268,7 @@ def actor_update(
 
     The actor's tanh output is rescaled to the action interval before the
     critic scores it; the chain rule runs through the critic's action input.
+    One critic forward pass yields both Q and dQ/da.
 
     Args:
         actor: live fallback actor (tanh head).
@@ -287,10 +288,8 @@ def actor_update(
 
     def neg_mean_q(outputs: np.ndarray):
         acts = ACTION_BOUND * outputs[:, 0]
-        feats = _critic_features(states, acts)
-        q = mlp_forward(critic, feats)[:, 0]
-        dq_da = input_gradient(critic, feats)[:, -1]
-        return float(-np.mean(q)), (-(ACTION_BOUND / n) * dq_da)[:, None]
+        q, dq_dfeats = input_gradient(critic, _critic_features(states, acts))
+        return float(-np.mean(q[:, 0])), (-(ACTION_BOUND / n) * dq_dfeats[:, -1])[:, None]
 
     loss, grads = param_gradient(actor, states, neg_mean_q)
     adam_step(actor, grads, opt)

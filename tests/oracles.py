@@ -3,9 +3,11 @@
 Everything here is written as a second route to the same quantity: central
 finite differences for derivatives, per-point gradient-norm penalties from
 the input gradient, exhaustive and plain recursive enumerations for the
-finite-horizon avoid value, and value iteration by gathering through the
-public query path.  None of it shares code with the package implementations
-it checks.
+finite-horizon avoid value, value iteration by gathering through the
+public query path, and the earlier multi-pass forms of the net math (every
+derivative from the pre-activation, a separate critic forward for Q, three
+parameter passes per GP margin step) that the fused passes must reproduce.
+None of it shares code with the package implementations it checks.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import itertools
 
 import numpy as np
 
-from cbfforge.dubins import DEFAULT_DT, dynamics_step_batch
+from cbfforge.dubins import ACTION_BOUND, DEFAULT_DT, dynamics_step_batch
 from cbfforge.hj import GridField, ValueSolution, q_from_value
-from cbfforge.nets import MlpGrads, MlpNet, input_gradient
+from cbfforge.margin import interpolate_pair
+from cbfforge.nets import MlpGrads, MlpNet, input_gradient, penalty_param_gradient
 
 
 def fd_input_gradient(net_eval, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -72,7 +75,7 @@ def flat_grads(grads: MlpGrads) -> np.ndarray:
 
 def penalty_values(net: MlpNet, points: np.ndarray, beta: float) -> np.ndarray:
     """Per-point values of the gradient-norm penalty (||d y/d z|| - beta)^2."""
-    g = input_gradient(net, np.atleast_2d(points))
+    g = input_gradient(net, np.atleast_2d(points))[1]
     norms = np.linalg.norm(g, axis=1)
     return (norms - beta) ** 2
 
@@ -151,3 +154,146 @@ def gather_value_iteration(margin: GridField, actions, gamma: float, dt: float, 
             converged = True
             break
     return ValueSolution(GridField(spec, v, kind="value"), converged, sweeps, residuals)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+# name -> (value, first derivative), both from the pre-activation alone.
+_REFERENCE_ACTS = {
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(x.dtype)),
+    "silu": (lambda x: x / (1.0 + np.exp(-x)), lambda x: _sigmoid(x) * (1.0 + x * (1.0 - _sigmoid(x)))),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) * np.tanh(x)),
+    "identity": (lambda x: x, np.ones_like),
+}
+
+
+def _reference_act(net: MlpNet, k: int):
+    last = k + 1 == len(net.weights)
+    return _REFERENCE_ACTS[net.output_activation if last else net.hidden_activation]
+
+
+def _reference_forward_layers(net: MlpNet, x: np.ndarray):
+    h, pre_acts, acts = x, [], []
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        acts.append(h)
+        s = h @ w.T + b
+        pre_acts.append(s)
+        h = _reference_act(net, k)[0](s)
+    return h, pre_acts, acts
+
+
+def _reference_backward(net: MlpNet, pre_acts, acts, out_seed):
+    grads = MlpGrads.zeros_like(net)
+    u = out_seed
+    for k in reversed(range(len(net.weights))):
+        s_bar = u * _reference_act(net, k)[1](pre_acts[k])
+        grads.weights[k] += s_bar.T @ acts[k]
+        grads.biases[k] += s_bar.sum(axis=0)
+        u = s_bar @ net.weights[k]
+    return grads, u
+
+
+def reference_forward(net: MlpNet, x: np.ndarray) -> np.ndarray:
+    """Batched forward pass with SiLU as x / (1 + exp(-x))."""
+    return _reference_forward_layers(net, np.atleast_2d(np.asarray(x, dtype=float)))[0]
+
+
+def reference_param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn):
+    """Parameter gradient accumulated into zeros, derivatives from pre-activations."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    out, pre_acts, acts = _reference_forward_layers(net, inputs)
+    loss, out_seed = loss_fn(out)
+    grads, _ = _reference_backward(net, pre_acts, acts, np.asarray(out_seed, dtype=float))
+    return float(loss), grads
+
+
+def reference_input_gradient(net: MlpNet, x: np.ndarray) -> np.ndarray:
+    """d y / d x of a scalar-output net by the full reverse pass, (n, d)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    _, pre_acts, acts = _reference_forward_layers(net, x)
+    _, g = _reference_backward(net, pre_acts, acts, np.ones((x.shape[0], 1)))
+    return g
+
+
+def reference_adam_step(net: MlpNet, grads: MlpGrads, state) -> None:
+    """Adam with one temporary per operation."""
+    if state.first_moment is None:
+        state.first_moment = MlpGrads.zeros_like(net)
+        state.second_moment = MlpGrads.zeros_like(net)
+    state.step_count += 1
+    c1 = 1.0 - state.beta1**state.step_count
+    c2 = 1.0 - state.beta2**state.step_count
+    for p, g, m, v in zip(
+        net.weights + net.biases,
+        grads.weights + grads.biases,
+        state.first_moment.weights + state.first_moment.biases,
+        state.second_moment.weights + state.second_moment.biases,
+    ):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+
+
+def two_pass_actor_update(actor: MlpNet, critic: MlpNet, batch: dict, cfg, opt) -> float:
+    """rl.actor_update with Q and dQ/da from two separate critic passes."""
+    states = batch["z"]
+    n = states.shape[0]
+
+    def neg_mean_q(outputs):
+        feats = np.hstack([states, (ACTION_BOUND * outputs[:, 0])[:, None]])
+        q = reference_forward(critic, feats)[:, 0]
+        dq_da = reference_input_gradient(critic, feats)[:, -1]
+        return float(-np.mean(q)), (-(ACTION_BOUND / n) * dq_da)[:, None]
+
+    loss, grads = reference_param_gradient(actor, states, neg_mean_q)
+    reference_adam_step(actor, grads, opt)
+    return loss
+
+
+def wgan_loss(net: MlpNet, batch_safe, batch_fail, cfg, rng):
+    """Separation term plus gradient penalty, each from its own pass.
+
+    lambda_zs * (mean l(z-) - mean l(z+)) + lambda_gp * mean penalty, with
+    zhat pairs by index up to the shorter batch at eta ~ U(0, 1) from rng.
+    """
+    n_s, n_f = batch_safe.shape[0], batch_fail.shape[0]
+
+    def zs_term(outputs):
+        value = cfg.lambda_zs * (outputs[n_s:, 0].mean() - outputs[:n_s, 0].mean())
+        seed = np.concatenate([np.full(n_s, -cfg.lambda_zs / n_s), np.full(n_f, cfg.lambda_zs / n_f)])
+        return value, seed[:, None]
+
+    value, grads = reference_param_gradient(net, np.vstack([batch_safe, batch_fail]), zs_term)
+    n_pairs = min(n_s, n_f)
+    eta = rng.uniform(0.0, 1.0, size=n_pairs)
+    zhat = interpolate_pair(batch_safe[:n_pairs], batch_fail[:n_pairs], eta)
+    pen_value, pen_grads = penalty_param_gradient(net, zhat, cfg.beta)
+    grads.add_scaled(pen_grads, cfg.lambda_gp)
+    return value + cfg.lambda_gp * pen_value, grads
+
+
+def three_pass_margin_loss(net: MlpNet, batch_safe, batch_fail, cfg, rng):
+    """The train_margin objective as a hinge pass plus wgan_loss, summed after.
+
+    The hinge is mean max(0, delta - l(z+)) + mean max(0, delta + l(z-)),
+    delta 0 for GP and cfg.delta for NoGP, weighted by lambda_sign.
+    """
+    n_s, n_f = batch_safe.shape[0], batch_fail.shape[0]
+    delta = 0.0 if cfg.use_gp else cfg.delta
+
+    def sign_term(outputs):
+        gap_safe, gap_fail = delta - outputs[:n_s, 0], delta + outputs[n_s:, 0]
+        value = np.mean(np.maximum(0.0, gap_safe)) + np.mean(np.maximum(0.0, gap_fail))
+        seed = np.concatenate([np.where(gap_safe > 0.0, -1.0 / n_s, 0.0), np.where(gap_fail > 0.0, 1.0 / n_f, 0.0)])
+        return cfg.lambda_sign * value, cfg.lambda_sign * seed[:, None]
+
+    value, grads = reference_param_gradient(net, np.vstack([batch_safe, batch_fail]), sign_term)
+    if cfg.use_gp:
+        wgan_value, wgan_grads = wgan_loss(net, batch_safe, batch_fail, cfg, rng)
+        grads.add_scaled(wgan_grads)
+        value += wgan_value
+    return value, grads

@@ -182,6 +182,30 @@ def test_filter_eval_on_saved_models_needs_no_margin_net(tmp_path):
     assert not list(out.glob("margin_*.txt"))
 
 
+TINY_RL = [
+    "rl_iterations = 10",
+    "rl_batch_size = 8",
+    "rl_buffer_capacity = 64",
+    "rl_episode_len = 4",
+    "rl_actor_dims = 8",
+    "rl_critic_dims = 8",
+]
+
+
+def test_train_rl_always_trains_under_train_missing_false(tmp_path):
+    # train-rl ignores saved actor/critic models, so train_missing cannot gate them.
+    cfg = _write_cfg(tmp_path, *TINY_RL, "train_missing = false")
+    out = tmp_path / "rl_out"
+    assert main(["train-rl", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "rl" / "critic.txt").exists()
+
+
+def test_train_rl_still_needs_a_margin_net_under_train_missing_false(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, *TINY_RL, "margin_mode = gp", "train_missing = false")
+    assert main(["train-rl", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "margin net (gp) missing" in capsys.readouterr().err
+
+
 def test_bench_subcommand(tmp_path):
     cfg = _write_cfg(
         tmp_path,

@@ -14,12 +14,12 @@ from cbfforge.experiments import (
     MetricsRow,
     MetricsTable,
     NA,
-    actor_critic,
     nominal_config,
     override_statistics,
     run_experiment,
     safety_rate,
     throughput_benchmark,
+    train_actor_critic,
 )
 from cbfforge.filters import CriticBackend
 from cbfforge.nets import mlp_init, save_model
@@ -248,7 +248,10 @@ def test_mix_ablation_trains_both_variants_despite_saved_models(tmp_path):
     save_model(mlp_init([4, 16, 16, 1], seed=5), str(critic))
     save_model(mlp_init([3, 16, 16, 1], output_activation="tanh", seed=6), str(actor))
     out = tmp_path / "out"
-    run_experiment(_tiny_cfg("mix_ablation", out, critic_model=str(critic), actor_model=str(actor)))
+    # mix_ablation always trains, so train_missing = false must not stop it.
+    run_experiment(
+        _tiny_cfg("mix_ablation", out, critic_model=str(critic), actor_model=str(actor), train_missing=False)
+    )
     maes = [float(line.split(",")[2]) for line in (out / "mix_report.csv").read_text().splitlines()[1:]]
     assert maes[0] != maes[2] and maes[1] != maes[3]  # mixed vs fallback-only, per eval source
     for variant in ("critic_mixed", "critic_fallback_only"):
@@ -257,7 +260,7 @@ def test_mix_ablation_trains_both_variants_despite_saved_models(tmp_path):
 
 def test_actor_critic_trains_at_configured_dt(tmp_path):
     (actor_a, critic_a), (actor_b, critic_b) = [
-        actor_critic(_tiny_cfg("filter_comparison", tmp_path, dt=dt), str(tmp_path), signed_distance_margin)
+        train_actor_critic(_tiny_cfg("filter_comparison", tmp_path, dt=dt), str(tmp_path), signed_distance_margin)
         for dt in (0.05, 0.1)
     ]
     assert any(not np.array_equal(a, b) for a, b in zip(critic_a.weights, critic_b.weights))

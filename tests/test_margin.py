@@ -4,6 +4,7 @@ and evaluation metrics."""
 import numpy as np
 import pytest
 
+import cbfforge.margin as margin_module
 from cbfforge.dubins import NominalPolicyConfig, nominal_policy, rollout, signed_distance_margin
 from cbfforge.margin import (
     MarginDataset,
@@ -11,14 +12,14 @@ from cbfforge.margin import (
     build_margin_dataset,
     evaluate_margin,
     interpolate_pair,
+    margin_loss,
     net_margin_fn,
     save_metrics_csv,
     sign_loss,
     train_margin,
-    wgan_loss,
 )
 from cbfforge.nets import MlpNet, mlp_forward, mlp_init
-from oracles import flat_grads
+from oracles import flat_grads, relative_error, three_pass_margin_loss
 
 
 def constant_net(c: float) -> MlpNet:
@@ -101,24 +102,24 @@ class TestInterpolatePair:
             interpolate_pair(np.zeros(3), np.ones(3), 1.5)
 
 
-class TestWganLoss:
+class TestMarginLoss:
     def test_separation_only(self):
         # Linear net with unit gradient norm equal to beta=1 so the penalty
         # vanishes: loss = lambda_zs * (l(z-) - l(z+)).
         net = linear_net(np.array([1.0, 0.0, 0.0]))
-        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, beta=1.0)
+        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0)
         safe = np.array([[1.0, 0.0, 0.0]])
         fail = np.array([[-1.0, 0.0, 0.0]])
-        value, _ = wgan_loss(net, safe, fail, cfg)
+        value, _ = margin_loss(net, safe, fail, cfg)
         assert value == pytest.approx(-0.2, abs=1e-12)
 
     def test_penalty_contributes(self):
         # Gradient norm 2 with beta=1 adds lambda_gp * (2 - 1)^2 = 10.
         net = linear_net(np.array([2.0, 0.0, 0.0]))
-        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, beta=1.0)
+        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0)
         safe = np.array([[0.5, 0.0, 0.0]])
         fail = np.array([[-0.5, 0.0, 0.0]])
-        value, _ = wgan_loss(net, safe, fail, cfg)
+        value, _ = margin_loss(net, safe, fail, cfg)
         assert value == pytest.approx(0.1 * (-1.0 - 1.0) + 10.0, abs=1e-12)
 
     def test_linear_closed_form_gradient(self):
@@ -127,10 +128,10 @@ class TestWganLoss:
         rng = np.random.default_rng(1)
         w = rng.normal(size=3)
         net = linear_net(w)
-        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, beta=0.1)
+        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=0.1)
         safe = rng.normal(size=(6, 3))
         fail = rng.normal(size=(6, 3))
-        value, grads = wgan_loss(net, safe, fail, cfg)
+        value, grads = margin_loss(net, safe, fail, cfg)
         norm = np.linalg.norm(w)
         expect_w = cfg.lambda_zs * (fail.mean(axis=0) - safe.mean(axis=0))
         expect_w = expect_w + cfg.lambda_gp * 2.0 * (norm - cfg.beta) * w / norm
@@ -142,10 +143,58 @@ class TestWganLoss:
 
     def test_penalty_zero_iff_norm_beta(self):
         net = linear_net(np.array([0.3, 0.0, 0.0]))
-        cfg = MarginTrainConfig(lambda_zs=0.0, lambda_gp=5.0, beta=0.3)
-        value, grads = wgan_loss(net, np.ones((3, 3)), -np.ones((3, 3)), cfg)
+        cfg = MarginTrainConfig(lambda_zs=0.0, lambda_gp=5.0, lambda_sign=0.0, beta=0.3)
+        value, grads = margin_loss(net, np.ones((3, 3)), -np.ones((3, 3)), cfg)
         assert value == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(flat_grads(grads), 0.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("seed,n_safe,n_fail", [(0, 256, 256), (1, 256, 200), (2, 120, 256)])
+    def test_gp_matches_three_pass_objective(self, seed, n_safe, n_fail):
+        # Summing the hinge and separation seeds before one parameter pass
+        # changes the gradient by rounding only.
+        safe, fail, net = _fixed_batches(seed, n_safe, n_fail, use_gp=True)
+        cfg = MarginTrainConfig(use_gp=True, seed=seed)
+        value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
+        ref_value, ref_grads = three_pass_margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
+        assert relative_error(flat_grads(grads), flat_grads(ref_grads)) <= 1e-13
+        assert value == pytest.approx(ref_value, rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nogp_equals_hinge_pass_exactly(self, seed):
+        safe, fail, net = _fixed_batches(seed, 256, 256, use_gp=False)
+        cfg = MarginTrainConfig(use_gp=False, seed=seed)
+        value, grads = margin_loss(net, safe, fail, cfg)
+        ref_value, ref_grads = three_pass_margin_loss(net, safe, fail, cfg, None)
+        assert np.array_equal(flat_grads(grads), flat_grads(ref_grads))
+        assert value == ref_value
+
+    def test_gp_makes_one_parameter_and_one_penalty_pass(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            inner = getattr(margin_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("param_gradient", "penalty_param_gradient"):
+            monkeypatch.setattr(margin_module, name, counted(name))
+        safe, fail, net = _fixed_batches(0, 64, 64, use_gp=True)
+        margin_loss(net, safe, fail, MarginTrainConfig(use_gp=True))
+        assert sorted(calls) == ["param_gradient", "penalty_param_gradient"]
+
+
+def _fixed_batches(seed: int, n_safe: int, n_fail: int, use_gp: bool):
+    dataset = build_margin_dataset(4000, seed=seed)
+    rng = np.random.default_rng(seed)
+    safe = dataset.safe_points[rng.integers(0, dataset.safe_points.shape[0], n_safe)]
+    fail = dataset.fail_points[rng.integers(0, dataset.fail_points.shape[0], n_fail)]
+    net = mlp_init([3, 64, 64, 1], "silu", "identity" if use_gp else "tanh", seed=seed + 10)
+    return safe, fail, net
 
 
 class TestTrainMargin:

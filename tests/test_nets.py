@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cbfforge.nets import (
+    _ACT_TABLE,
     AdamState,
     MlpGrads,
     MlpNet,
@@ -20,7 +21,17 @@ from cbfforge.nets import (
     penalty_param_gradient,
     save_model,
 )
-from oracles import fd_input_gradient, fd_param_gradient, flat_grads, penalty_values, relative_error
+from oracles import (
+    fd_input_gradient,
+    fd_param_gradient,
+    flat_grads,
+    penalty_values,
+    reference_adam_step,
+    reference_forward,
+    reference_input_gradient,
+    reference_param_gradient,
+    relative_error,
+)
 
 
 def random_net(rng, dims=None, hidden="silu", output="identity"):
@@ -72,8 +83,29 @@ class TestForward:
             "relu",
             "identity",
         )
-        g = input_gradient(net, np.array([0.0]))
+        g = input_gradient(net, np.array([0.0]))[1]
         assert g[0] == 0.0
+
+
+class TestActivations:
+    @pytest.mark.parametrize("name", sorted(_ACT_TABLE))
+    def test_cached_derivatives_match_central_differences(self, name):
+        act, act_d, act_dd = _ACT_TABLE[name]
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(-4.0, 4.0, 200), rng.uniform(-30.0, 30.0, 50)])
+        x = x[np.abs(x) > 1e-2]  # keep the ReLU kink out of the difference stencils
+        value, aux = act(x)
+        f = lambda y: act(y)[0]
+        h1, h2 = 1e-6, 1e-3
+        np.testing.assert_allclose(act_d(x, aux), (f(x + h1) - f(x - h1)) / (2.0 * h1), rtol=1e-6, atol=1e-8)
+        second = (f(x + h2) - 2.0 * value + f(x - h2)) / (h2 * h2)
+        np.testing.assert_allclose(act_dd(x, aux), second, rtol=1e-4, atol=1e-6)
+
+    def test_silu_forward_is_bit_identical_to_the_quotient_formula(self):
+        rng = np.random.default_rng(6)
+        net = mlp_init([3, 64, 64, 1], "silu", "identity", seed=7)
+        xs = rng.uniform(-1.5, 1.5, size=(512, 3))
+        assert np.array_equal(mlp_forward(net, xs), reference_forward(net, xs))
 
 
 class TestInputGradient:
@@ -82,7 +114,7 @@ class TestInputGradient:
         for _ in range(20):
             net = random_net(rng)
             x = rng.uniform(-1.5, 1.5, size=3)
-            g = input_gradient(net, x)
+            g = input_gradient(net, x)[1]
             g_fd = fd_input_gradient(lambda z: float(mlp_forward(net, z)[0]), x)
             assert relative_error(g, g_fd) < 1e-4
 
@@ -90,7 +122,7 @@ class TestInputGradient:
         rng = np.random.default_rng(11)
         net = random_net(rng, output="tanh")
         x = rng.normal(size=3)
-        g = input_gradient(net, x)
+        g = input_gradient(net, x)[1]
         g_fd = fd_input_gradient(lambda z: float(mlp_forward(net, z)[0]), x)
         assert relative_error(g, g_fd) < 1e-4
 
@@ -98,14 +130,23 @@ class TestInputGradient:
         rng = np.random.default_rng(12)
         net = random_net(rng)
         xs = rng.normal(size=(7, 3))
-        gb = input_gradient(net, xs)
+        gb = input_gradient(net, xs)[1]
         for i in range(7):
-            np.testing.assert_allclose(gb[i], input_gradient(net, xs[i]), rtol=1e-12)
+            np.testing.assert_allclose(gb[i], input_gradient(net, xs[i])[1], rtol=1e-12)
 
     def test_rejects_vector_output(self):
         net = mlp_init([3, 4, 2], seed=0)
         with pytest.raises(ValueError):
             input_gradient(net, np.zeros(3))
+
+    @pytest.mark.parametrize("hidden,output", [("silu", "identity"), ("relu", "identity"), ("relu", "tanh")])
+    def test_equals_the_full_reverse_pass(self, hidden, output):
+        rng = np.random.default_rng(13)
+        net = random_net(rng, dims=[4, 32, 32, 1], hidden=hidden, output=output)
+        xs = rng.normal(size=(16, 4))
+        y, g = input_gradient(net, xs)
+        assert np.array_equal(y, reference_forward(net, xs))
+        assert np.array_equal(g, reference_input_gradient(net, xs))
 
 
 def sum_output_loss(outputs):
@@ -157,6 +198,23 @@ class TestParamGradient:
         _, grads = param_gradient(net, xs, loss)
         fd = fd_param_gradient(net, lambda n: loss(mlp_forward(n, xs))[0])
         assert relative_error(flat_grads(grads), flat_grads(fd)) < 1e-4
+
+
+    @pytest.mark.parametrize("hidden,output", [("silu", "identity"), ("relu", "identity"), ("silu", "tanh")])
+    def test_equals_accumulated_reverse_pass(self, hidden, output):
+        rng = np.random.default_rng(22)
+        net = random_net(rng, dims=[3, 32, 32, 1], hidden=hidden, output=output)
+        xs = rng.normal(size=(16, 3))
+        targets = rng.normal(size=16)
+
+        def loss(outputs):
+            r = outputs[:, 0] - targets
+            return float(np.mean(r * r)), (2.0 * r / r.size)[:, None]
+
+        value, grads = param_gradient(net, xs, loss)
+        ref_value, ref_grads = reference_param_gradient(net, xs, loss)
+        assert value == ref_value
+        assert np.array_equal(flat_grads(grads), flat_grads(ref_grads))
 
 
 class TestPenaltyGradient:
@@ -216,6 +274,18 @@ class TestAdam:
         for w, w0, g in zip(net.weights, before, grads.weights):
             np.testing.assert_allclose(w, w0 - 1e-3 * np.sign(g), atol=1e-6)
         assert state.step_count == 1
+
+    def test_steps_equal_the_one_temporary_per_operation_form(self):
+        rng = np.random.default_rng(41)
+        net = random_net(rng, dims=[3, 16, 16, 1])
+        ref = net.copy()
+        state, ref_state = AdamState(learning_rate=1e-3), AdamState(learning_rate=1e-3)
+        for _ in range(5):
+            grads = MlpGrads([rng.normal(size=w.shape) for w in net.weights], [rng.normal(size=b.shape) for b in net.biases])
+            adam_step(net, grads, state)
+            reference_adam_step(ref, grads, ref_state)
+        for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert np.array_equal(a, b)
 
     def test_descends_a_quadratic(self):
         # Minimize (w - 3)^2 elementwise on a 1x1 layer.

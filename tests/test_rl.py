@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import cbfforge.rl as rl_module
 from cbfforge.dubins import NominalPolicyConfig, dynamics_step, signed_distance_margin
 from cbfforge.filters import actor_action
 from cbfforge.hj import GridSpec, margin_field, value_iteration, q_from_value
@@ -24,7 +25,14 @@ from cbfforge.rl import (
     train_safety_rl,
 )
 
-from oracles import fd_param_gradient, flat_grads
+from oracles import (
+    fd_param_gradient,
+    flat_grads,
+    reference_adam_step,
+    reference_forward,
+    reference_param_gradient,
+    two_pass_actor_update,
+)
 
 NOM_CFG = NominalPolicyConfig(mode="obstacle_blind")
 
@@ -301,7 +309,7 @@ def test_actor_gradient_matches_finite_differences():
         q = mlp_forward(critic, feats)[:, 0]
         from cbfforge.nets import input_gradient
 
-        dq_da = input_gradient(critic, feats)[:, -1]
+        dq_da = input_gradient(critic, feats)[1][:, -1]
         return float(-np.mean(q)), (-(2.0 / len(states)) * dq_da)[:, None]
 
     _, grads = param_gradient(actor, states, neg_mean_q)
@@ -445,3 +453,86 @@ def test_critic_error_fallback_source_uses_actor(tanh_scale_grid):
         [rng.uniform(-1.5, 1.5, 50), rng.uniform(-1.5, 1.5, 50), rng.uniform(-np.pi, np.pi, 50)]
     )
     assert np.allclose(captured["actions"], actor_action(actor, states))
+
+
+# ------------------------------------------- equivalence with the two-pass nets
+
+
+def _equal_nets(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+def _use_reference_nets(monkeypatch):
+    """Route rl through the multi-pass net math: two critic passes per actor update."""
+    monkeypatch.setattr(rl_module, "mlp_forward", reference_forward)
+    monkeypatch.setattr(rl_module, "param_gradient", reference_param_gradient)
+    monkeypatch.setattr(rl_module, "adam_step", reference_adam_step)
+    monkeypatch.setattr(rl_module, "actor_update", two_pass_actor_update)
+
+
+def _small_batch(n=64, seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        "z": rng.uniform(-1.5, 1.5, size=(n, 3)),
+        "a": rng.uniform(-2.0, 2.0, size=n),
+        "l": rng.uniform(-1.0, 1.0, size=n),
+        "z_next": rng.uniform(-1.5, 1.5, size=(n, 3)),
+    }
+
+
+def test_actor_update_equals_two_pass_oracle():
+    cfg = _tiny_cfg()
+    critic = mlp_init([4, 32, 32, 1], seed=12)
+    actor = mlp_init([3, 32, 32, 1], output_activation="tanh", seed=11)
+    ref = actor.copy()
+    opt, ref_opt = AdamState(learning_rate=cfg.actor_lr), AdamState(learning_rate=cfg.actor_lr)
+    for seed in range(3):
+        batch = _small_batch(seed=seed)
+        assert actor_update(actor, critic, batch, cfg, opt) == two_pass_actor_update(ref, critic, batch, cfg, ref_opt)
+        assert _equal_nets(actor, ref)
+
+
+def test_critic_update_equals_reference_path(monkeypatch):
+    cfg = _tiny_cfg()
+    nets = [
+        mlp_init([4, 32, 32, 1], seed=12),
+        mlp_init([4, 32, 32, 1], seed=13),
+        mlp_init([3, 32, 32, 1], output_activation="tanh", seed=11),
+    ]
+    ref = [net.copy() for net in nets]
+    batch = _small_batch()
+    loss = critic_update(*nets, batch, cfg)
+    _use_reference_nets(monkeypatch)
+    assert critic_update(*ref, batch, cfg) == loss
+    assert all(_equal_nets(a, b) for a, b in zip(nets, ref))
+
+
+def test_train_safety_rl_equals_reference_path(monkeypatch):
+    cfg = _tiny_cfg(actor_dims=(32, 32), critic_dims=(32, 32))
+    actor, critic, hist = train_safety_rl(signed_distance_margin, NOM_CFG, cfg)
+    _use_reference_nets(monkeypatch)
+    ref_actor, ref_critic, ref_hist = train_safety_rl(signed_distance_margin, NOM_CFG, cfg)
+    assert _equal_nets(actor, ref_actor) and _equal_nets(critic, ref_critic)
+    assert np.array_equal(hist.critic_losses, ref_hist.critic_losses, equal_nan=True)
+    assert np.array_equal(hist.actor_losses, ref_hist.actor_losses, equal_nan=True)
+
+
+def test_actor_update_makes_one_critic_pass(monkeypatch):
+    critic = mlp_init([4, 32, 32, 1], seed=12)
+    actor = mlp_init([3, 32, 32, 1], output_activation="tanh", seed=11)
+    critic_calls = []
+
+    def counted(name):
+        inner = getattr(rl_module, name)
+
+        def wrapper(net, *args, **kwargs):
+            if net is critic:
+                critic_calls.append(name)
+            return inner(net, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("mlp_forward", "input_gradient"):
+        monkeypatch.setattr(rl_module, name, counted(name))
+    actor_update(actor, critic, _small_batch(), _tiny_cfg())
+    assert critic_calls == ["input_gradient"]

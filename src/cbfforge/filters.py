@@ -12,6 +12,11 @@ policy as fallback) or a neural critic paired with a fallback actor.  Both
 support a model-free query (score Q(z, a) directly) and a model-based query
 (step the dynamics per candidate, then score the fallback policy's value at
 the successor).
+
+A model-free step asks its backend once, through anchored_q, for the
+fallback action and the scores of the candidates and of the fallback.  On a
+grid that is one q_from_value call per step: the greedy fallback's action set
+and every candidate are rows of one Q-table query.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dubins import ACTION_BOUND, DEFAULT_DT, dynamics_step, equispaced_actions
+from .dubins import ACTION_BOUND, DEFAULT_DT, OVERRIDE_THRESHOLD, dynamics_step, equispaced_actions
 from .hj import GridField, q_from_value
 from .nets import MlpNet, mlp_forward
 
@@ -91,9 +96,10 @@ class FilterDecision:
     """Outcome of one filtering step.
 
     action is the executed action; delta_a its distance to the nominal
-    action; overridden whether the two differ.  q_nominal and q_fallback are
-    the scores of the appended anchor samples.  feasible is populated by the
-    control-barrier filter only.
+    action; overridden whether delta_a reaches dubins.OVERRIDE_THRESHOLD,
+    the threshold every reported override count uses.  q_nominal and
+    q_fallback are the scores of the appended anchor samples.  feasible is
+    populated by the control-barrier filter only.
     """
 
     action: float
@@ -155,22 +161,23 @@ class GridBackend:
         states = np.tile(np.asarray(state, dtype=float), (actions.size, 1))
         return q_from_value(self.value, self.margin, states, actions, self.gamma, self.dt)
 
-    def _q_table(self, states: np.ndarray) -> np.ndarray:
-        """Q over the backend action set, shape (n_states, n_actions).
+    def _q_table(self, states: np.ndarray, extra=()) -> np.ndarray:
+        """Q over the backend action set followed by `extra` actions.
 
-        Every (state, action) row goes through one q_from_value call.
+        Shape (n_states, n_actions + len(extra)); every (state, action) row
+        goes through one q_from_value call.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        k = self.actions.size
+        acts = np.concatenate([self.actions, np.asarray(extra, dtype=float)])
         q = q_from_value(
             self.value,
             self.margin,
-            np.repeat(states, k, axis=0),
-            np.tile(self.actions, states.shape[0]),
+            np.repeat(states, acts.size, axis=0),
+            np.tile(acts, states.shape[0]),
             self.gamma,
             self.dt,
         )
-        return q.reshape(states.shape[0], k)
+        return q.reshape(states.shape[0], acts.size)
 
     def fallback_q(self, states: np.ndarray) -> np.ndarray:
         """Q(z, greedy(z)) for a batch of states, shape (n,)."""
@@ -178,7 +185,19 @@ class GridBackend:
 
     def fallback_action(self, state: np.ndarray) -> float:
         """Greedy action at one state (first maximizer on ties)."""
-        return float(self.actions[int(np.argmax(self._q_table(state)[0]))])
+        return self.anchored_q(state, ())[0]
+
+    def anchored_q(self, state: np.ndarray, actions):
+        """(greedy action, Q(z, actions), Q(z, greedy action)) at one state.
+
+        The action set and `actions` are scored in one table query; the
+        greedy action is the first maximizer over the action-set rows and its
+        Q is that table entry.
+        """
+        k = self.actions.size
+        q = self._q_table(state, actions)[0]
+        best = int(np.argmax(q[:k]))
+        return float(self.actions[best]), q[k:], float(q[best])
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
         return dynamics_step(state, action, self.dt)
@@ -218,6 +237,16 @@ class CriticBackend:
 
     def fallback_action(self, state: np.ndarray) -> float:
         return float(actor_action(self.actor, np.asarray(state, dtype=float)))
+
+    def anchored_q(self, state: np.ndarray, actions):
+        """(actor action, Q(z, actions), Q(z, actor action)) at one state.
+
+        The fallback action is appended to `actions` and scored in the same
+        critic forward pass.
+        """
+        a_fb = self.fallback_action(state)
+        q = self.q_values(state, np.append(actions, a_fb))
+        return a_fb, q[:-1], float(q[-1])
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
         return dynamics_step(state, action, self.dt)
@@ -295,21 +324,31 @@ def cbf_filter(state: np.ndarray, a_nominal: float, backend, cfg: FilterConfig) 
     nominal action (lowest sample index on distance ties).  An empty
     feasible set falls back to the fallback action.
 
+    In model_free mode one backend.anchored_q call returns the fallback
+    action with the scores of the sampler points, the nominal action and the
+    fallback; model_based mode asks fallback_action, then q_query.
+
     Args:
         state: current state (3,).
         a_nominal: nominal action.
-        backend: Q source, also supplying fallback_action.
+        backend: Q source, also supplying anchored_q and fallback_action.
         cfg: filter parameters.
 
     Returns:
         FilterDecision with the executed action and per-step diagnostics.
     """
     a_nom = float(a_nominal)
-    a_fb = backend.fallback_action(state)
-    samples = sample_actions(cfg.sampler, a_nom, a_fb)
-    q = q_query(backend, state, samples, cfg)
+    if cfg.query_mode == "model_free":
+        heads = np.append(equispaced_actions(cfg.sampler.n), a_nom)
+        a_fb, q_heads, q_fallback = backend.anchored_q(state, heads)
+        samples = np.append(heads, a_fb)
+        q = np.append(q_heads, q_fallback)
+    else:
+        a_fb = backend.fallback_action(state)
+        samples = sample_actions(cfg.sampler, a_nom, a_fb)
+        q = q_query(backend, state, samples, cfg)
+        q_fallback = float(q[-1])
     q_nominal = float(q[-2])
-    q_fallback = float(q[-1])
 
     mask = cbf_constraint_check(q, q_fallback, cfg)
     feasible = FeasibleSet(actions=samples[mask], q_values=q[mask])
@@ -323,7 +362,7 @@ def cbf_filter(state: np.ndarray, a_nominal: float, backend, cfg: FilterConfig) 
     delta = abs(chosen - a_nom)
     return FilterDecision(
         action=chosen,
-        overridden=delta > 0.0,
+        overridden=delta >= OVERRIDE_THRESHOLD,
         delta_a=delta,
         feasible_count=count,
         q_nominal=q_nominal,
@@ -336,27 +375,26 @@ def lr_filter(state: np.ndarray, a_nominal: float, backend, epsilon: float = 0.2
     """Least-restrictive switching filter.
 
     Executes the nominal action when its direct Q-value clears epsilon
-    (inclusive), otherwise the fallback action.  Both anchor Q-values are
-    scored in one batched model-free call for the diagnostics.
+    (inclusive), otherwise the fallback action.  The fallback action and
+    both anchor Q-values come from one backend.anchored_q call.
 
     Args:
         state: current state (3,).
         a_nominal: nominal action.
-        backend: Q source, also supplying fallback_action.
+        backend: Q source supplying anchored_q.
         epsilon: safety threshold, > 0.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     a_nom = float(a_nominal)
-    a_fb = float(backend.fallback_action(state))
-    q = backend.q_values(state, np.array([a_nom, a_fb]))
-    q_nominal, q_fallback = float(q[0]), float(q[1])
+    a_fb, q, q_fallback = backend.anchored_q(state, [a_nom])
+    q_nominal = float(q[0])
     keep = q_nominal >= epsilon
     chosen = a_nom if keep else a_fb
     delta = abs(chosen - a_nom)
     return FilterDecision(
         action=chosen,
-        overridden=delta > 0.0,
+        overridden=delta >= OVERRIDE_THRESHOLD,
         delta_a=delta,
         feasible_count=int(keep),
         q_nominal=q_nominal,

@@ -15,7 +15,9 @@ edge-padding the field.  Each sweep is therefore a semi-Lagrangian stencil
 (Falcone & Ferretti, SIAM 2013): per action, one theta lerp and a bilinear
 shift of edge-padded xy planes, with per-heading weights.  It needs a few
 copies of the field and no per-node tables.  `interpolate` and
-`q_from_value` are the query path for arbitrary states.  Empirical
+`q_from_value` are the query path for arbitrary states; their trilinear
+coefficients come from one loop-free broadcast over the 8 cell corners,
+written straight into the (8, n) index and weight arrays.  Empirical
 Lipschitz scans check the solved fields against the margin-to-value bound.
 """
 
@@ -119,32 +121,40 @@ def _interp_coeffs(spec: GridSpec, states: np.ndarray):
 
     Positions are clamped into the box and theta is wrapped.  Returns
     (idx, w): two (8, n) arrays with flat x-major corner indices and weights
-    summing to one per column.
+    summing to one per column.  Corner c = 4 bx + 2 by + bt takes the lower
+    (b = 0) or upper (b = 1) node on each axis, and its weight is
+    (wx * wy) * wt.
+
+    The pass is loop-free: it fills (2, 3, n) tables of the lower and upper
+    node offsets and weights of each axis, then broadcasts the three axes
+    over (2, 2, 2, n) straight into the outputs, so only those two tables
+    live beside them.
     """
     states = np.asarray(states, dtype=float)
-    fx = (np.clip(states[:, 0], -XY_BOUND, XY_BOUND) + XY_BOUND) / spec.dx
-    fy = (np.clip(states[:, 1], -XY_BOUND, XY_BOUND) + XY_BOUND) / spec.dy
-    it0, it1, wt = _theta_corners(spec, states[:, 2])
-
-    ix0 = np.minimum(fx.astype(np.int64), spec.nx - 2)
-    iy0 = np.minimum(fy.astype(np.int64), spec.ny - 2)
-    wx = fx - ix0
-    wy = fy - iy0
-    ix1 = ix0 + 1
-    iy1 = iy0 + 1
-
     n = states.shape[0]
+    # [lower/upper, axis x/y/theta, state]: flat-index offsets and weights.
+    off = np.empty((2, 3, n), dtype=np.int64)
+    wts = np.empty((2, 3, n))
+    off[0, 2], off[1, 2], wts[1, 2] = _theta_corners(spec, states[:, 2])
+    # x and y positions in cells; less their lower node, the upper weights.
+    pos = wts[1, :2]
+    np.clip(states[:, :2].T, -XY_BOUND, XY_BOUND, out=pos)
+    pos += XY_BOUND
+    pos /= ((spec.dx,), (spec.dy,))
+    np.minimum(pos.astype(np.int64), ((spec.nx - 2,), (spec.ny - 2,)), out=off[0, :2])
+    np.add(off[0, :2], 1, out=off[1, :2])
+    pos -= off[0, :2]
+    np.subtract(1.0, wts[1], out=wts[0])
+    off *= ((spec.ny * spec.ntheta,), (spec.ntheta,), (1,))
+
     idx = np.empty((8, n), dtype=np.int64)
     w = np.empty((8, n))
-    stride_x = spec.ny * spec.ntheta
-    stride_y = spec.ntheta
-    corner = 0
-    for cx, wxc in ((ix0, 1.0 - wx), (ix1, wx)):
-        for cy, wyc in ((iy0, 1.0 - wy), (iy1, wy)):
-            for ct, wtc in ((it0, 1.0 - wt), (it1, wt)):
-                idx[corner] = cx * stride_x + cy * stride_y + ct
-                w[corner] = wxc * wyc * wtc
-                corner += 1
+    idx4 = idx.reshape(2, 2, 2, n)
+    np.add(off[:, None, None, 0], off[None, :, None, 1], out=idx4)
+    idx4 += off[None, None, :, 2]
+    w4 = w.reshape(2, 2, 2, n)
+    np.multiply(wts[:, None, None, 0], wts[None, :, None, 1], out=w4)
+    w4 *= wts[None, None, :, 2]
     return idx, w
 
 

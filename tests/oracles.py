@@ -4,9 +4,11 @@ Everything here is written as a second route to the same quantity: central
 finite differences for derivatives, per-point gradient-norm penalties from
 the input gradient, exhaustive and plain recursive enumerations for the
 finite-horizon avoid value, value iteration by gathering through the
-public query path, and the earlier multi-pass forms of the net math (every
+public query path, the earlier multi-pass forms of the net math (every
 derivative from the pre-activation, a separate critic forward for Q, three
-parameter passes per GP margin step) that the fused passes must reproduce.
+parameter passes per GP margin step) that the fused passes must reproduce,
+the per-corner loop for trilinear coefficients, and the two-query filters
+(fallback_action, then the candidates' scores) that anchored_q replaced.
 None of it shares code with the package implementations it checks.
 """
 
@@ -16,8 +18,9 @@ import itertools
 
 import numpy as np
 
-from cbfforge.dubins import ACTION_BOUND, DEFAULT_DT, dynamics_step_batch
-from cbfforge.hj import GridField, ValueSolution, q_from_value
+from cbfforge.dubins import ACTION_BOUND, DEFAULT_DT, OVERRIDE_THRESHOLD, XY_BOUND, dynamics_step_batch
+from cbfforge.filters import FeasibleSet, FilterDecision, cbf_constraint_check, q_query, sample_actions
+from cbfforge.hj import GridField, GridSpec, ValueSolution, q_from_value
 from cbfforge.margin import interpolate_pair
 from cbfforge.nets import MlpGrads, MlpNet, input_gradient, penalty_param_gradient
 
@@ -154,6 +157,87 @@ def gather_value_iteration(margin: GridField, actions, gamma: float, dt: float, 
             converged = True
             break
     return ValueSolution(GridField(spec, v, kind="value"), converged, sweeps, residuals)
+
+
+def loop_interp_coeffs(spec: GridSpec, states: np.ndarray):
+    """Trilinear corner indices and weights, one corner per loop iteration.
+
+    Same contract as `hj._interp_coeffs`: (8, n) flat x-major indices and
+    weights, corner c = 4 bx + 2 by + bt, weight (wx * wy) * wt.
+    """
+    states = np.asarray(states, dtype=float)
+    fx = (np.clip(states[:, 0], -XY_BOUND, XY_BOUND) + XY_BOUND) / spec.dx
+    fy = (np.clip(states[:, 1], -XY_BOUND, XY_BOUND) + XY_BOUND) / spec.dy
+    wrapped = np.mod(states[:, 2] + np.pi, 2.0 * np.pi) - np.pi
+    ft = (wrapped + np.pi) / spec.dtheta
+    it0 = np.minimum(ft.astype(np.int64), spec.ntheta - 1)
+    it1 = (it0 + 1) % spec.ntheta
+    wt = ft - it0
+
+    ix0 = np.minimum(fx.astype(np.int64), spec.nx - 2)
+    iy0 = np.minimum(fy.astype(np.int64), spec.ny - 2)
+    wx = fx - ix0
+    wy = fy - iy0
+    ix1 = ix0 + 1
+    iy1 = iy0 + 1
+
+    n = states.shape[0]
+    idx = np.empty((8, n), dtype=np.int64)
+    w = np.empty((8, n))
+    stride_x = spec.ny * spec.ntheta
+    stride_y = spec.ntheta
+    corner = 0
+    for cx, wxc in ((ix0, 1.0 - wx), (ix1, wx)):
+        for cy, wyc in ((iy0, 1.0 - wy), (iy1, wy)):
+            for ct, wtc in ((it0, 1.0 - wt), (it1, wt)):
+                idx[corner] = cx * stride_x + cy * stride_y + ct
+                w[corner] = wxc * wyc * wtc
+                corner += 1
+    return idx, w
+
+
+def two_query_cbf_filter(state, a_nominal, backend, cfg) -> FilterDecision:
+    """cbf_filter with the fallback action asked first, then every candidate
+    of sample_actions scored by q_query in a second backend query."""
+    a_nom = float(a_nominal)
+    a_fb = backend.fallback_action(state)
+    samples = sample_actions(cfg.sampler, a_nom, a_fb)
+    q = q_query(backend, state, samples, cfg)
+    mask = cbf_constraint_check(q, float(q[-1]), cfg)
+    feasible = FeasibleSet(actions=samples[mask], q_values=q[mask])
+    if mask.any():
+        chosen = float(feasible.actions[int(np.argmin(np.abs(feasible.actions - a_nom)))])
+    else:
+        chosen = float(a_fb)
+    delta = abs(chosen - a_nom)
+    return FilterDecision(
+        action=chosen,
+        overridden=delta >= OVERRIDE_THRESHOLD,
+        delta_a=delta,
+        feasible_count=int(mask.sum()),
+        q_nominal=float(q[-2]),
+        q_fallback=float(q[-1]),
+        feasible=feasible,
+    )
+
+
+def two_query_lr_filter(state, a_nominal, backend, epsilon: float = 0.2) -> FilterDecision:
+    """lr_filter with the fallback action asked first, then the nominal and
+    fallback actions scored by q_values in a second backend query."""
+    a_nom = float(a_nominal)
+    a_fb = float(backend.fallback_action(state))
+    q = backend.q_values(state, np.array([a_nom, a_fb]))
+    keep = float(q[0]) >= epsilon
+    chosen = a_nom if keep else a_fb
+    delta = abs(chosen - a_nom)
+    return FilterDecision(
+        action=chosen,
+        overridden=delta >= OVERRIDE_THRESHOLD,
+        delta_a=delta,
+        feasible_count=int(keep),
+        q_nominal=float(q[0]),
+        q_fallback=float(q[1]),
+    )
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

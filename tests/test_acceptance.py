@@ -248,6 +248,11 @@ class _TableBackend:
     def fallback_action(self, state):
         return self.fallback
 
+    def anchored_q(self, state, actions):
+        a_fb = self.fallback_action(state)
+        q = self.q_values(state, np.append(actions, a_fb))
+        return a_fb, q[:-1], float(q[-1])
+
     def step(self, state, action):
         return dynamics_step(state, action, 0.1)
 

@@ -5,6 +5,7 @@ import pytest
 
 from cbfforge import filters
 from cbfforge.dubins import (
+    OVERRIDE_THRESHOLD,
     dynamics_step,
     equispaced_actions,
     nominal_policy,
@@ -27,6 +28,7 @@ from cbfforge.filters import (
 )
 from cbfforge.hj import GridSpec, interpolate, margin_field, q_from_value, value_iteration
 from cbfforge.nets import MlpNet, mlp_forward, mlp_init
+from oracles import two_query_cbf_filter, two_query_lr_filter
 
 
 class StubBackend:
@@ -48,6 +50,11 @@ class StubBackend:
 
     def fallback_action(self, state):
         return self.fallback
+
+    def anchored_q(self, state, actions):
+        a_fb = self.fallback_action(state)
+        q = self.q_values(state, np.append(actions, a_fb))
+        return a_fb, q[:-1], float(q[-1])
 
     def step(self, state, action):
         return self._step_fn(state, action, self.dt)
@@ -287,6 +294,33 @@ def test_grid_backend_fallback_makes_one_q_call(grid_backend, monkeypatch):
     assert calls == [25, 100]
 
 
+@pytest.mark.parametrize(
+    "step, rows",
+    [
+        (lambda s, b: cbf_filter(s, 0.3, b, FilterConfig(query_mode="model_free")), 25 + 26),
+        (lambda s, b: lr_filter(s, 0.3, b), 25 + 1),
+    ],
+    ids=["cbf_model_free", "lr"],
+)
+def test_grid_filter_step_makes_one_q_call(grid_backend, monkeypatch, step, rows):
+    # The greedy fallback, the nominal action and every candidate share one
+    # table query.
+    calls = []
+    inner = filters.q_from_value
+    monkeypatch.setattr(filters, "q_from_value", lambda *args: calls.append(len(args[2])) or inner(*args))
+    step(np.array([-0.7, -0.2, 0.4]), grid_backend)
+    assert calls == [rows]
+
+
+def test_grid_anchored_q_matches_its_parts(grid_backend):
+    state = np.array([0.4, -0.9, 2.5])
+    acts = np.array([-1.9, 0.05, 1.3])
+    a_fb, q, q_fb = grid_backend.anchored_q(state, acts)
+    assert a_fb == grid_backend.fallback_action(state)
+    assert q_fb == grid_backend.fallback_q(state[None, :])[0]
+    assert np.array_equal(q, grid_backend.q_values(state, acts))
+
+
 def test_grid_backend_rejects_swapped_fields(solved_grid):
     margin, value = solved_grid
     with pytest.raises(ValueError):
@@ -374,6 +408,25 @@ def test_cbf_filter_feasible_set_members_satisfy_constraint(grid_backend):
             assert np.all(cbf_constraint_check(decision.feasible.q_values, decision.q_fallback, cfg))
 
 
+def test_sub_threshold_move_is_not_an_override():
+    # The nominal 5e-10 is infeasible and the sampler point 0.0 next to it
+    # is feasible: the executed action moves by less than the threshold every
+    # reported override count uses, so the step is not an override.
+    a_nom = 5e-10
+
+    def q_fn(state, actions):
+        return np.where(actions == a_nom, -1.0, 0.9)
+
+    decision = cbf_filter(np.zeros(3), a_nom, StubBackend(q_fn, fallback=1.5), FilterConfig(alpha=0.5, epsilon=0.2))
+    assert decision.action == 0.0 and decision.delta_a == a_nom
+    assert decision.delta_a < OVERRIDE_THRESHOLD
+    assert not decision.overridden
+
+    switch = lr_filter(np.zeros(3), a_nom, StubBackend(q_fn, fallback=0.0))
+    assert switch.action == 0.0 and switch.feasible_count == 0
+    assert not switch.overridden
+
+
 def test_lr_filter_threshold_cases():
     def q_fn_for(value):
         return lambda s, a: np.where(a == 0.77, value, 0.6)
@@ -433,3 +486,51 @@ def test_cbf_filter_rejects_vector_nominal():
     backend = StubBackend(lambda s, a: np.zeros_like(a), fallback=0.0)
     with pytest.raises((TypeError, ValueError)):
         cbf_filter(np.zeros(3), np.array([0.1, 0.2]), backend, FilterConfig())
+
+
+# ------------------------------------------- equivalence with two queries
+
+
+@pytest.fixture(scope="module")
+def visited(grid_backend):
+    """(state, nominal action) pairs visited by grid cbf rollouts."""
+    cfg = FilterConfig(alpha=0.85, epsilon=0.2, gamma=0.995)
+    pol_cfg = NominalPolicyConfig(mode="obstacle_blind")
+    starts = sample_initial_states(np.random.default_rng(21), 6)
+    pairs = []
+    for s in starts:
+        rec = rollout(
+            lambda z: nominal_policy(z, pol_cfg),
+            s,
+            40,
+            action_filter=lambda z, a: cbf_filter(z, a, grid_backend, cfg),
+        )
+        pairs += [(rec.states[t], float(rec.actions_nominal[t])) for t in range(rec.n_steps)]
+    return pairs
+
+
+def _assert_same_decision(got, want):
+    for name in ("action", "overridden", "delta_a", "feasible_count", "q_nominal", "q_fallback"):
+        assert getattr(got, name) == getattr(want, name), name
+    if want.feasible is None:
+        assert got.feasible is None
+    else:
+        assert np.array_equal(got.feasible.actions, want.feasible.actions)
+        assert np.array_equal(got.feasible.q_values, want.feasible.q_values)
+
+
+@pytest.mark.parametrize("backend_name", ["grid", "critic"])
+def test_filters_match_two_query_oracle(grid_backend, visited, backend_name):
+    backend = grid_backend if backend_name == "grid" else CriticBackend(*_small_nets(seed=9))
+    assert len(visited) >= 100
+    cfgs = [FilterConfig(query_mode=mode, gamma=0.995) for mode in ("model_free", "model_based")]
+    kept = 0
+    for state, a_nom in visited:
+        for cfg in cfgs:
+            _assert_same_decision(cbf_filter(state, a_nom, backend, cfg), two_query_cbf_filter(state, a_nom, backend, cfg))
+        # Two thresholds, so both backends take both lr branches.
+        for eps in (0.05, 0.3):
+            decision = lr_filter(state, a_nom, backend, eps)
+            _assert_same_decision(decision, two_query_lr_filter(state, a_nom, backend, eps))
+            kept += decision.feasible_count
+    assert 0 < kept < 2 * len(visited)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cbfforge import hj
 from cbfforge.dubins import equispaced_actions, signed_distance_margin
 from cbfforge.hj import (
     GridField,
@@ -20,7 +21,7 @@ from cbfforge.hj import (
     value_iteration,
     verify_margin_value_bound,
 )
-from oracles import brute_force_avoid_oracle, gather_value_iteration, recursive_avoid_value
+from oracles import brute_force_avoid_oracle, gather_value_iteration, loop_interp_coeffs, recursive_avoid_value
 
 
 def small_spec():
@@ -105,6 +106,22 @@ class TestInterpolate:
         assert abs(vals[0] - vals[1]) < 1e-2
         shifted = interpolate(field, np.array([0.3, -0.4, 0.5 + 2.0 * np.pi]))
         assert shifted == pytest.approx(interpolate(field, np.array([0.3, -0.4, 0.5])), abs=1e-12)
+
+
+    @pytest.mark.parametrize("n", [1, 26, 10_000])
+    def test_coeffs_match_loop_oracle(self, n):
+        # Inside and outside the box, |theta| beyond pi, box edges and the
+        # wrap-around plane: indices and weights are bit-identical.
+        spec = GridSpec(nx=41, ny=41, ntheta=21)
+        rng = np.random.default_rng(n)
+        states = rng.uniform([-2.5, -2.5, -4.0 * np.pi], [2.5, 2.5, 4.0 * np.pi], (n, 3))
+        edges = np.array([[1.5, -1.5, np.pi], [-1.5, 1.5, -np.pi], [0.0, 0.0, 3.0 * np.pi], [1.4999, 2.0, -7.0]])
+        states[: len(edges)] = edges[:n]
+        idx, w = hj._interp_coeffs(spec, states)
+        ref_idx, ref_w = loop_interp_coeffs(spec, states)
+        assert idx.shape == w.shape == (8, n)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(w, ref_w)
 
 
 class TestValueIteration:
@@ -249,6 +266,26 @@ class TestQFromValue:
         value = constant_field(spec, 0.2, kind="value")
         q = q_from_value(value, margin, np.zeros(3), 0.0, 0.995)
         assert q == pytest.approx(0.0025 + 0.995 * 0.2, abs=1e-12)
+
+    def test_peak_memory_at_most_loop_coeffs(self, monkeypatch):
+        # The broadcast coefficient pass may not hold more than the
+        # per-corner loop did, over every node of the acceptance grid.
+        spec = GridSpec(nx=41, ny=41, ntheta=21)
+        margin = margin_field(spec, signed_distance_margin)
+        nodes = spec.nodes()
+        actions = np.resize(equispaced_actions(25), nodes.shape[0])
+
+        def peak():
+            tracemalloc.start()
+            try:
+                q_from_value(margin, margin, nodes, actions, 0.995)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        broadcast = peak()
+        monkeypatch.setattr(hj, "_interp_coeffs", loop_interp_coeffs)
+        assert broadcast <= peak()
 
     def test_mismatched_specs_rejected(self):
         margin = constant_field(GridSpec(5, 5, 4), 0.5)

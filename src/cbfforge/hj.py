@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import decode_floats, encode_floats
 from .dubins import (
     DEFAULT_DT,
     XY_BOUND,
@@ -35,6 +36,7 @@ from .dubins import (
 )
 
 FIELD_KINDS = ("margin", "value")
+FIELD_FORMAT = "grid-hex64"  # first header token of a saved field
 
 
 @dataclass(frozen=True)
@@ -401,26 +403,40 @@ def verify_margin_value_bound(
 
 
 def save_field(field: GridField, path: str) -> None:
-    """Text dump: `grid <nx> <ny> <ntheta>` then one value per line, x-major."""
+    """Write the field to a text file of exact hex-float64 values.
+
+    Line 1 is ``grid-hex64 <kind> <nx> <ny> <ntheta>``; then one value per
+    line, x-major, as the 16 hex digits of its float64 bit pattern (see
+    cbfforge.codec), so load(save(field)) is bit-exact.
+    """
     spec = field.spec
-    lines = [f"grid {spec.nx} {spec.ny} {spec.ntheta}"]
-    lines.extend("%.17g" % v for v in field.values.ravel())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{FIELD_FORMAT} {field.kind} {spec.nx} {spec.ny} {spec.ntheta}\n")
+        fh.write(encode_floats(field.values, sep="\n") + "\n")
 
 
 def load_field(path: str, kind: str = "value") -> GridField:
-    """Read a field written by save_field; raises ValueError on mismatch."""
+    """Read a field written by save_field.
+
+    Raises ValueError naming the path when the file records a kind other than
+    kind, on a bad header or value count, and on a file in the old decimal
+    format (header ``grid``), which must be regenerated.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("grid "):
-        raise ValueError(f"{path}: missing grid header")
-    parts = lines[0].split()
-    if len(parts) != 4:
-        raise ValueError(f"{path}: bad header {lines[0]!r}")
-    nx, ny, ntheta = (int(p) for p in parts[1:])
+        head = fh.readline().split()
+        tokens = fh.read().split()
+    if head[:1] == ["grid"]:
+        raise ValueError(f"{path}: grid file uses the old decimal format; regenerate it")
+    if len(head) != 5 or head[0] != FIELD_FORMAT or not all(p.isdigit() for p in head[2:]):
+        raise ValueError(f"{path}: bad grid header {' '.join(head)!r}")
+    if head[1] != kind:
+        raise ValueError(f"{path}: holds a {head[1]} grid, expected a {kind} grid")
+    nx, ny, ntheta = (int(p) for p in head[2:])
     expected = nx * ny * ntheta
-    if len(lines) - 1 != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {len(lines) - 1}")
-    values = np.array([float(ln) for ln in lines[1:]]).reshape(nx, ny, ntheta)
-    return GridField(GridSpec(nx, ny, ntheta), values, kind=kind)
+    if len(tokens) != expected:
+        raise ValueError(f"{path}: expected {expected} values, found {len(tokens)}")
+    try:
+        values = decode_floats("\n".join(tokens), expected)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return GridField(GridSpec(nx, ny, ntheta), values.reshape(nx, ny, ntheta), kind=kind)

@@ -30,8 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import decode_floats, encode_floats
+
 HIDDEN_ACTIVATIONS = ("relu", "silu")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
+MODEL_FORMAT = "mlp-hex64"  # first header token of a saved model
 
 # Below this input-gradient norm the penalty direction w = g / ||g|| is
 # undefined; the penalty gradient for that sample is taken to be zero.
@@ -413,34 +416,41 @@ def adam_step(net: MlpNet, grads: MlpGrads, state: AdamState) -> None:
 
 
 def save_model(net: MlpNet, path: str) -> None:
-    """Write the network to a text file.
+    """Write the network to a text file of exact hex-float64 values.
 
-    Line 1 is ``mlp <L> <d0> ... <dL> <hidden_act> <output_act>``; then for
-    each layer, one line per weight-matrix row followed by one bias line.
-    Floats use 17 significant digits so that load(save(net)) round-trips
-    exactly.
+    Line 1 is ``mlp-hex64 <L> <d0> ... <dL> <hidden_act> <output_act>``; then
+    for each layer, one line per weight-matrix row followed by one bias line.
+    Each value is the 16 hex digits of its float64 bit pattern (see
+    cbfforge.codec), so load(save(net)) is bit-exact and two saves of one
+    network write identical bytes.
     """
     dims = net.layer_dims
     lines = [
-        "mlp %d %s %s %s"
-        % (len(net.weights), " ".join(str(d) for d in dims), net.hidden_activation, net.output_activation)
+        "%s %d %s %s %s"
+        % (MODEL_FORMAT, len(net.weights), " ".join(str(d) for d in dims), net.hidden_activation, net.output_activation)
     ]
     for w, b in zip(net.weights, net.biases):
-        for row in w:
-            lines.append(" ".join("%.17g" % v for v in row))
-        lines.append(" ".join("%.17g" % v for v in b))
+        lines.extend(encode_floats(row) for row in w)
+        lines.append(encode_floats(b))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path: str) -> MlpNet:
-    """Read a network written by save_model; raises ValueError on mismatch."""
+    """Read a network written by save_model.
+
+    Raises ValueError naming the path on a bad header, line count or row, and
+    on a file in the old decimal format (header ``mlp``), which must be
+    regenerated.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty model file")
     head = lines[0].split()
-    if len(head) < 5 or head[0] != "mlp":
+    if head[0] == "mlp":
+        raise ValueError(f"{path}: model file uses the old decimal format; regenerate it")
+    if len(head) < 5 or head[0] != MODEL_FORMAT:
         raise ValueError(f"{path}: bad header {lines[0]!r}")
     try:
         n_layers = int(head[1])
@@ -457,17 +467,18 @@ def load_model(path: str) -> MlpNet:
     cursor = 1
     for k in range(n_layers):
         fan_in, fan_out = dims[k], dims[k + 1]
-        rows = []
+        w = np.empty((fan_out, fan_in))
         for r in range(fan_out):
-            vals = np.array([float(tok) for tok in lines[cursor].split()])
-            if vals.shape[0] != fan_in:
-                raise ValueError(f"{path}: layer {k} row {r} has {vals.shape[0]} values, expected {fan_in}")
-            rows.append(vals)
+            w[r] = _decode_line(path, lines[cursor], fan_in, f"layer {k} row {r}")
             cursor += 1
-        b = np.array([float(tok) for tok in lines[cursor].split()])
-        if b.shape[0] != fan_out:
-            raise ValueError(f"{path}: layer {k} bias has {b.shape[0]} values, expected {fan_out}")
+        biases.append(_decode_line(path, lines[cursor], fan_out, f"layer {k} bias"))
         cursor += 1
-        weights.append(np.stack(rows))
-        biases.append(b)
+        weights.append(w)
     return MlpNet(weights, biases, hidden_act, output_act)
+
+
+def _decode_line(path: str, line: str, count: int, what: str) -> np.ndarray:
+    try:
+        return decode_floats(line, count)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {what}: {exc}") from None

@@ -7,8 +7,10 @@ finite-horizon avoid value, value iteration by gathering through the
 public query path, the earlier multi-pass forms of the net math (every
 derivative from the pre-activation, a separate critic forward for Q, three
 parameter passes per GP margin step) that the fused passes must reproduce,
-the per-corner loop for trilinear coefficients, and the two-query filters
-(fallback_action, then the candidates' scores) that anchored_q replaced.
+the per-corner loop for trilinear coefficients, the two-query filters
+(fallback_action, then the candidates' scores) that anchored_q replaced,
+and the 17-significant-digit decimal model and grid files that the
+hex-float64 codec replaced.
 None of it shares code with the package implementations it checks.
 """
 
@@ -381,3 +383,51 @@ def three_pass_margin_loss(net: MlpNet, batch_safe, batch_fail, cfg, rng):
         grads.add_scaled(wgan_grads)
         value += wgan_value
     return value, grads
+
+
+def decimal_save_model(net: MlpNet, path: str) -> None:
+    """The decimal model file: header ``mlp <L> <dims...> <hidden> <output>``, %.17g rows."""
+    dims = net.layer_dims
+    lines = [
+        "mlp %d %s %s %s"
+        % (len(net.weights), " ".join(str(d) for d in dims), net.hidden_activation, net.output_activation)
+    ]
+    for w, b in zip(net.weights, net.biases):
+        for row in w:
+            lines.append(" ".join("%.17g" % v for v in row))
+        lines.append(" ".join("%.17g" % v for v in b))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def decimal_load_model(path: str) -> MlpNet:
+    """Read a decimal_save_model file, one float() per token."""
+    with open(path) as fh:
+        lines = [ln.split() for ln in fh if ln.strip()]
+    n_layers = int(lines[0][1])
+    dims = [int(tok) for tok in lines[0][2 : 3 + n_layers]]
+    weights, biases, cursor = [], [], 1
+    for k in range(n_layers):
+        rows = lines[cursor : cursor + dims[k + 1]]
+        weights.append(np.array([[float(tok) for tok in row] for row in rows]).reshape(dims[k + 1], dims[k]))
+        biases.append(np.array([float(tok) for tok in lines[cursor + dims[k + 1]]]))
+        cursor += dims[k + 1] + 1
+    return MlpNet(weights, biases, lines[0][-2], lines[0][-1])
+
+
+def decimal_save_field(field: GridField, path: str) -> None:
+    """The decimal grid file: header ``grid <nx> <ny> <ntheta>``, one %.17g value per line."""
+    spec = field.spec
+    lines = [f"grid {spec.nx} {spec.ny} {spec.ntheta}"]
+    lines.extend("%.17g" % v for v in field.values.ravel())
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def decimal_load_field(path: str, kind: str = "value") -> GridField:
+    """Read a decimal_save_field file; the decimal format does not record the kind."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    nx, ny, ntheta = (int(p) for p in lines[0].split()[1:])
+    values = np.array([float(ln) for ln in lines[1:]]).reshape(nx, ny, ntheta)
+    return GridField(GridSpec(nx, ny, ntheta), values, kind=kind)

@@ -10,6 +10,7 @@ import pytest
 from cbfforge.cli import main
 from cbfforge.hj import load_field
 from cbfforge.nets import mlp_init, save_model
+from oracles import decimal_save_model
 
 TINY_GRID = [
     "grid_nx = 17",
@@ -180,6 +181,41 @@ def test_filter_eval_on_saved_models_needs_no_margin_net(tmp_path):
     out = tmp_path / "eval"
     assert main(["filter-eval", "--config", cfg, "--out", str(out)]) == 0
     assert not list(out.glob("margin_*.txt"))
+
+
+
+def test_filter_eval_with_swapped_grid_paths_exits_1(tmp_path, capsys):
+    grid = tmp_path / "grid"
+    assert main(["solve-grid", "--config", _write_cfg(tmp_path, *TINY_GRID), "--out", str(grid)]) == 0
+    cfg = _write_cfg(
+        tmp_path,
+        f"value_grid = {grid / 'margin_grid.txt'}",
+        f"margin_grid = {grid / 'value_grid.txt'}",
+        "n_rollouts = 2",
+        "rollout_steps = 5",
+    )
+    capsys.readouterr()
+    assert main(["filter-eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert f"{grid / 'margin_grid.txt'}: holds a margin grid, expected a value grid" in err
+
+
+def test_filter_eval_with_decimal_critic_exits_1(tmp_path, capsys):
+    critic, actor = tmp_path / "critic.txt", tmp_path / "actor.txt"
+    decimal_save_model(mlp_init([4, 16, 16, 1], seed=5), str(critic))
+    save_model(mlp_init([3, 16, 16, 1], output_activation="tanh", seed=6), str(actor))
+    cfg = _write_cfg(
+        tmp_path,
+        "filter_backend = critic",
+        f"critic_model = {critic}",
+        f"actor_model = {actor}",
+        "n_rollouts = 2",
+        "rollout_steps = 5",
+    )
+    assert main(["filter-eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {critic}: model file uses the old decimal format; regenerate it" in err
+    assert "Traceback" not in err
 
 
 TINY_RL = [

@@ -21,7 +21,14 @@ from cbfforge.hj import (
     value_iteration,
     verify_margin_value_bound,
 )
-from oracles import brute_force_avoid_oracle, gather_value_iteration, loop_interp_coeffs, recursive_avoid_value
+from oracles import (
+    brute_force_avoid_oracle,
+    decimal_load_field,
+    decimal_save_field,
+    gather_value_iteration,
+    loop_interp_coeffs,
+    recursive_avoid_value,
+)
 
 
 def small_spec():
@@ -372,6 +379,73 @@ class TestFieldIo:
         path = tmp_path / "field.txt"
         path.write_text("grid 2 2 4\n1.0\n2.0\n")
         with pytest.raises(ValueError):
+            load_field(str(path))
+
+
+
+class TestFieldFiles:
+    def _solved(self):
+        spec = GridSpec(nx=9, ny=9, ntheta=6)
+        margin = margin_field(spec, signed_distance_margin)
+        return margin, value_iteration(margin, equispaced_actions(5), 0.9, tol=1e-6, max_iters=300).field
+
+    def test_round_trip_matches_original_and_decimal_oracle(self, tmp_path):
+        margin, value = self._solved()
+        special = GridField(
+            GridSpec(nx=3, ny=3, ntheta=4),
+            np.resize([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1], 36),
+        )
+        for field in (margin, value, special):
+            save_field(field, str(tmp_path / "hex.txt"))
+            decimal_save_field(field, str(tmp_path / "dec.txt"))
+            loaded = load_field(str(tmp_path / "hex.txt"), kind=field.kind)
+            oracle = decimal_load_field(str(tmp_path / "dec.txt"), kind=field.kind)
+            assert loaded.spec == field.spec and loaded.kind == field.kind
+            assert loaded.values.tobytes() == field.values.tobytes() == oracle.values.tobytes()
+
+    def test_header_records_kind_and_one_value_per_line(self, tmp_path):
+        margin, _ = self._solved()
+        path = tmp_path / "margin_grid.txt"
+        save_field(margin, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "grid-hex64 margin 9 9 6"
+        assert len(lines) == 1 + 9 * 9 * 6
+        assert all(len(line) == 16 for line in lines[1:])
+
+    def test_kind_mismatch_refused(self, tmp_path):
+        margin, value = self._solved()
+        margin_path, value_path = tmp_path / "margin_grid.txt", tmp_path / "value_grid.txt"
+        save_field(margin, str(margin_path))
+        save_field(value, str(value_path))
+        with pytest.raises(ValueError, match="margin_grid.txt: holds a margin grid, expected a value grid"):
+            load_field(str(margin_path), kind="value")
+        with pytest.raises(ValueError, match="value_grid.txt: holds a value grid, expected a margin grid"):
+            load_field(str(value_path), kind="margin")
+        assert load_field(str(margin_path), kind="margin").kind == "margin"
+
+    def test_decimal_file_refused(self, tmp_path):
+        path = tmp_path / "value_grid.txt"
+        decimal_save_field(self._solved()[1], str(path))
+        with pytest.raises(ValueError, match="value_grid.txt: grid file uses the old decimal format; regenerate it"):
+            load_field(str(path))
+
+    @pytest.mark.parametrize("header", ["", "grid-hex64 value 3 x 4", "grid-hex64 3 3 4", "mlp-hex64 value 3 3 4"])
+    def test_bad_header_refused(self, tmp_path, header):
+        path = tmp_path / "field.txt"
+        path.write_text(header + "\n" + "0000000000000000\n" * 36)
+        with pytest.raises(ValueError, match="field.txt: bad grid header"):
+            load_field(str(path))
+
+    def test_bad_count_and_corrupt_value_refused(self, tmp_path):
+        path = tmp_path / "field.txt"
+        save_field(constant_field(GridSpec(nx=3, ny=3, ntheta=4), 0.5, kind="value"), str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="expected 36 values, found 35"):
+            load_field(str(path))
+        lines[5] = "0.50000000000000"  # 16 characters, but not a bit pattern
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="field.txt: not hex-float64"):
             load_field(str(path))
 
 

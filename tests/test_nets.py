@@ -22,6 +22,8 @@ from cbfforge.nets import (
     save_model,
 )
 from oracles import (
+    decimal_load_model,
+    decimal_save_model,
     fd_input_gradient,
     fd_param_gradient,
     flat_grads,
@@ -332,4 +334,75 @@ class TestModelIo:
         path = tmp_path / "net.txt"
         path.write_text("perceptron 1 2 1 relu identity\n0.0 0.0\n0.0\n")
         with pytest.raises(ValueError):
+            load_model(str(path))
+
+
+def _params(net):
+    return net.weights + net.biases
+
+
+class TestHexModelFiles:
+    SHAPES = [
+        ([3, 5, 4, 1], "relu", "tanh"),
+        ([4, 16, 16, 1], "silu", "identity"),
+        ([3, 8, 1], "silu", "tanh"),
+        ([2, 3], "relu", "identity"),
+    ]
+
+    @pytest.mark.parametrize("dims, hidden, output", SHAPES)
+    def test_round_trip_matches_original_and_decimal_oracle(self, tmp_path, dims, hidden, output):
+        net = random_net(np.random.default_rng(len(dims)), dims=dims, hidden=hidden, output=output)
+        save_model(net, str(tmp_path / "hex.txt"))
+        decimal_save_model(net, str(tmp_path / "dec.txt"))
+        loaded = load_model(str(tmp_path / "hex.txt"))
+        oracle = decimal_load_model(str(tmp_path / "dec.txt"))
+        assert (loaded.hidden_activation, loaded.output_activation) == (hidden, output)
+        assert loaded.layer_dims == dims
+        for a, b, c in zip(_params(net), _params(loaded), _params(oracle)):
+            assert b.dtype == np.float64 and b.shape == a.shape
+            assert b.tobytes() == a.tobytes() == c.tobytes()
+
+    def test_special_values_round_trip_bit_for_bit(self, tmp_path):
+        net = mlp_init([3, 4, 1], seed=1)
+        special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        net.weights[0][0, :3] = special[:3]
+        net.weights[1][0, :] = special
+        net.biases[0][:] = special
+        path = tmp_path / "net.txt"
+        save_model(net, str(path))
+        loaded = load_model(str(path))
+        for a, b in zip(_params(net), _params(loaded)):
+            assert b.tobytes() == a.tobytes()
+
+    def test_two_saves_write_identical_bytes(self, tmp_path):
+        net = random_net(np.random.default_rng(8), dims=[4, 16, 16, 1])
+        save_model(net, str(tmp_path / "a.txt"))
+        save_model(net, str(tmp_path / "b.txt"))
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_rows_have_fixed_width(self, tmp_path):
+        dims = [3, 5, 4, 1]
+        net = random_net(np.random.default_rng(9), dims=dims)
+        path = tmp_path / "net.txt"
+        save_model(net, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "mlp-hex64 3 3 5 4 1 silu identity"
+        widths = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            widths += [17 * fan_in - 1] * fan_out + [17 * fan_out - 1]
+        assert [len(line) for line in lines[1:]] == widths
+
+    def test_decimal_file_refused(self, tmp_path):
+        path = tmp_path / "net.txt"
+        decimal_save_model(mlp_init([3, 4, 1], seed=0), str(path))
+        with pytest.raises(ValueError, match="net.txt: model file uses the old decimal format; regenerate it"):
+            load_model(str(path))
+
+    def test_corrupt_hex_row_refused(self, tmp_path):
+        path = tmp_path / "net.txt"
+        save_model(mlp_init([3, 4, 1], seed=0), str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(lines[2][5], "x")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="net.txt: layer 0 row 1: not hex-float64"):
             load_model(str(path))

@@ -19,6 +19,15 @@ The forward pass caches each activation's auxiliary value (the sigmoid for
 SiLU, the output for tanh), and every derivative reads it instead of
 re-evaluating ``exp`` or ``tanh``.
 
+Memory: a pass writes only into arrays it allocated itself.  The forward
+pass adds the bias to the fresh product in place, and a ReLU or tanh layer
+writes its value over that pre-activation, whose derivatives can be read
+from the value.  The reverse passes scale their own seeds by the activation
+derivative in place (every seed except the one a caller's ``loss_fn``
+returned), and the parameter pass drops each layer's cached arrays once
+its gradient is formed.  Caller arrays (inputs, seeds, batches) are never
+written, and every call returns fresh outputs.
+
 Weights are stored row-major: ``weights[k]`` has shape ``(fan_out, fan_in)``
 and layer k maps ``h -> act(weights[k] @ h + biases[k])``.  Batched calls take
 ``(n, d)`` arrays and return ``(n, out)`` arrays.
@@ -41,26 +50,30 @@ MODEL_FORMAT = "mlp-hex64"  # first header token of a saved model
 GRAD_NORM_FLOOR = 1e-12
 
 
-# Each activation returns (value, aux); its derivatives read the
-# pre-activation x and the aux cached by the forward pass, so no derivative
-# re-evaluates exp or tanh.  ReLU and identity carry no aux.
+# Each activation returns (value, aux); its derivatives read the array the
+# forward pass kept (the pre-activation, or the value that ReLU and tanh
+# write over it when the forward pass passes overwrite=True) and the cached
+# aux, so no derivative re-evaluates exp or tanh.  ReLU and identity carry
+# no aux.  Called on its own, an activation leaves its argument unchanged.
 
 
-def _relu(x: np.ndarray):
-    return np.maximum(x, 0.0), None
+def _relu(x: np.ndarray, overwrite: bool = False):
+    return np.maximum(x, 0.0, out=x if overwrite else None), None
 
 
 def _relu_d(x: np.ndarray, aux) -> np.ndarray:
-    # Subgradient 0 at exactly 0.
-    return (x > 0.0).astype(x.dtype)
+    # A bool mask; multiplying by it gives the values of a 1.0/0.0 float
+    # mask.  Subgradient 0 at exactly 0.
+    return x > 0.0
 
 
 def _relu_dd(x: np.ndarray, aux) -> np.ndarray:
     return np.zeros_like(x)
 
 
-def _silu(x: np.ndarray):
-    # The value is x / e, not x * s, which would round differently.
+def _silu(x: np.ndarray, overwrite: bool = False):
+    # Never overwrites x, which the derivatives read.  The value is x / e,
+    # not x * s, which would round differently.
     e = np.exp(-x)
     e += 1.0
     value = x / e
@@ -75,8 +88,8 @@ def _silu_dd(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
 
 
-def _tanh(x: np.ndarray):
-    t = np.tanh(x)
+def _tanh(x: np.ndarray, overwrite: bool = False):
+    t = np.tanh(x, out=x if overwrite else None)
     return t, t
 
 
@@ -88,7 +101,7 @@ def _tanh_dd(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return -2.0 * t * (1.0 - t * t)
 
 
-def _identity(x: np.ndarray):
+def _identity(x: np.ndarray, overwrite: bool = False):
     return x, None
 
 
@@ -213,14 +226,16 @@ def _forward_cached(net: MlpNet, x: np.ndarray):
     """Batched forward pass keeping what the reverse passes read.
 
     Returns (output (n, out), layers) where layers[k] is the triple
-    (input h_k (n, d_k), pre-activation s_k (n, d_k+1), activation aux).
+    (input h_k (n, d_k), s_k (n, d_k+1), activation aux); s_k is the
+    pre-activation, or for ReLU and tanh the value written over it.
     """
     h = x
     layers = []
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        s = h @ w.T + b
+        s = h @ w.T
+        s += b
         act, _, _ = net._activation_at(k)
-        h_next, aux = act(s)
+        h_next, aux = act(s, overwrite=True)
         layers.append((h, s, aux))
         h = h_next
     return h, layers
@@ -238,19 +253,24 @@ def _param_backward(net: MlpNet, layers, out_seed: np.ndarray) -> MlpGrads:
     """Reverse pass from d(loss)/d(output) seeds to parameter gradients.
 
     Gradients are summed over the batch.  The product that would carry the
-    seed past layer 0 to the input is never formed.
+    seed past layer 0 to the input is never formed.  Consumes ``layers``:
+    each layer's cached arrays are dropped once its gradient is formed.
     """
     n_layers = len(layers)
     grad_w, grad_b = [None] * n_layers, [None] * n_layers
     u = out_seed
     for k in reversed(range(n_layers)):
-        h, s, aux = layers[k]
+        h, s, aux = layers.pop()
         _, act_d, _ = net._activation_at(k)
-        s_bar = u * act_d(s, aux)
-        grad_w[k] = s_bar.T @ h
-        grad_b[k] = s_bar.sum(axis=0)
+        if k + 1 == n_layers:
+            u = u * act_d(s, aux)  # the caller's seed is not written
+        else:
+            u *= act_d(s, aux)
+        del s, aux  # free this layer before the next product allocates
+        grad_w[k] = u.T @ h
+        grad_b[k] = u.sum(axis=0)
         if k > 0:
-            u = s_bar @ net.weights[k]
+            u = u @ net.weights[k]
     return MlpGrads(grad_w, grad_b)
 
 
@@ -267,7 +287,8 @@ def _input_backward(net: MlpNet, layers):
         _, s, aux = layers[k]
         _, act_d, _ = net._activation_at(k)
         d1[k] = act_d(s, aux)
-        u = (u * d1[k]) @ net.weights[k]
+        u *= d1[k]
+        u = u @ net.weights[k]
     return u, d1
 
 

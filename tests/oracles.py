@@ -12,11 +12,14 @@ the per-corner loop for trilinear coefficients, the two-query filters
 and the 17-significant-digit decimal model and grid files that the
 hex-float64 codec replaced.
 None of it shares code with the package implementations it checks.
+``traced_peak_bytes`` is the one measuring helper: the memory budgets of
+the net passes are read from tracemalloc through it.
 """
 
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 
@@ -431,3 +434,22 @@ def decimal_load_field(path: str, kind: str = "value") -> GridField:
     nx, ny, ntheta = (int(p) for p in lines[0].split()[1:])
     values = np.array([float(ln) for ln in lines[1:]]).reshape(nx, ny, ntheta)
     return GridField(GridSpec(nx, ny, ntheta), values, kind=kind)
+
+
+def traced_peak_bytes(fn) -> int:
+    """Peak bytes that fn() holds at once beyond what was live before it.
+
+    numpy reports its array buffers to tracemalloc, so this is the peak of
+    the arrays fn allocates, whatever the allocator does with them.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -33,6 +33,7 @@ from oracles import (
     reference_input_gradient,
     reference_param_gradient,
     relative_error,
+    traced_peak_bytes,
 )
 
 
@@ -260,6 +261,75 @@ class TestPenaltyGradient:
         value, grads = penalty_param_gradient(net, np.zeros((3, 3)), 0.1)
         assert value == pytest.approx(0.01)
         assert np.all(flat_grads(grads) == 0.0)
+
+
+CALLER_CASES = [("relu", "identity"), ("relu", "tanh"), ("silu", "identity"), ("silu", "tanh")]
+
+
+class TestCallerArraysUnchanged:
+    """The passes write only into arrays they allocated themselves."""
+
+    @pytest.mark.parametrize("name", sorted(_ACT_TABLE))
+    def test_activation_called_alone_keeps_its_argument(self, name):
+        x = np.random.default_rng(50).normal(size=(8, 5))
+        kept = x.copy()
+        _ACT_TABLE[name][0](x)
+        assert np.array_equal(x, kept)
+
+    @pytest.mark.parametrize("hidden,output", CALLER_CASES)
+    def test_forward_keeps_input_and_returns_fresh_outputs(self, hidden, output):
+        rng = np.random.default_rng(51)
+        net = random_net(rng, dims=[3, 16, 16, 1], hidden=hidden, output=output)
+        x = rng.normal(size=(10, 3))
+        kept = x.copy()
+        first, second = mlp_forward(net, x), mlp_forward(net, x)
+        assert np.array_equal(x, kept)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, x)
+
+    @pytest.mark.parametrize("hidden,output", CALLER_CASES)
+    def test_gradients_keep_inputs_and_the_loss_seed(self, hidden, output):
+        rng = np.random.default_rng(52)
+        net = random_net(rng, dims=[3, 16, 16, 1], hidden=hidden, output=output)
+        x = rng.normal(size=(10, 3))
+        kept = x.copy()
+        seeds = []
+
+        def loss(outputs):
+            seed = rng.normal(size=outputs.shape)
+            seeds.append((seed, seed.copy()))
+            return float(outputs.sum()), seed
+
+        param_gradient(net, x, loss)
+        input_gradient(net, x)
+        penalty_param_gradient(net, x, 0.1)
+        assert np.array_equal(x, kept)
+        seed, seed_kept = seeds[0]
+        assert np.array_equal(seed, seed_kept)
+
+
+# A 256-wide, 3-hidden-layer ReLU critic at batch 256; budgets are in
+# (256, 256) float64 blocks.  The passes peak at about 5.0 (parameter) and
+# 5.3 (input) blocks; a pass that keeps a product, a biased copy and a float
+# ReLU mask per layer peaks near 11.
+BUDGET_BLOCK = 256 * 256 * 8
+
+
+def _wide_critic_and_batch():
+    rng = np.random.default_rng(53)
+    return mlp_init([4, 256, 256, 256, 1], "relu", "identity", seed=9), rng.normal(size=(256, 4))
+
+
+class TestMemoryBudget:
+    def test_param_gradient_peak(self):
+        net, x = _wide_critic_and_batch()
+        peak = traced_peak_bytes(lambda: param_gradient(net, x, lambda out: (0.0, out - 1.0)))
+        assert peak <= 6 * BUDGET_BLOCK
+
+    def test_input_gradient_peak(self):
+        net, x = _wide_critic_and_batch()
+        assert traced_peak_bytes(lambda: input_gradient(net, x)) <= 6 * BUDGET_BLOCK
 
 
 class TestAdam:

@@ -31,6 +31,7 @@ from oracles import (
     reference_adam_step,
     reference_forward,
     reference_param_gradient,
+    traced_peak_bytes,
     two_pass_actor_update,
 )
 
@@ -536,3 +537,47 @@ def test_actor_update_makes_one_critic_pass(monkeypatch):
         monkeypatch.setattr(rl_module, name, counted(name))
     actor_update(actor, critic, _small_batch(), _tiny_cfg())
     assert critic_calls == ["input_gradient"]
+
+
+# ------------------------------------------------- caller arrays and memory
+
+
+def test_updates_leave_the_batch_unchanged():
+    cfg = _tiny_cfg()
+    critic = mlp_init([4, 32, 32, 1], seed=12)
+    actor = mlp_init([3, 32, 32, 1], output_activation="tanh", seed=11)
+    batch = _small_batch()
+    kept = {key: arr.copy() for key, arr in batch.items()}
+    critic_update(critic, critic.copy(), actor.copy(), batch, cfg)
+    actor_update(actor, critic, batch, cfg)
+    assert all(np.array_equal(batch[key], kept[key]) for key in kept)
+
+
+def _wide_rl_setup():
+    """256-wide, 3-hidden-layer ReLU actor and critic at batch 256, with Adam
+    moments already allocated by one update of each."""
+    cfg = _tiny_cfg(batch_size=256, actor_dims=(256,) * 3, critic_dims=(256,) * 3)
+    critic = mlp_init([4, 256, 256, 256, 1], seed=12)
+    actor = mlp_init([3, 256, 256, 256, 1], output_activation="tanh", seed=11)
+    targets = (critic.copy(), actor.copy())
+    opts = AdamState(learning_rate=cfg.critic_lr), AdamState(learning_rate=cfg.actor_lr)
+    batch = _small_batch(n=256)
+    critic_update(critic, *targets, batch, cfg, opts[0])
+    actor_update(actor, critic, batch, cfg, opts[1])
+    return cfg, critic, actor, targets, opts, batch
+
+
+# In (256, 256) float64 blocks the updates peak at about 5.1 (critic) and
+# 8.3 (actor); passes that keep three arrays per forward layer peak near 11
+# and 17.
+RL_BLOCK = 256 * 256 * 8
+
+
+def test_critic_update_memory_budget():
+    cfg, critic, _, targets, opts, batch = _wide_rl_setup()
+    assert traced_peak_bytes(lambda: critic_update(critic, *targets, batch, cfg, opts[0])) <= 6 * RL_BLOCK
+
+
+def test_actor_update_memory_budget():
+    cfg, critic, actor, _, opts, batch = _wide_rl_setup()
+    assert traced_peak_bytes(lambda: actor_update(actor, critic, batch, cfg, opts[1])) <= 10 * RL_BLOCK

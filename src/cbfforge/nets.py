@@ -15,9 +15,16 @@ the small MLP type defined here.  Three derivative routes are provided:
   differences.  The input-only pass supplies the first activation
   derivatives that the tangent and reverse passes reuse.
 
-The forward pass caches each activation's auxiliary value (the sigmoid for
-SiLU, the output for tanh), and every derivative reads it instead of
-re-evaluating ``exp`` or ``tanh``.
+The training forward pass caches each activation's auxiliary value (the
+sigmoid for SiLU, the output for tanh), and every derivative reads it
+instead of re-evaluating ``exp`` or ``tanh``.  Inference (``mlp_forward``)
+runs a cache-free pass that keeps only the current layer and forms no aux.
+
+Precision follows the weights: every entry point casts its inputs and loss
+seeds to the dtype of the net's parameters, so a float64 net computes in
+float64 and a float32 net in float32 throughout, Adam moments included.
+A net's weights and biases share one float dtype.  Saved models are exact
+hex-float64 whatever the net's dtype, since float32 upcasts exactly.
 
 Memory: a pass writes only into arrays it allocated itself.  The forward
 pass adds the bias to the fresh product in place, and a ReLU or tanh layer
@@ -54,10 +61,11 @@ GRAD_NORM_FLOOR = 1e-12
 # forward pass kept (the pre-activation, or the value that ReLU and tanh
 # write over it when the forward pass passes overwrite=True) and the cached
 # aux, so no derivative re-evaluates exp or tanh.  ReLU and identity carry
-# no aux.  Called on its own, an activation leaves its argument unchanged.
+# no aux, and cache=False asks for none.  Called on its own, an activation
+# leaves its argument unchanged.
 
 
-def _relu(x: np.ndarray, overwrite: bool = False):
+def _relu(x: np.ndarray, overwrite: bool = False, cache: bool = True):
     return np.maximum(x, 0.0, out=x if overwrite else None), None
 
 
@@ -71,11 +79,13 @@ def _relu_dd(x: np.ndarray, aux) -> np.ndarray:
     return np.zeros_like(x)
 
 
-def _silu(x: np.ndarray, overwrite: bool = False):
-    # Never overwrites x, which the derivatives read.  The value is x / e,
-    # not x * s, which would round differently.
+def _silu(x: np.ndarray, overwrite: bool = False, cache: bool = True):
+    # Overwrites x only without a cache, as the derivatives read x.  The
+    # value is x / e, not x * s, which would round differently.
     e = np.exp(-x)
     e += 1.0
+    if not cache:
+        return np.divide(x, e, out=x if overwrite else e), None
     value = x / e
     return value, np.reciprocal(e, out=e)
 
@@ -88,7 +98,7 @@ def _silu_dd(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
 
 
-def _tanh(x: np.ndarray, overwrite: bool = False):
+def _tanh(x: np.ndarray, overwrite: bool = False, cache: bool = True):
     t = np.tanh(x, out=x if overwrite else None)
     return t, t
 
@@ -101,7 +111,7 @@ def _tanh_dd(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return -2.0 * t * (1.0 - t * t)
 
 
-def _identity(x: np.ndarray, overwrite: bool = False):
+def _identity(x: np.ndarray, overwrite: bool = False, cache: bool = True):
     return x, None
 
 
@@ -147,6 +157,15 @@ class MlpNet:
                 raise ValueError(f"layer {k}: weight {w.shape} / bias {b.shape} mismatch")
             if k + 1 < len(self.weights) and self.weights[k + 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {k}->{k + 1}: inner dimensions do not chain")
+        # Mixed dtypes would silently upcast every product.
+        dtypes = {str(p.dtype) for p in self.weights + self.biases}
+        if len(dtypes) != 1 or not np.issubdtype(self.dtype, np.floating):
+            raise ValueError(f"weights and biases must share one float dtype, got {sorted(dtypes)}")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, and so of every pass over the net."""
+        return self.weights[0].dtype
 
     @property
     def layer_dims(self) -> list[int]:
@@ -165,9 +184,13 @@ class MlpNet:
         return _ACT_TABLE[name]
 
     def copy(self) -> "MlpNet":
+        return self.astype(self.dtype)
+
+    def astype(self, dtype) -> "MlpNet":
+        """A copy whose parameters are cast to dtype."""
         return MlpNet(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
+            [w.astype(dtype) for w in self.weights],
+            [b.astype(dtype) for b in self.biases],
             self.hidden_activation,
             self.output_activation,
         )
@@ -242,11 +265,21 @@ def _forward_cached(net: MlpNet, x: np.ndarray):
 
 
 def mlp_forward(net: MlpNet, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on one input (d,) or a batch (n, d)."""
-    x = np.asarray(x, dtype=float)
+    """Evaluate the network on one input (d,) or a batch (n, d).
+
+    Keeps only the current layer: bias and activation are written into the
+    product the pass owns, with the products and their order of
+    _forward_cached, so the outputs are the same bits.
+    """
+    x = np.asarray(x, dtype=net.dtype)
     single = x.ndim == 1
-    out, _ = _forward_cached(net, x[None, :] if single else x)
-    return out[0] if single else out
+    h = x[None, :] if single else x
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        s = h @ w.T
+        s += b
+        act, _, _ = net._activation_at(k)
+        h, _ = act(s, overwrite=True, cache=False)
+    return h[0] if single else h
 
 
 def _param_backward(net: MlpNet, layers, out_seed: np.ndarray) -> MlpGrads:
@@ -282,7 +315,7 @@ def _input_backward(net: MlpNet, layers):
     derivative) so that later passes need not recompute the derivatives.
     """
     d1 = [None] * len(layers)
-    u = np.ones((layers[0][0].shape[0], 1))
+    u = np.ones((layers[0][0].shape[0], 1), dtype=net.dtype)
     for k in reversed(range(len(layers))):
         _, s, aux = layers[k]
         _, act_d, _ = net._activation_at(k)
@@ -305,10 +338,10 @@ def param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn):
     Returns:
         (loss value, MlpGrads).
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=net.dtype))
     out, layers = _forward_cached(net, inputs)
     loss, out_seed = loss_fn(out)
-    return float(loss), _param_backward(net, layers, np.asarray(out_seed, dtype=float))
+    return float(loss), _param_backward(net, layers, np.asarray(out_seed, dtype=net.dtype))
 
 
 def input_gradient(net: MlpNet, x: np.ndarray):
@@ -319,7 +352,7 @@ def input_gradient(net: MlpNet, x: np.ndarray):
     """
     if net.output_dim != 1:
         raise ValueError("input_gradient requires a scalar-output network")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=net.dtype)
     single = x.ndim == 1
     y, layers = _forward_cached(net, x[None, :] if single else x)
     g, _ = _input_backward(net, layers)
@@ -347,7 +380,7 @@ def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
     """
     if net.output_dim != 1:
         raise ValueError("penalty_param_gradient requires a scalar-output network")
-    z = np.atleast_2d(np.asarray(points, dtype=float))
+    z = np.atleast_2d(np.asarray(points, dtype=net.dtype))
     n = z.shape[0]
 
     _, layers = _forward_cached(net, z)
@@ -375,8 +408,8 @@ def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
     # scalar being differentiated is mean_i of the tangent output r_L[i].
     n_layers = len(layers)
     grad_w, grad_b = [None] * n_layers, [None] * n_layers
-    r_bar = np.full((n, 1), 1.0 / n)
-    h_bar = np.zeros((n, 1))
+    r_bar = np.full((n, 1), 1.0 / n, dtype=net.dtype)
+    h_bar = np.zeros((n, 1), dtype=net.dtype)
     for k in reversed(range(n_layers)):
         h, s, aux = layers[k]
         _, _, act_dd = net._activation_at(k)

@@ -12,6 +12,12 @@ the learned fallback actor or, with a per-episode fair coin, from the
 nominal task policy; the nominal episodes widen the visited action
 distribution so the critic stays accurate on the task-relevant actions a
 runtime filter will ask about.  The actor ascends the critic.
+
+The actor, the critic and both targets train in float32 (TRAIN_DTYPE): the
+nets' passes and Adam follow the dtype of the weights, so the 512^3
+products run at half width.  Nets are initialised in float64 and returned,
+checkpointed and saved as their exact float64 upcast, so a trained net and
+its loaded artifact are the same bits.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ SOURCE_FALLBACK = 0
 SOURCE_NOMINAL = 1
 DIVERGENCE_LIMIT = 1e3
 CHECKPOINT_EVERY = 10000
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -326,7 +333,8 @@ def train_safety_rl(
     noise) and, once the buffer can fill a batch, performs one critic and
     one actor update.  Deterministic given cfg.seed.  When out_dir is set,
     checkpoints are written every 10000 iterations and a training curve CSV
-    at the end.
+    at the end.  The nets train in TRAIN_DTYPE; checkpoints and the
+    returned nets are their exact float64 upcasts.
 
     Args:
         margin_fn: batched callable (n, 3) -> (n,) labeling states.
@@ -341,8 +349,8 @@ def train_safety_rl(
         RuntimeError: critic loss exceeded the divergence limit.
     """
     rng = np.random.default_rng(cfg.seed)
-    actor = mlp_init([3, *cfg.actor_dims, 1], output_activation="tanh", seed=cfg.seed)
-    critic = mlp_init([4, *cfg.critic_dims, 1], seed=cfg.seed + 1)
+    actor = mlp_init([3, *cfg.actor_dims, 1], output_activation="tanh", seed=cfg.seed).astype(TRAIN_DTYPE)
+    critic = mlp_init([4, *cfg.critic_dims, 1], seed=cfg.seed + 1).astype(TRAIN_DTYPE)
     target_critic = critic.copy()
     target_actor = actor.copy()
     critic_opt = AdamState(learning_rate=cfg.critic_lr)
@@ -377,6 +385,7 @@ def train_safety_rl(
             save_model(actor, os.path.join(out_dir, f"actor_{it}.txt"))
             save_model(critic, os.path.join(out_dir, f"critic_{it}.txt"))
 
+    actor, critic = actor.astype(np.float64), critic.astype(np.float64)
     if out_dir is not None:
         save_model(actor, os.path.join(out_dir, "actor.txt"))
         save_model(critic, os.path.join(out_dir, "critic.txt"))

@@ -51,8 +51,11 @@ def fd_input_gradient(net_eval, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def fd_param_gradient(net: MlpNet, scalar_fn, h: float = 1e-6) -> MlpGrads:
     """Central finite differences of scalar_fn(net) over every parameter.
 
-    scalar_fn must not mutate the network it is handed.
+    scalar_fn must not mutate the network it is handed.  The net must be
+    float64: a step of 1e-6 is below float32 resolution at most weights.
     """
+    if net.weights[0].dtype != np.float64:
+        raise ValueError(f"finite differences need a float64 net, got {net.weights[0].dtype}")
     grads = MlpGrads.zeros_like(net)
     for arrays, out in ((net.weights, grads.weights), (net.biases, grads.biases)):
         for p, g in zip(arrays, out):
@@ -284,30 +287,36 @@ def _reference_backward(net: MlpNet, pre_acts, acts, out_seed):
     return grads, u
 
 
+# Like the package, the reference passes compute in the dtype of the net's
+# weights: inputs and loss seeds are cast to it.
+
+
 def reference_forward(net: MlpNet, x: np.ndarray) -> np.ndarray:
     """Batched forward pass with SiLU as x / (1 + exp(-x))."""
-    return _reference_forward_layers(net, np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    return _reference_forward_layers(net, np.atleast_2d(np.asarray(x, dtype=net.weights[0].dtype)))[0]
 
 
 def reference_param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn):
     """Parameter gradient accumulated into zeros, derivatives from pre-activations."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    dtype = net.weights[0].dtype
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=dtype))
     out, pre_acts, acts = _reference_forward_layers(net, inputs)
     loss, out_seed = loss_fn(out)
-    grads, _ = _reference_backward(net, pre_acts, acts, np.asarray(out_seed, dtype=float))
+    grads, _ = _reference_backward(net, pre_acts, acts, np.asarray(out_seed, dtype=dtype))
     return float(loss), grads
 
 
 def reference_input_gradient(net: MlpNet, x: np.ndarray) -> np.ndarray:
     """d y / d x of a scalar-output net by the full reverse pass, (n, d)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    dtype = net.weights[0].dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
     _, pre_acts, acts = _reference_forward_layers(net, x)
-    _, g = _reference_backward(net, pre_acts, acts, np.ones((x.shape[0], 1)))
+    _, g = _reference_backward(net, pre_acts, acts, np.ones((x.shape[0], 1), dtype=dtype))
     return g
 
 
 def reference_adam_step(net: MlpNet, grads: MlpGrads, state) -> None:
-    """Adam with one temporary per operation."""
+    """Adam with one temporary per operation, in the dtype of the parameters."""
     if state.first_moment is None:
         state.first_moment = MlpGrads.zeros_like(net)
         state.second_moment = MlpGrads.zeros_like(net)
@@ -320,6 +329,7 @@ def reference_adam_step(net: MlpNet, grads: MlpGrads, state) -> None:
         state.first_moment.weights + state.first_moment.biases,
         state.second_moment.weights + state.second_moment.biases,
     ):
+        g = g.astype(p.dtype, copy=False)
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

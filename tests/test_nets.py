@@ -332,6 +332,118 @@ class TestMemoryBudget:
         assert traced_peak_bytes(lambda: input_gradient(net, x)) <= 6 * BUDGET_BLOCK
 
 
+# A 128-wide, 3-hidden-layer critic queried at n = 10000, as acceptance
+# check 9 does; budgets are in (10000, 128) float64 blocks.  Inference keeps
+# the current layer's input and product, about 2 blocks; a pass that keeps
+# every layer for a reverse pass holds 3 blocks and more.
+QUERY_BLOCK = 10000 * 128 * 8
+
+
+class TestInference:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("hidden,output", CALLER_CASES)
+    def test_forward_equals_the_training_pass(self, hidden, output, dtype):
+        rng = np.random.default_rng(54)
+        net = random_net(rng, dims=[4, 32, 32, 1], hidden=hidden, output=output).astype(dtype)
+        xs = rng.uniform(-1.5, 1.5, size=(200, 4))
+        seen = []
+
+        def loss(outputs):
+            seen.append(outputs.copy())
+            return 0.0, np.zeros_like(outputs)
+
+        param_gradient(net, xs, loss)
+        param_gradient(net, xs[7], loss)
+        assert np.array_equal(mlp_forward(net, xs), seen[0])
+        assert np.array_equal(mlp_forward(net, xs[7]), seen[1][0])
+        assert np.array_equal(input_gradient(net, xs)[0], seen[0])
+
+    @pytest.mark.parametrize("name", sorted(_ACT_TABLE))
+    def test_cache_free_activation_keeps_its_argument_and_value(self, name):
+        x = np.random.default_rng(55).normal(size=(8, 5))
+        kept = x.copy()
+        value, aux = _ACT_TABLE[name][0](x, cache=False)
+        assert np.array_equal(x, kept)
+        assert name != "silu" or aux is None  # no sigmoid cache
+        assert np.array_equal(value, _ACT_TABLE[name][0](kept)[0])
+
+    @pytest.mark.parametrize("hidden", ["relu", "silu"])
+    def test_query_peak(self, hidden):
+        net = mlp_init([4, 128, 128, 128, 1], hidden, "identity", seed=5)
+        x = np.random.default_rng(56).normal(size=(10000, 4))
+        peak = traced_peak_bytes(lambda: mlp_forward(net, x))
+        limit = 2.2 if hidden == "relu" else 4.2  # SiLU adds exp(-s) and its argument
+        assert peak <= limit * QUERY_BLOCK
+
+
+class TestDtype:
+    """A net computes in the dtype of its weights and never upcasts."""
+
+    def test_mixed_or_non_float_dtypes_rejected(self):
+        net = mlp_init([3, 4, 1], seed=0)
+        with pytest.raises(ValueError, match="one float dtype"):
+            MlpNet([w.astype(np.float32) for w in net.weights], net.biases, "relu", "identity")
+        with pytest.raises(ValueError, match="one float dtype"):
+            MlpNet([net.weights[0], net.weights[1].astype(np.float32)], net.biases, "relu", "identity")
+        with pytest.raises(ValueError, match="one float dtype"):
+            MlpNet([w.astype(np.int64) for w in net.weights], [b.astype(np.int64) for b in net.biases], "relu", "identity")
+
+    def test_astype_copies_and_casts(self):
+        net = mlp_init([3, 4, 1], seed=0)
+        low = net.astype(np.float32)
+        assert net.dtype == np.float64 and low.dtype == np.float32
+        assert all(p.dtype == np.float32 for p in _params(low))
+        assert all(np.array_equal(a, b.astype(np.float32)) for a, b in zip(_params(low), _params(net)))
+        low.weights[0][:] = 0.0
+        assert np.any(net.weights[0] != 0.0)
+
+    @pytest.mark.parametrize("hidden,output", CALLER_CASES)
+    def test_float32_passes_never_upcast(self, hidden, output):
+        rng = np.random.default_rng(57)
+        net = random_net(rng, dims=[3, 16, 16, 1], hidden=hidden, output=output).astype(np.float32)
+        x = rng.normal(size=(10, 3))  # float64 inputs are cast to the net's dtype
+        assert mlp_forward(net, x).dtype == np.float32
+        assert mlp_forward(net, x[0]).dtype == np.float32
+        y, g = input_gradient(net, x)
+        assert y.dtype == g.dtype == np.float32
+        _, grads = param_gradient(net, x, lambda out: (0.0, np.ones(out.shape)))  # a float64 seed
+        assert all(p.dtype == np.float32 for p in grads.weights + grads.biases)
+        _, pen_grads = penalty_param_gradient(net, x, 0.5)
+        assert all(p.dtype == np.float32 for p in pen_grads.weights + pen_grads.biases)
+        state = AdamState(learning_rate=1e-3)
+        adam_step(net, grads, state)
+        adam_step(net, pen_grads, state)
+        moments = state.first_moment.weights + state.first_moment.biases
+        moments += state.second_moment.weights + state.second_moment.biases
+        assert all(p.dtype == np.float32 for p in _params(net) + moments)
+
+    def test_float32_pass_equals_a_float32_reference(self):
+        rng = np.random.default_rng(58)
+        net = random_net(rng, dims=[3, 32, 32, 1], hidden="relu", output="tanh").astype(np.float32)
+        xs = rng.uniform(-1.5, 1.5, size=(64, 3))
+        loss = lambda out: (float(np.sum(out**2)), 2.0 * out)
+        value, grads = param_gradient(net, xs, loss)
+        ref_value, ref_grads = reference_param_gradient(net, xs, loss)
+        assert value == ref_value
+        assert np.array_equal(flat_grads(grads), flat_grads(ref_grads))
+        assert np.array_equal(input_gradient(net, xs)[1], reference_input_gradient(net, xs))
+
+    def test_finite_differences_stay_in_float64(self):
+        net = mlp_init([3, 4, 1], seed=0)
+        assert net.dtype == np.float64
+        with pytest.raises(ValueError, match="float64"):
+            fd_param_gradient(net.astype(np.float32), lambda n: float(mlp_forward(n, np.ones(3))[0]))
+
+    def test_float32_net_saves_its_exact_float64_upcast(self, tmp_path):
+        net = random_net(np.random.default_rng(59), dims=[3, 8, 1]).astype(np.float32)
+        save_model(net, str(tmp_path / "low.txt"))
+        save_model(net.astype(np.float64), str(tmp_path / "up.txt"))
+        assert (tmp_path / "low.txt").read_bytes() == (tmp_path / "up.txt").read_bytes()
+        loaded = load_model(str(tmp_path / "low.txt"))
+        assert loaded.dtype == np.float64
+        assert all(np.array_equal(a, b) for a, b in zip(_params(loaded), _params(net)))
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         # After one step the bias-corrected update is lr * g / (|g| + eps),

@@ -10,7 +10,7 @@ from cbfforge.dubins import NominalPolicyConfig, dynamics_step, signed_distance_
 from cbfforge.filters import actor_action
 from cbfforge.hj import GridSpec, margin_field, value_iteration, q_from_value
 from cbfforge.dubins import equispaced_actions
-from cbfforge.nets import AdamState, mlp_forward, mlp_init, param_gradient
+from cbfforge.nets import AdamState, load_model, mlp_forward, mlp_init, param_gradient, save_model
 from cbfforge.rl import (
     DIVERGENCE_LIMIT,
     ReplayBuffer,
@@ -481,10 +481,11 @@ def _small_batch(n=64, seed=0):
     }
 
 
-def test_actor_update_equals_two_pass_oracle():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_actor_update_equals_two_pass_oracle(dtype):
     cfg = _tiny_cfg()
-    critic = mlp_init([4, 32, 32, 1], seed=12)
-    actor = mlp_init([3, 32, 32, 1], output_activation="tanh", seed=11)
+    critic = mlp_init([4, 32, 32, 1], seed=12).astype(dtype)
+    actor = mlp_init([3, 32, 32, 1], output_activation="tanh", seed=11).astype(dtype)
     ref = actor.copy()
     opt, ref_opt = AdamState(learning_rate=cfg.actor_lr), AdamState(learning_rate=cfg.actor_lr)
     for seed in range(3):
@@ -493,12 +494,13 @@ def test_actor_update_equals_two_pass_oracle():
         assert _equal_nets(actor, ref)
 
 
-def test_critic_update_equals_reference_path(monkeypatch):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_critic_update_equals_reference_path(monkeypatch, dtype):
     cfg = _tiny_cfg()
     nets = [
-        mlp_init([4, 32, 32, 1], seed=12),
-        mlp_init([4, 32, 32, 1], seed=13),
-        mlp_init([3, 32, 32, 1], output_activation="tanh", seed=11),
+        mlp_init([4, 32, 32, 1], seed=12).astype(dtype),
+        mlp_init([4, 32, 32, 1], seed=13).astype(dtype),
+        mlp_init([3, 32, 32, 1], output_activation="tanh", seed=11).astype(dtype),
     ]
     ref = [net.copy() for net in nets]
     batch = _small_batch()
@@ -509,6 +511,7 @@ def test_critic_update_equals_reference_path(monkeypatch):
 
 
 def test_train_safety_rl_equals_reference_path(monkeypatch):
+    # Both runs train float32 nets: the oracles follow the net's dtype.
     cfg = _tiny_cfg(actor_dims=(32, 32), critic_dims=(32, 32))
     actor, critic, hist = train_safety_rl(signed_distance_margin, NOM_CFG, cfg)
     _use_reference_nets(monkeypatch)
@@ -537,6 +540,58 @@ def test_actor_update_makes_one_critic_pass(monkeypatch):
         monkeypatch.setattr(rl_module, name, counted(name))
     actor_update(actor, critic, _small_batch(), _tiny_cfg())
     assert critic_calls == ["input_gradient"]
+
+
+# ------------------------------------------------------------ training dtype
+
+
+def test_train_safety_rl_updates_float32_nets(monkeypatch):
+    seen = []
+
+    def spy(name):
+        inner = getattr(rl_module, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append((name, [arg.dtype for arg in args if hasattr(arg, "weights")]))
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("critic_update", "actor_update", "soft_update"):
+        monkeypatch.setattr(rl_module, name, spy(name))
+    cfg = _tiny_cfg(iterations=20, batch_size=16)
+    actor, critic, _ = train_safety_rl(signed_distance_margin, NOM_CFG, cfg)
+    assert {name for name, _ in seen} == {"critic_update", "actor_update", "soft_update"}
+    first_update = -(-cfg.batch_size // cfg.episode_len) - 1  # the buffer first fills a batch here
+    assert [name for name, _ in seen].count("critic_update") == cfg.iterations - first_update
+    assert all(dtypes and set(dtypes) == {np.dtype(np.float32)} for _, dtypes in seen)
+    assert actor.dtype == critic.dtype == np.float64
+
+
+def test_train_safety_rl_returns_exact_float64_upcasts(tmp_path, monkeypatch):
+    monkeypatch.setattr(rl_module, "CHECKPOINT_EVERY", 30)
+    cfg = _tiny_cfg(iterations=40, batch_size=16)
+    out = tmp_path / "run"
+    actor, critic, _ = train_safety_rl(signed_distance_margin, NOM_CFG, cfg, out_dir=str(out))
+    for net, name in ((actor, "actor"), (critic, "critic")):
+        params = net.weights + net.biases
+        assert all(p.dtype == np.float64 for p in params)
+        assert all(np.array_equal(p.astype(np.float32).astype(np.float64), p) for p in params)
+        saved = load_model(str(out / f"{name}.txt"))
+        assert all(np.array_equal(a, b) for a, b in zip(params, saved.weights + saved.biases))
+        save_model(net, str(tmp_path / f"{name}_again.txt"))
+        assert (tmp_path / f"{name}_again.txt").read_bytes() == (out / f"{name}.txt").read_bytes()
+        checkpoint = load_model(str(out / f"{name}_30.txt"))
+        assert all(np.array_equal(p.astype(np.float32).astype(np.float64), p) for p in checkpoint.weights)
+
+
+def test_soft_update_keeps_float32():
+    target = mlp_init([3, 4, 1], seed=0).astype(np.float32)
+    source = mlp_init([3, 4, 1], seed=1).astype(np.float32)
+    expected = (1.0 - 0.1) * target.weights[0] + 0.1 * source.weights[0]
+    soft_update(target, source, 0.1)
+    assert all(p.dtype == np.float32 for p in target.weights + target.biases)
+    assert np.array_equal(target.weights[0], expected)
 
 
 # ------------------------------------------------- caller arrays and memory

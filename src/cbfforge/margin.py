@@ -6,6 +6,11 @@ toward beta, plus a zero-margin hinge sign loss) and the saturated classifier
 baseline (NoGP: tanh output, hinge sign loss with a positive margin delta).
 Labels come from the ground-truth signed distance; states are sampled
 uniformly over the workspace box.
+
+Both nets train in float32 (nets.TRAIN_DTYPE): the passes, the penalty's
+double backprop and Adam follow the dtype of the weights.  train_margin
+initialises in float64 and returns the exact float64 upcast, so grid
+labelling, saved margin files and every other consumer see float64 nets.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from .dubins import signed_distance_margin, wrap_angle
 from .nets import (
+    TRAIN_DTYPE,
     AdamState,
     MlpNet,
     adam_step,
@@ -191,13 +197,14 @@ def train_margin(dataset: MarginDataset, cfg: MarginTrainConfig) -> MlpNet:
 
     GP mode (cfg.use_gp): identity output, the hinge at delta 0 plus the
     separation term and the gradient penalty.  NoGP mode: tanh output, the
-    hinge at cfg.delta only.  Deterministic given (dataset, cfg).
+    hinge at cfg.delta only.  Deterministic given (dataset, cfg).  The net
+    trains in TRAIN_DTYPE and is returned as its exact float64 upcast.
     """
     if dataset.safe_points.shape[0] == 0 or dataset.fail_points.shape[0] == 0:
         raise ValueError("train_margin needs both classes in the dataset")
     rng = np.random.default_rng(cfg.seed)
     output_act = "identity" if cfg.use_gp else "tanh"
-    net = mlp_init([3, *cfg.hidden_dims, 1], "silu", output_act, seed=cfg.seed)
+    net = mlp_init([3, *cfg.hidden_dims, 1], "silu", output_act, seed=cfg.seed).astype(TRAIN_DTYPE)
     adam = AdamState(learning_rate=cfg.learning_rate)
 
     n_s, n_f = dataset.safe_points.shape[0], dataset.fail_points.shape[0]
@@ -206,7 +213,7 @@ def train_margin(dataset: MarginDataset, cfg: MarginTrainConfig) -> MlpNet:
         batch_fail = dataset.fail_points[rng.integers(0, n_f, cfg.batch_size)]
         _, grads = margin_loss(net, batch_safe, batch_fail, cfg, rng)
         adam_step(net, grads, adam)
-    return net
+    return net.astype(np.float64)
 
 
 def net_margin_fn(net: MlpNet, clip: tuple[float, float] | None = None):

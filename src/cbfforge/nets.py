@@ -23,8 +23,11 @@ runs a cache-free pass that keeps only the current layer and forms no aux.
 Precision follows the weights: every entry point casts its inputs and loss
 seeds to the dtype of the net's parameters, so a float64 net computes in
 float64 and a float32 net in float32 throughout, Adam moments included.
-A net's weights and biases share one float dtype.  Saved models are exact
-hex-float64 whatever the net's dtype, since float32 upcasts exactly.
+A net's weights and biases share one float dtype.  Both trainers (the
+margin nets and the safety actor-critic) train in TRAIN_DTYPE, float32,
+and return the exact float64 upcast, so every consumer sees float64 nets.
+Saved models are exact hex-float64 whatever the net's dtype, since float32
+upcasts exactly.
 
 Memory: a pass writes only into arrays it allocated itself.  The forward
 pass adds the bias to the fresh product in place, and a ReLU or tanh layer
@@ -32,7 +35,9 @@ writes its value over that pre-activation, whose derivatives can be read
 from the value.  The reverse passes scale their own seeds by the activation
 derivative in place (every seed except the one a caller's ``loss_fn``
 returned), and the parameter pass drops each layer's cached arrays once
-its gradient is formed.  Caller arrays (inputs, seeds, batches) are never
+its gradient is formed.  The SiLU derivatives are formed in one or two
+arrays of their own, and the penalty's reverse pass builds its seed in the
+array the second derivative returns.  Caller arrays (inputs, seeds, batches) are never
 written, and every call returns fresh outputs.
 
 Weights are stored row-major: ``weights[k]`` has shape ``(fan_out, fan_in)``
@@ -55,6 +60,11 @@ MODEL_FORMAT = "mlp-hex64"  # first header token of a saved model
 # Below this input-gradient norm the penalty direction w = g / ||g|| is
 # undefined; the penalty gradient for that sample is taken to be zero.
 GRAD_NORM_FLOOR = 1e-12
+
+# The precision every trainer (margin.train_margin, rl.train_safety_rl) runs
+# its nets in.  Nets are initialised in float64, cast to this dtype for
+# training and returned as their exact float64 upcast.
+TRAIN_DTYPE = np.float32
 
 
 # Each activation returns (value, aux); its derivatives read the array the
@@ -90,12 +100,29 @@ def _silu(x: np.ndarray, overwrite: bool = False, cache: bool = True):
     return value, np.reciprocal(e, out=e)
 
 
+# The SiLU derivatives write into the one or two arrays they allocate, never
+# into x or s (the forward cache).  Each in-place step keeps the operands of
+# s * (1 + x (1 - s)) and s (1 - s) (2 + x (1 - 2 s)), so the bits are those
+# of the expressions.
+
+
 def _silu_d(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return s * (1.0 + x * (1.0 - s))
+    d = np.subtract(1.0, s)
+    d *= x
+    d += 1.0
+    d *= s
+    return d
 
 
 def _silu_dd(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
+    dd = np.subtract(1.0, s)
+    dd *= s
+    inner = np.multiply(s, 2.0)
+    np.subtract(1.0, inner, out=inner)
+    inner *= x
+    inner += 2.0
+    dd *= inner
+    return dd
 
 
 def _tanh(x: np.ndarray, overwrite: bool = False, cache: bool = True):
@@ -414,7 +441,12 @@ def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
         h, s, aux = layers[k]
         _, _, act_dd = net._activation_at(k)
         t_bar = r_bar * d1[k]
-        s_bar = r_bar * act_dd(s, aux) * tangents_pre[k] + h_bar * d1[k]
+        # s_bar = r_bar * act_dd * tangents_pre[k] + h_bar * d1[k], built in
+        # the fresh array act_dd returns.
+        s_bar = act_dd(s, aux)
+        s_bar *= r_bar
+        s_bar *= tangents_pre[k]
+        s_bar += h_bar * d1[k]
         r_prev = w_dir if k == 0 else tangents_post[k - 1]
         grad_w[k] = s_bar.T @ h + t_bar.T @ r_prev
         grad_b[k] = s_bar.sum(axis=0)

@@ -13,8 +13,8 @@ nominal task policy; the nominal episodes widen the visited action
 distribution so the critic stays accurate on the task-relevant actions a
 runtime filter will ask about.  The actor ascends the critic.
 
-The actor, the critic and both targets train in float32 (TRAIN_DTYPE): the
-nets' passes and Adam follow the dtype of the weights, so the 512^3
+The actor, the critic and both targets train in float32 (nets.TRAIN_DTYPE):
+the nets' passes and Adam follow the dtype of the weights, so the 512^3
 products run at half width.  Nets are initialised in float64 and returned,
 checkpointed and saved as their exact float64 upcast, so a trained net and
 its loaded artifact are the same bits.
@@ -38,6 +38,7 @@ from .dubins import (
 from .filters import actor_action
 from .hj import GridField, q_from_value
 from .nets import (
+    TRAIN_DTYPE,
     AdamState,
     MlpNet,
     adam_step,
@@ -52,7 +53,6 @@ SOURCE_FALLBACK = 0
 SOURCE_NOMINAL = 1
 DIVERGENCE_LIMIT = 1e3
 CHECKPOINT_EVERY = 10000
-TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)

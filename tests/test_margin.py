@@ -1,9 +1,14 @@
 """Margin training: loss arithmetic, interpolation, trainer behavior,
 and evaluation metrics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cbfforge
 import cbfforge.margin as margin_module
 from cbfforge.dubins import NominalPolicyConfig, nominal_policy, rollout, signed_distance_margin
 from cbfforge.margin import (
@@ -18,8 +23,8 @@ from cbfforge.margin import (
     sign_loss,
     train_margin,
 )
-from cbfforge.nets import MlpNet, mlp_forward, mlp_init
-from oracles import flat_grads, relative_error, three_pass_margin_loss
+from cbfforge.nets import TRAIN_DTYPE, AdamState, MlpNet, adam_step, load_model, mlp_forward, mlp_init, save_model
+from oracles import flat_grads, relative_error, three_pass_margin_loss, traced_peak_bytes
 
 
 def constant_net(c: float) -> MlpNet:
@@ -149,16 +154,25 @@ class TestMarginLoss:
         assert np.allclose(flat_grads(grads), 0.0, atol=1e-12)
 
 
-    @pytest.mark.parametrize("seed,n_safe,n_fail", [(0, 256, 256), (1, 256, 200), (2, 120, 256)])
-    def test_gp_matches_three_pass_objective(self, seed, n_safe, n_fail):
+    @pytest.mark.parametrize(
+        "seed,n_safe,n_fail,dtype",
+        [pytest.param(*sizes, dtype, id=prefix + "%d-%d-%d" % sizes)
+         for dtype, prefix in ((np.float64, ""), (np.float32, "float32-"))
+         for sizes in ((0, 256, 256), (1, 256, 200), (2, 120, 256))],
+    )
+    def test_gp_matches_three_pass_objective(self, seed, n_safe, n_fail, dtype):
         # Summing the hinge and separation seeds before one parameter pass
-        # changes the gradient by rounding only.
+        # changes the gradient by rounding only: 1e-13 in float64, scaled by
+        # the ratio of the machine epsilons for float32.
         safe, fail, net = _fixed_batches(seed, n_safe, n_fail, use_gp=True)
+        net = net.astype(dtype)
+        tol = 1e-13 * np.finfo(dtype).eps / np.finfo(np.float64).eps
         cfg = MarginTrainConfig(use_gp=True, seed=seed)
         value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
         ref_value, ref_grads = three_pass_margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
-        assert relative_error(flat_grads(grads), flat_grads(ref_grads)) <= 1e-13
-        assert value == pytest.approx(ref_value, rel=1e-13)
+        assert flat_grads(grads).dtype == flat_grads(ref_grads).dtype == dtype
+        assert relative_error(flat_grads(grads), flat_grads(ref_grads)) <= tol
+        assert value == pytest.approx(ref_value, rel=tol)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nogp_equals_hinge_pass_exactly(self, seed):
@@ -233,6 +247,100 @@ class TestTrainMargin:
         assert np.all(signed_distance_margin(ds.safe_points) >= 0)
         assert np.all(signed_distance_margin(ds.fail_points) < 0)
         assert ds.safe_points.shape[0] + ds.fail_points.shape[0] == 5000
+
+
+class TestTrainingDtype:
+    """train_margin trains in TRAIN_DTYPE and returns the float64 upcast."""
+
+    @pytest.mark.parametrize("use_gp", [True, False])
+    def test_loss_and_adam_see_only_train_dtype_nets(self, monkeypatch, use_gp):
+        seen = []
+
+        def spy(name):
+            inner = getattr(margin_module, name)
+
+            def wrapper(net, *args, **kwargs):
+                seen.append((name, net.dtype))
+                return inner(net, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("margin_loss", "adam_step"):
+            monkeypatch.setattr(margin_module, name, spy(name))
+        cfg = MarginTrainConfig(use_gp=use_gp, iterations=3, hidden_dims=(8,))
+        net = train_margin(build_margin_dataset(500, seed=2), cfg)
+        assert [name for name, _ in seen] == ["margin_loss", "adam_step"] * cfg.iterations
+        assert {dtype for _, dtype in seen} == {np.dtype(TRAIN_DTYPE)}
+        assert net.dtype == np.float64
+
+    @pytest.mark.parametrize("use_gp", [True, False])
+    def test_returns_an_exact_float64_upcast_that_saves_bit_exactly(self, tmp_path, use_gp):
+        cfg = MarginTrainConfig(use_gp=use_gp, iterations=20, hidden_dims=(16, 16))
+        net = train_margin(build_margin_dataset(1000, seed=3), cfg)
+        params = net.weights + net.biases
+        assert all(p.dtype == np.float64 for p in params)
+        assert all(np.array_equal(p.astype(np.float32).astype(np.float64), p) for p in params)
+        save_model(net, str(tmp_path / "margin.txt"))
+        loaded = load_model(str(tmp_path / "margin.txt"))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(params, loaded.weights + loaded.biases))
+
+    @pytest.mark.parametrize("use_gp", [True, False])
+    def test_equals_a_float32_loop_upcast_at_the_end(self, use_gp):
+        dataset = build_margin_dataset(2000, seed=5)
+        cfg = MarginTrainConfig(use_gp=use_gp, iterations=30, seed=4, hidden_dims=(16, 16))
+        rng = np.random.default_rng(cfg.seed)
+        output_act = "identity" if use_gp else "tanh"
+        net = mlp_init([3, 16, 16, 1], "silu", output_act, seed=cfg.seed).astype(np.float32)
+        adam = AdamState(learning_rate=cfg.learning_rate)
+        safe, fail = dataset.safe_points, dataset.fail_points
+        for _ in range(cfg.iterations):
+            batch_safe = safe[rng.integers(0, safe.shape[0], cfg.batch_size)]
+            batch_fail = fail[rng.integers(0, fail.shape[0], cfg.batch_size)]
+            _, grads = margin_loss(net, batch_safe, batch_fail, cfg, rng)
+            adam_step(net, grads, adam)
+        expected = net.astype(np.float64)
+        got = train_margin(dataset, cfg)
+        pairs = zip(got.weights + got.biases, expected.weights + expected.biases)
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+# One iteration of train_margin at the default 64² net and batch 256, in
+# (256, 64) float64 blocks.  Training in float32 peaks at about 9.8 (GP) and
+# 7.4 (NoGP) blocks; the same iteration on a float64 net peaks at 20.2 and
+# 14.6.
+MARGIN_BLOCK = 256 * 64 * 8
+
+
+@pytest.mark.parametrize("use_gp,budget", [(True, 12), (False, 9)])
+def test_one_training_iteration_peak(use_gp, budget):
+    dataset = build_margin_dataset(4000, seed=0)
+    cfg = MarginTrainConfig(use_gp=use_gp, iterations=1)
+    assert traced_peak_bytes(lambda: train_margin(dataset, cfg)) <= budget * MARGIN_BLOCK
+
+
+# 200 GP iterations at the defaults (50k points, batch 256) in a fresh
+# interpreter.  glibc's mmap and heap-trim thresholds there are the ones the
+# dataset's freed arrays left; a float64 iteration's temporaries are handed
+# back to the kernel and faulted in again every iteration (about 600 minor
+# faults), a float32 iteration's stay in the heap (about 1).
+FAULT_SCRIPT = """
+import resource
+from cbfforge.margin import MarginTrainConfig, build_margin_dataset, train_margin
+dataset = build_margin_dataset(50_000, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_margin(dataset, MarginTrainConfig(use_gp=True, iterations=200))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_gp_training_in_a_fresh_process_takes_few_page_faults():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cbfforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) <= 20 * 200
 
 
 class TestEvaluateMargin:

@@ -276,6 +276,17 @@ class TestCallerArraysUnchanged:
         _ACT_TABLE[name][0](x)
         assert np.array_equal(x, kept)
 
+    @pytest.mark.parametrize("name", sorted(_ACT_TABLE))
+    def test_derivatives_keep_the_forward_cache_and_return_fresh_arrays(self, name):
+        act, act_d, act_dd = _ACT_TABLE[name]
+        x = np.random.default_rng(54).normal(size=(8, 5))
+        _, aux = act(x)
+        cache = [a for a in (x, aux) if a is not None]
+        kept = [a.copy() for a in cache]
+        for out in (act_d(x, aux), act_dd(x, aux)):
+            assert not any(np.shares_memory(out, a) for a in cache)
+        assert all(np.array_equal(a, b) for a, b in zip(cache, kept))
+
     @pytest.mark.parametrize("hidden,output", CALLER_CASES)
     def test_forward_keeps_input_and_returns_fresh_outputs(self, hidden, output):
         rng = np.random.default_rng(51)

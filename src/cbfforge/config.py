@@ -22,7 +22,10 @@ EXPERIMENTS = (
     "throughput",
 )
 
-# name -> (type, default, choices or None, help)
+_QUERY_MODES = ("model_free", "model_based")
+
+# name -> (type, default, choices or None, help); a "strs" key checks its
+# choices per element.
 SCHEMA = {
     # run plumbing
     "experiment": ("str", "filter_comparison", EXPERIMENTS, "which experiment run_experiment executes"),
@@ -80,18 +83,18 @@ SCHEMA = {
     "alpha": ("float", 0.85, None, "decay rate of the barrier constraint"),
     "alpha_list": ("floats", (0.7, 0.95), None, "alphas swept by the alpha ablation"),
     "epsilon": ("float", 0.2, None, "safety threshold of the filters"),
-    "query_mode": ("str", "model_free", ("model_free", "model_based"), "how candidate actions are scored"),
+    "query_mode": ("str", "model_free", _QUERY_MODES, "how candidate actions are scored"),
     "filter_backend": ("str", "grid", ("grid", "critic"), "Q source for the filters"),
-    "methods": ("strs", ("none", "lr", "cbf"), None, "filters compared by filter_comparison"),
+    "methods": ("strs", ("none", "lr", "cbf"), ("none", "lr", "cbf"), "filters compared by filter_comparison"),
     # margin-to-value bound
     "lip_gamma": ("float", 0.9, None, "discount used by the bound verification"),
-    "lip_margin_modes": ("strs", ("exact", "gp", "sat"), None, "margins checked against the bound"),
+    "lip_margin_modes": ("strs", ("exact", "gp", "sat"), ("exact", "gp", "sat"), "margins checked against the bound"),
     "lip_fd_samples": ("int", 2000, None, "samples for the dynamics Lipschitz estimate"),
     "sat_scale": ("float", 4.0, None, "slope of the saturated-tanh margin variant"),
     # throughput benchmark
     "bench_sizes": ("ints", (1, 10, 100, 1000, 10000), None, "candidate batch sizes benchmarked"),
     "bench_reps": ("int", 50, None, "timed repetitions per size (after warmup)"),
-    "bench_modes": ("strs", ("model_free", "model_based"), None, "query modes benchmarked"),
+    "bench_modes": ("strs", ("model_free", "model_based"), _QUERY_MODES, "query modes benchmarked"),
 }
 
 _POSITIVE_KEYS = (
@@ -123,7 +126,7 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 
 def _parse_value(key: str, raw: str):
-    kind, _, choices, _ = SCHEMA[key]
+    kind = SCHEMA[key][0]
     raw = raw.strip()
     try:
         if kind == "int":
@@ -144,8 +147,6 @@ def _parse_value(key: str, raw: str):
             raise ConfigError(f"{key}: unhandled type {kind}")
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from exc
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{key}: {value!r} is not one of {choices}")
     return value
 
 
@@ -211,15 +212,12 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("alpha_list entries must lie in [0, 1)")
     if cfg["epsilon"] <= 0.0:
         raise ConfigError("epsilon must be positive")
-    unknown = set(cfg["methods"]) - {"none", "lr", "cbf"}
-    if unknown:
-        raise ConfigError(f"methods contains unknown filters {sorted(unknown)}")
-    bad_modes = set(cfg["bench_modes"]) - {"model_free", "model_based"}
-    if bad_modes:
-        raise ConfigError(f"bench_modes contains unknown modes {sorted(bad_modes)}")
-    bad_margins = set(cfg["lip_margin_modes"]) - {"exact", "gp", "sat"}
-    if bad_margins:
-        raise ConfigError(f"lip_margin_modes contains unknown margins {sorted(bad_margins)}")
+    for key, (kind, _, choices, _) in SCHEMA.items():
+        if choices is None:
+            continue
+        for value in cfg[key] if kind == "strs" else (cfg[key],):
+            if value not in choices:
+                raise ConfigError(f"{key}: {value!r} is not one of {choices}")
 
 
 def format_config(cfg: dict) -> str:

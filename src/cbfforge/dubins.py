@@ -181,6 +181,16 @@ def sample_initial_states(rng: np.random.Generator, n: int = 1) -> np.ndarray:
     return out
 
 
+def sample_box_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Uniform draw over the full state box [-1.5, 1.5]^2 x [-pi, pi), shape
+    (n, 3); the x, y and theta columns are drawn in that order."""
+    out = np.empty((n, 3))
+    out[:, 0] = rng.uniform(-XY_BOUND, XY_BOUND, size=n)
+    out[:, 1] = rng.uniform(-XY_BOUND, XY_BOUND, size=n)
+    out[:, 2] = rng.uniform(-np.pi, np.pi, size=n)
+    return out
+
+
 @dataclass
 class TrajectoryRecord:
     """One executed episode.
@@ -315,19 +325,13 @@ def estimate_dynamics_lipschitz(dt: float = DEFAULT_DT, n_samples: int = 1000, s
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
-    states = np.empty((n_samples, 3))
-    states[:, 0] = rng.uniform(-XY_BOUND, XY_BOUND, size=n_samples)
-    states[:, 1] = rng.uniform(-XY_BOUND, XY_BOUND, size=n_samples)
-    states[:, 2] = rng.uniform(-np.pi, np.pi, size=n_samples)
+    states = sample_box_states(rng, n_samples)
     actions = rng.uniform(-ACTION_BOUND, ACTION_BOUND, size=n_samples)
     dirs = rng.standard_normal(size=(n_samples, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     h = 1e-4
-    worst = 0.0
-    for s, a, d in zip(states, actions, dirs):
-        s_pert = s + h * d
-        s_pert[2] = wrap_angle(s_pert[2])
-        dist = state_distance(dynamics_step(s_pert, a, dt), dynamics_step(s, a, dt))
-        worst = max(worst, float(dist) / h)
-    return worst
+    perturbed = states + h * dirs
+    perturbed[:, 2] = wrap_angle(perturbed[:, 2])
+    dist = state_distance(dynamics_step_batch(perturbed, actions, dt), dynamics_step_batch(states, actions, dt))
+    return float(np.max(dist / h))

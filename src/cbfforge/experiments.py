@@ -445,7 +445,7 @@ def _experiment_mix_ablation(cfg: dict, out_dir: str) -> MetricsTable:
     return MetricsTable(rows)
 
 
-def throughput_benchmark(backend, sizes, query_mode: str, reps: int, gamma: float, dt: float) -> list:
+def throughput_benchmark(backend, sizes, query_mode: str, reps: int) -> list:
     """Latency of batched candidate scoring for each batch size.
 
     Each size is timed over reps repetitions after 3 warmup calls.  The
@@ -458,7 +458,7 @@ def throughput_benchmark(backend, sizes, query_mode: str, reps: int, gamma: floa
     if reps < 1:
         raise ValueError("reps must be positive")
     state = np.array([-1.0, 0.4, 0.3])
-    fcfg = FilterConfig(query_mode=query_mode, gamma=gamma, dt=dt)
+    fcfg = FilterConfig(query_mode=query_mode)
     out = []
     for n in sizes:
         actions = np.linspace(-2.0, 2.0, n)
@@ -488,10 +488,7 @@ def _experiment_throughput(cfg: dict, out_dir: str) -> MetricsTable:
     backend = CriticBackend(critic, actor, dt=cfg["dt"])
     rows, lines = [], ["query_mode,n_samples,reps,mean_ms,std_ms,per_sample_us"]
     for mode in cfg["bench_modes"]:
-        results = throughput_benchmark(
-            backend, cfg["bench_sizes"], mode, cfg["bench_reps"], cfg["gamma"], cfg["dt"]
-        )
-        for res in results:
+        for res in throughput_benchmark(backend, cfg["bench_sizes"], mode, cfg["bench_reps"]):
             lines.append(
                 f"{res['query_mode']},{res['n_samples']},{res['reps']},"
                 f"{res['mean_ms']:.6f},{res['std_ms']:.6f},{res['per_sample_us']:.6f}"

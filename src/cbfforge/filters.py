@@ -13,10 +13,15 @@ support a model-free query (score Q(z, a) directly) and a model-based query
 (step the dynamics per candidate, then score the fallback policy's value at
 the successor).
 
-A model-free step asks its backend once, through anchored_q, for the
-fallback action and the scores of the candidates and of the fallback.  On a
-grid that is one q_from_value call per step: the greedy fallback's action set
-and every candidate are rows of one Q-table query.
+Each backend scores through one batched primitive, anchored_q(states,
+actions), which returns the fallback action at each state with the scores of
+`actions` and of the fallback.  A model-free filter step is one anchored_q
+call at one state; a model-based step scores its successors with one
+anchored_q call.  On a grid each call is one q_from_value query over the
+action set and `actions`; on the critic it is one actor pass and one critic
+pass.  q_values (one state, candidate scores only) and fallback_action (one
+state) remain for callers that need just one of the two; step is the
+world-model seam a model-based query steps through.
 """
 
 from __future__ import annotations
@@ -161,14 +166,19 @@ class GridBackend:
         states = np.tile(np.asarray(state, dtype=float), (actions.size, 1))
         return q_from_value(self.value, self.margin, states, actions, self.gamma, self.dt)
 
-    def _q_table(self, states: np.ndarray, extra=()) -> np.ndarray:
-        """Q over the backend action set followed by `extra` actions.
+    def fallback_action(self, state: np.ndarray) -> float:
+        """Greedy action at one state (first maximizer on ties)."""
+        return float(self.anchored_q(state)[0][0])
 
-        Shape (n_states, n_actions + len(extra)); every (state, action) row
-        goes through one q_from_value call.
+    def anchored_q(self, states: np.ndarray, actions=()):
+        """(greedy actions (n,), Q(z, actions) (n, k), Q(z, greedy) (n,)).
+
+        states is one state (3,) or a batch (n, 3).  The action set and
+        `actions` are scored for every state in one q_from_value call; the
+        greedy action is the first maximizer over the action-set columns.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        acts = np.concatenate([self.actions, np.asarray(extra, dtype=float)])
+        acts = np.concatenate([self.actions, np.asarray(actions, dtype=float)])
         q = q_from_value(
             self.value,
             self.margin,
@@ -176,31 +186,22 @@ class GridBackend:
             np.tile(acts, states.shape[0]),
             self.gamma,
             self.dt,
-        )
-        return q.reshape(states.shape[0], acts.size)
-
-    def fallback_q(self, states: np.ndarray) -> np.ndarray:
-        """Q(z, greedy(z)) for a batch of states, shape (n,)."""
-        return self._q_table(states).max(axis=1)
-
-    def fallback_action(self, state: np.ndarray) -> float:
-        """Greedy action at one state (first maximizer on ties)."""
-        return self.anchored_q(state, ())[0]
-
-    def anchored_q(self, state: np.ndarray, actions):
-        """(greedy action, Q(z, actions), Q(z, greedy action)) at one state.
-
-        The action set and `actions` are scored in one table query; the
-        greedy action is the first maximizer over the action-set rows and its
-        Q is that table entry.
-        """
-        k = self.actions.size
-        q = self._q_table(state, actions)[0]
-        best = int(np.argmax(q[:k]))
-        return float(self.actions[best]), q[k:], float(q[best])
+        ).reshape(states.shape[0], acts.size)
+        table = q[:, : self.actions.size]
+        return self.actions[table.argmax(axis=1)], q[:, self.actions.size :], table.max(axis=1)
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
         return dynamics_step(state, action, self.dt)
+
+
+def critic_features(states: np.ndarray, actions) -> np.ndarray:
+    """Critic input rows [z, a]: states (n, d), or one state (d,) for every action."""
+    actions = np.atleast_1d(np.asarray(actions, dtype=float))
+    states = np.asarray(states, dtype=float)
+    feats = np.empty((actions.size, states.shape[-1] + 1))
+    feats[:, :-1] = states
+    feats[:, -1] = actions
+    return feats
 
 
 class CriticBackend:
@@ -223,30 +224,26 @@ class CriticBackend:
 
     def q_values(self, state: np.ndarray, actions) -> np.ndarray:
         """Critic Q(z, a) for one state and a batch of actions, one forward pass."""
-        actions = np.atleast_1d(np.asarray(actions, dtype=float))
-        states = np.tile(np.asarray(state, dtype=float), (actions.size, 1))
-        feats = np.hstack([states, actions[:, None]])
-        return mlp_forward(self.critic, feats)[:, 0]
-
-    def fallback_q(self, states: np.ndarray) -> np.ndarray:
-        """Critic Q(z, actor(z)) for a batch of states, shape (n,)."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        acts = actor_action(self.actor, states)
-        feats = np.hstack([states, np.atleast_1d(acts)[:, None]])
-        return mlp_forward(self.critic, feats)[:, 0]
+        return mlp_forward(self.critic, critic_features(state, actions))[:, 0]
 
     def fallback_action(self, state: np.ndarray) -> float:
         return float(actor_action(self.actor, np.asarray(state, dtype=float)))
 
-    def anchored_q(self, state: np.ndarray, actions):
-        """(actor action, Q(z, actions), Q(z, actor action)) at one state.
+    def anchored_q(self, states: np.ndarray, actions=()):
+        """(actor actions (n,), Q(z, actions) (n, k), Q(z, actor action) (n,)).
 
-        The fallback action is appended to `actions` and scored in the same
-        critic forward pass.
+        states is one state (3,) or a batch (n, 3).  One actor pass gives the
+        fallback actions; each state's fallback row follows its `actions`
+        rows in one critic pass.
         """
-        a_fb = self.fallback_action(state)
-        q = self.q_values(state, np.append(actions, a_fb))
-        return a_fb, q[:-1], float(q[-1])
+        states = np.atleast_2d(np.asarray(states, dtype=float))
+        a_fb = actor_action(self.actor, states)
+        acts = np.empty((states.shape[0], np.size(actions) + 1))
+        acts[:, :-1] = actions
+        acts[:, -1] = a_fb
+        feats = critic_features(np.repeat(states, acts.shape[1], axis=0), acts.ravel())
+        q = mlp_forward(self.critic, feats)[:, 0].reshape(acts.shape)
+        return a_fb, q[:, :-1], q[:, -1]
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
         return dynamics_step(state, action, self.dt)
@@ -269,50 +266,45 @@ def sample_actions(spec: SamplerSpec, a_nominal, a_fallback) -> np.ndarray:
     return np.concatenate([equispaced_actions(spec.n)] + [a.ravel() for a in anchors])
 
 
-def cbf_constraint_check(q_of_a, q_of_fallback: float, cfg: FilterConfig):
+def cbf_constraint_check(q_of_a, q_of_fallback: float, cfg: FilterConfig) -> np.ndarray:
     """Barrier feasibility: (Q(z,a) - eps) >= alpha * (Q(z, fallback) - eps).
 
     Args:
-        q_of_a: candidate Q-value(s), scalar or array.
+        q_of_a: candidate Q-values, an array.
         q_of_fallback: fallback Q-value at the same state.
         cfg: supplies alpha and epsilon.
 
     Returns:
-        Boolean (or boolean array) feasibility.
+        Boolean array, one entry per candidate.
     """
     q_of_a = np.asarray(q_of_a, dtype=float)
     if not np.all(np.isfinite(q_of_a)) or not np.isfinite(q_of_fallback):
         raise ValueError("Q-values must be finite")
-    ok = (q_of_a - cfg.epsilon) >= cfg.alpha * (q_of_fallback - cfg.epsilon)
-    return bool(ok) if q_of_a.ndim == 0 else ok
+    return (q_of_a - cfg.epsilon) >= cfg.alpha * (q_of_fallback - cfg.epsilon)
 
 
-def q_query(backend, state: np.ndarray, actions, cfg: FilterConfig):
+def q_query(backend, state: np.ndarray, actions, cfg: FilterConfig) -> np.ndarray:
     """Score candidate actions at a state under the configured query mode.
 
     model_free scores Q(z, a) in one batched backend call.  model_based
     steps the dynamics once per candidate (the world-model interface is a
     per-query one), then scores the fallback policy's Q at the successors in
-    one batched call.
+    one batched anchored_q call.
 
     Args:
         backend: GridBackend or CriticBackend (anything with q_values,
-            fallback_q, step).
+            anchored_q, step).
         state: state (3,).
-        actions: scalar action or (n,) batch.
+        actions: (n,) batch of candidate actions.
         cfg: supplies query_mode.
 
     Returns:
-        Scalar for a scalar action, (n,) array for a batch.
+        (n,) array of Q-values.
     """
-    arr = np.atleast_1d(np.asarray(actions, dtype=float))
-    single = np.asarray(actions).ndim == 0
     if cfg.query_mode == "model_free":
-        q = backend.q_values(state, arr)
-    else:
-        successors = np.stack([backend.step(state, a) for a in arr])
-        q = backend.fallback_q(successors)
-    return float(q[0]) if single else q
+        return backend.q_values(state, actions)
+    successors = np.stack([backend.step(state, a) for a in np.asarray(actions, dtype=float)])
+    return backend.anchored_q(successors)[2]
 
 
 def cbf_filter(state: np.ndarray, a_nominal: float, backend, cfg: FilterConfig) -> FilterDecision:
@@ -340,22 +332,20 @@ def cbf_filter(state: np.ndarray, a_nominal: float, backend, cfg: FilterConfig) 
     a_nom = float(a_nominal)
     if cfg.query_mode == "model_free":
         heads = np.append(equispaced_actions(cfg.sampler.n), a_nom)
-        a_fb, q_heads, q_fallback = backend.anchored_q(state, heads)
+        a_fb, q_heads, q_fb = backend.anchored_q(state, heads)
         samples = np.append(heads, a_fb)
-        q = np.append(q_heads, q_fallback)
+        q = np.append(q_heads, q_fb)
     else:
-        a_fb = backend.fallback_action(state)
-        samples = sample_actions(cfg.sampler, a_nom, a_fb)
+        samples = sample_actions(cfg.sampler, a_nom, backend.fallback_action(state))
         q = q_query(backend, state, samples, cfg)
-        q_fallback = float(q[-1])
-    q_nominal = float(q[-2])
+    q_nominal, q_fallback = float(q[-2]), float(q[-1])
 
     mask = cbf_constraint_check(q, q_fallback, cfg)
     feasible = FeasibleSet(actions=samples[mask], q_values=q[mask])
     count = int(mask.sum())
 
     if count == 0:
-        chosen = float(a_fb)
+        chosen = float(samples[-1])
     else:
         dists = np.abs(feasible.actions - a_nom)
         chosen = float(feasible.actions[int(np.argmin(dists))])
@@ -387,16 +377,17 @@ def lr_filter(state: np.ndarray, a_nominal: float, backend, epsilon: float = 0.2
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     a_nom = float(a_nominal)
-    a_fb, q, q_fallback = backend.anchored_q(state, [a_nom])
-    q_nominal = float(q[0])
-    keep = q_nominal >= epsilon
-    chosen = a_nom if keep else a_fb
+    a_fb, q_nom, q_fb = backend.anchored_q(state, [a_nom])
+    samples = np.append(a_nom, a_fb)
+    q = np.append(q_nom, q_fb)
+    keep = q[0] >= epsilon
+    chosen = a_nom if keep else float(samples[1])
     delta = abs(chosen - a_nom)
     return FilterDecision(
         action=chosen,
         overridden=delta >= OVERRIDE_THRESHOLD,
         delta_a=delta,
         feasible_count=int(keep),
-        q_nominal=q_nominal,
-        q_fallback=q_fallback,
+        q_nominal=float(q[0]),
+        q_fallback=float(q[1]),
     )

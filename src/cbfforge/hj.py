@@ -326,14 +326,9 @@ def q_from_value(
     """
     if value.spec != margin.spec:
         raise ValueError("value and margin fields must share a GridSpec")
-    states = np.asarray(states, dtype=float)
-    single = states.ndim == 1
-    batch = states[None, :] if single else states
-    succ = dynamics_step_batch(batch, actions, dt)
-    ell = interpolate(margin, batch)
-    nxt = interpolate(value, succ)
-    q = (1.0 - gamma) * ell + gamma * np.minimum(ell, nxt)
-    return float(q[0]) if single else q
+    ell = interpolate(margin, states)
+    nxt = interpolate(value, dynamics_step_batch(states, actions, dt))
+    return (1.0 - gamma) * ell + gamma * np.minimum(ell, nxt)
 
 
 def empirical_lipschitz(field: GridField) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dubins import signed_distance_margin, wrap_angle
+from .dubins import sample_box_states, signed_distance_margin, wrap_angle
 from .nets import (
     TRAIN_DTYPE,
     AdamState,
@@ -48,14 +48,7 @@ class MarginDataset:
 def build_margin_dataset(n_total: int = 50_000, seed: int = 0) -> MarginDataset:
     """Sample n_total states uniformly over the box and label by true margin."""
     rng = np.random.default_rng(seed)
-    states = np.stack(
-        [
-            rng.uniform(-1.5, 1.5, n_total),
-            rng.uniform(-1.5, 1.5, n_total),
-            rng.uniform(-np.pi, np.pi, n_total),
-        ],
-        axis=1,
-    )
+    states = sample_box_states(rng, n_total)
     safe = signed_distance_margin(states) >= 0.0
     return MarginDataset(states[safe], states[~safe])
 

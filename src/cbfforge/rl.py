@@ -30,12 +30,12 @@ import numpy as np
 from .dubins import (
     ACTION_BOUND,
     DEFAULT_DT,
-    XY_BOUND,
     NominalPolicyConfig,
     dynamics_step,
     nominal_policy,
+    sample_box_states,
 )
-from .filters import actor_action
+from .filters import actor_action, critic_features
 from .hj import GridField, q_from_value
 from .nets import (
     TRAIN_DTYPE,
@@ -144,17 +144,6 @@ class ReplayBuffer:
         }
 
 
-def _reset_state(rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw over the full state box."""
-    return np.array(
-        [
-            rng.uniform(-XY_BOUND, XY_BOUND),
-            rng.uniform(-XY_BOUND, XY_BOUND),
-            rng.uniform(-np.pi, np.pi),
-        ]
-    )
-
-
 def collect_episode(
     actor: MlpNet,
     nominal_cfg: NominalPolicyConfig,
@@ -194,7 +183,7 @@ def collect_episode(
             a += sigma * rng.standard_normal()
         return float(np.clip(a, -ACTION_BOUND, ACTION_BOUND))
 
-    state = _reset_state(rng)
+    state = sample_box_states(rng, 1)[0]
     action = behavior(state)
     for _ in range(cfg.episode_len):
         succ = dynamics_step(state, action, cfg.dt)
@@ -204,10 +193,6 @@ def collect_episode(
         label = float(np.tanh(margin_fn(state[None, :])[0]))
         buffer.add(state, action, label, succ, source)
         state, action = succ, action_next
-
-
-def _critic_features(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    return np.hstack([np.atleast_2d(states), np.atleast_1d(actions)[:, None]])
 
 
 def soft_update(target: MlpNet, source: MlpNet, tau: float) -> None:
@@ -250,7 +235,7 @@ def critic_update(
         raise ValueError("batch must be non-empty")
     opt = opt if opt is not None else AdamState(learning_rate=cfg.critic_lr)
     a_boot = actor_action(target_actor, batch["z_next"])
-    q_next = mlp_forward(target_critic, _critic_features(batch["z_next"], a_boot))[:, 0]
+    q_next = mlp_forward(target_critic, critic_features(batch["z_next"], a_boot))[:, 0]
     y = (1.0 - cfg.gamma) * batch["l"] + cfg.gamma * np.minimum(batch["l"], q_next)
     n = y.size
 
@@ -258,7 +243,7 @@ def critic_update(
         resid = outputs[:, 0] - y
         return float(np.mean(resid**2)), (2.0 / n) * resid[:, None]
 
-    loss, grads = param_gradient(critic, _critic_features(batch["z"], batch["a"]), mse)
+    loss, grads = param_gradient(critic, critic_features(batch["z"], batch["a"]), mse)
     adam_step(critic, grads, opt)
     soft_update(target_critic, critic, cfg.tau)
     return loss
@@ -295,7 +280,7 @@ def actor_update(
 
     def neg_mean_q(outputs: np.ndarray):
         acts = ACTION_BOUND * outputs[:, 0]
-        q, dq_dfeats = input_gradient(critic, _critic_features(states, acts))
+        q, dq_dfeats = input_gradient(critic, critic_features(states, acts))
         return float(-np.mean(q[:, 0])), (-(ACTION_BOUND / n) * dq_dfeats[:, -1])[:, None]
 
     loss, grads = param_gradient(actor, states, neg_mean_q)
@@ -428,13 +413,7 @@ def critic_error_vs_oracle(
         Mean |Q_critic - Q_grid| over the pairs.
     """
     rng = np.random.default_rng(seed)
-    states = np.column_stack(
-        [
-            rng.uniform(-XY_BOUND, XY_BOUND, size=n),
-            rng.uniform(-XY_BOUND, XY_BOUND, size=n),
-            rng.uniform(-np.pi, np.pi, size=n),
-        ]
-    )
+    states = sample_box_states(rng, n)
     if eval_source == "nominal_policy":
         if nominal_cfg is None:
             raise ValueError("nominal_policy evaluation needs nominal_cfg")
@@ -446,7 +425,7 @@ def critic_error_vs_oracle(
     else:
         raise ValueError(f"unknown eval_source {eval_source!r}")
     if isinstance(critic, MlpNet):
-        q_critic = mlp_forward(critic, _critic_features(states, actions))[:, 0]
+        q_critic = mlp_forward(critic, critic_features(states, actions))[:, 0]
     else:
         q_critic = np.asarray(critic(states, actions), dtype=float)
     q_grid = q_from_value(value_grid, margin_grid, states, actions, gamma, dt)

@@ -241,17 +241,13 @@ class _TableBackend:
         actions = np.atleast_1d(np.asarray(actions, dtype=float))
         return self.q_fn(np.asarray(state, dtype=float), actions)
 
-    def fallback_q(self, states):
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        return np.array([self.q_fn(s, np.array([self.fallback]))[0] for s in states])
-
     def fallback_action(self, state):
         return self.fallback
 
-    def anchored_q(self, state, actions):
-        a_fb = self.fallback_action(state)
-        q = self.q_values(state, np.append(actions, a_fb))
-        return a_fb, q[:-1], float(q[-1])
+    def anchored_q(self, states, actions=()):
+        states = np.atleast_2d(np.asarray(states, dtype=float))
+        q = np.stack([self.q_values(s, np.append(actions, self.fallback)) for s in states])
+        return np.full(states.shape[0], self.fallback), q[:, :-1], q[:, -1]
 
     def step(self, state, action):
         return dynamics_step(state, action, 0.1)
@@ -313,14 +309,11 @@ def test_batched_query_throughput_and_per_sample_cost():
     actor = mlp_init([3, 128, 128, 128, 1], output_activation="tanh", seed=6)
     backend = CriticBackend(critic, actor)
 
-    big = throughput_benchmark(backend, sizes=(10000,), query_mode="model_free",
-                               reps=20, gamma=0.995, dt=0.1)
+    big = throughput_benchmark(backend, sizes=(10000,), query_mode="model_free", reps=20)
     assert big[0]["mean_ms"] < 50.0
 
-    free = throughput_benchmark(backend, sizes=(10,), query_mode="model_free",
-                                reps=30, gamma=0.995, dt=0.1)
-    based = throughput_benchmark(backend, sizes=(10,), query_mode="model_based",
-                                 reps=30, gamma=0.995, dt=0.1)
+    free = throughput_benchmark(backend, sizes=(10,), query_mode="model_free", reps=30)
+    based = throughput_benchmark(backend, sizes=(10,), query_mode="model_based", reps=30)
     assert based[0]["per_sample_us"] >= 5.0 * free[0]["per_sample_us"]
 
 

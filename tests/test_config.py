@@ -44,17 +44,29 @@ def test_parse_text_types_and_comments():
     }
 
 
-def test_parse_rejects_unknown_and_malformed():
+def test_parse_rejects_unknown_and_malformed(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("not_a_key = 3")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("just some words")
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_config_text("seed = many")
+    # Choices are checked once, by validation, for files and overrides alike.
+    path = tmp_path / "run.cfg"
+    path.write_text("experiment = tea_break\n")
     with pytest.raises(ConfigError, match="not one of"):
-        parse_config_text("experiment = tea_break")
+        load_config(str(path))
     with pytest.raises(ConfigError, match="boolean"):
         parse_config_text("train_missing = maybe")
+
+
+@pytest.mark.parametrize("key", [key for key, spec in SCHEMA.items() if spec[2] is not None])
+def test_every_choice_key_rejects_a_bad_override(key):
+    kind, _, choices, _ = SCHEMA[key]
+    bad, good = ((choices[0], "bogus"), choices) if kind == "strs" else ("bogus", choices[-1])
+    with pytest.raises(ConfigError, match=f"{key}: 'bogus' is not one of"):
+        load_config(None, {key: bad})
+    assert load_config(None, {key: good})[key] == good
 
 
 def test_validation_rules():

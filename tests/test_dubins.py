@@ -12,6 +12,7 @@ from cbfforge.dubins import (
     estimate_dynamics_lipschitz,
     nominal_policy,
     rollout,
+    sample_box_states,
     sample_initial_states,
     save_trajectory_csv,
     signed_distance_margin,
@@ -194,6 +195,18 @@ class TestRollout:
         assert first[0] == "0"
         assert float(first[1]) == pytest.approx(-1.2)
 
+    def test_box_sampler_matches_scalar_draws(self):
+        # One row at a time, the sampler consumes the stream exactly as
+        # three scalar draws of x, y and theta do.
+        scalar, batched = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(1000):
+            want = [scalar.uniform(-1.5, 1.5), scalar.uniform(-1.5, 1.5), scalar.uniform(-np.pi, np.pi)]
+            assert sample_box_states(batched, 1)[0].tolist() == want
+        assert scalar.bit_generator.state == batched.bit_generator.state
+        states = sample_box_states(batched, 500)
+        assert states.shape == (500, 3)
+        assert np.all(np.abs(states[:, :2]) <= 1.5) and np.all(np.abs(states[:, 2]) <= np.pi)
+
     def test_initial_state_box(self):
         rng = np.random.default_rng(3)
         states = sample_initial_states(rng, 200)
@@ -204,17 +217,17 @@ class TestRollout:
 
 class TestLipschitz:
     def test_identity_dynamics(self, monkeypatch):
-        monkeypatch.setattr("cbfforge.dubins.dynamics_step", lambda s, a, dt: s)
+        monkeypatch.setattr("cbfforge.dubins.dynamics_step_batch", lambda s, a, dt: s)
         lf = estimate_dynamics_lipschitz(n_samples=200)
         assert lf == pytest.approx(1.0, rel=1e-6)
 
     def test_pure_rotation_is_isometry(self, monkeypatch):
         def rot(s, a, dt):
             out = s.copy()
-            out[2] = wrap_angle(out[2] + a * dt)
+            out[:, 2] = wrap_angle(out[:, 2] + a * dt)
             return out
 
-        monkeypatch.setattr("cbfforge.dubins.dynamics_step", rot)
+        monkeypatch.setattr("cbfforge.dubins.dynamics_step_batch", rot)
         lf = estimate_dynamics_lipschitz(n_samples=200)
         assert lf == pytest.approx(1.0, rel=1e-6)
 
@@ -223,6 +236,21 @@ class TestLipschitz:
         # 1.05, and the sampler should land within [1.0, 1.1].
         lf = estimate_dynamics_lipschitz(n_samples=1000, seed=0)
         assert 1.0 < lf < 1.1
+
+    @pytest.mark.parametrize("seed, dt", [(0, 0.1), (1, 0.1), (2, 0.05)])
+    def test_batch_matches_per_sample_loop(self, seed, dt):
+        # The same draws, stepped one sample at a time.
+        rng = np.random.default_rng(seed)
+        states = sample_box_states(rng, 500)
+        actions = rng.uniform(-ACTION_BOUND, ACTION_BOUND, size=500)
+        dirs = rng.standard_normal(size=(500, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        worst = 0.0
+        for s, a, d in zip(states, actions, dirs):
+            s_pert = s + 1e-4 * d
+            s_pert[2] = wrap_angle(s_pert[2])
+            worst = max(worst, float(state_distance(dynamics_step(s_pert, a, dt), dynamics_step(s, a, dt))) / 1e-4)
+        assert estimate_dynamics_lipschitz(dt=dt, n_samples=500, seed=seed) == worst
 
     def test_wrap_angle_range(self):
         thetas = np.linspace(-10, 10, 2001)

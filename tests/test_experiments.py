@@ -290,8 +290,7 @@ def tiny_backend():
 
 
 def test_throughput_single_query_has_positive_latency(tiny_backend):
-    rows = throughput_benchmark(tiny_backend, sizes=(1,), query_mode="model_free",
-                                reps=10, gamma=0.995, dt=0.1)
+    rows = throughput_benchmark(tiny_backend, sizes=(1,), query_mode="model_free", reps=10)
     assert len(rows) == 1
     row = rows[0]
     assert row["n_samples"] == 1 and row["reps"] == 10
@@ -300,24 +299,20 @@ def test_throughput_single_query_has_positive_latency(tiny_backend):
 
 
 def test_throughput_batching_beats_linear_scaling(tiny_backend):
-    rows = throughput_benchmark(tiny_backend, sizes=(1, 100), query_mode="model_free",
-                                reps=20, gamma=0.995, dt=0.1)
+    rows = throughput_benchmark(tiny_backend, sizes=(1, 100), query_mode="model_free", reps=20)
     by_n = {row["n_samples"]: row for row in rows}
     assert by_n[100]["mean_ms"] <= 100.0 * by_n[1]["mean_ms"]
 
 
 def test_throughput_model_based_steps_per_sample(tiny_backend):
-    rows = throughput_benchmark(tiny_backend, sizes=(10,), query_mode="model_based",
-                                reps=10, gamma=0.995, dt=0.1)
-    free = throughput_benchmark(tiny_backend, sizes=(10,), query_mode="model_free",
-                                reps=10, gamma=0.995, dt=0.1)
+    rows = throughput_benchmark(tiny_backend, sizes=(10,), query_mode="model_based", reps=10)
+    free = throughput_benchmark(tiny_backend, sizes=(10,), query_mode="model_free", reps=10)
     assert rows[0]["mean_ms"] > free[0]["mean_ms"]
 
 
 def test_throughput_rejects_bad_reps(tiny_backend):
     with pytest.raises(ValueError, match="reps"):
-        throughput_benchmark(tiny_backend, sizes=(1,), query_mode="model_free",
-                             reps=0, gamma=0.995, dt=0.1)
+        throughput_benchmark(tiny_backend, sizes=(1,), query_mode="model_free", reps=0)
 
 
 def test_throughput_experiment_writes_bench_csv(tmp_path):

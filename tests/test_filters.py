@@ -11,6 +11,7 @@ from cbfforge.dubins import (
     nominal_policy,
     NominalPolicyConfig,
     rollout,
+    sample_box_states,
     sample_initial_states,
     signed_distance_margin,
 )
@@ -26,7 +27,7 @@ from cbfforge.filters import (
     q_query,
     sample_actions,
 )
-from cbfforge.hj import GridSpec, interpolate, margin_field, q_from_value, value_iteration
+from cbfforge.hj import GridField, GridSpec, interpolate, margin_field, q_from_value, value_iteration
 from cbfforge.nets import MlpNet, mlp_forward, mlp_init
 from oracles import two_query_cbf_filter, two_query_lr_filter
 
@@ -44,17 +45,13 @@ class StubBackend:
         actions = np.atleast_1d(np.asarray(actions, dtype=float))
         return np.asarray(self.q_fn(np.asarray(state, dtype=float), actions), dtype=float)
 
-    def fallback_q(self, states):
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        return np.array([self.q_fn(s, np.array([self.fallback]))[0] for s in states])
-
     def fallback_action(self, state):
         return self.fallback
 
-    def anchored_q(self, state, actions):
-        a_fb = self.fallback_action(state)
-        q = self.q_values(state, np.append(actions, a_fb))
-        return a_fb, q[:-1], float(q[-1])
+    def anchored_q(self, states, actions=()):
+        states = np.atleast_2d(np.asarray(states, dtype=float))
+        q = np.stack([self.q_values(s, np.append(actions, self.fallback)) for s in states])
+        return np.full(states.shape[0], self.fallback), q[:, :-1], q[:, -1]
 
     def step(self, state, action):
         return self._step_fn(state, action, self.dt)
@@ -121,22 +118,22 @@ def test_sampler_validation():
 def test_constraint_arithmetic_examples():
     tight = FilterConfig(alpha=0.95, epsilon=0.2)
     loose = FilterConfig(alpha=0.7, epsilon=0.2)
-    assert cbf_constraint_check(0.5, 0.6, tight) is False  # 0.3 >= 0.38 fails
-    assert cbf_constraint_check(0.5, 0.6, loose) is True  # 0.3 >= 0.28 holds
+    assert cbf_constraint_check(np.array([0.5]), 0.6, tight).tolist() == [False]  # 0.3 >= 0.38 fails
+    assert cbf_constraint_check(np.array([0.5]), 0.6, loose).tolist() == [True]  # 0.3 >= 0.28 holds
 
 
 def test_constraint_fallback_identity_case():
     for alpha in np.linspace(0.0, 0.999, 25):
         cfg = FilterConfig(alpha=float(alpha), epsilon=0.2)
-        assert cbf_constraint_check(0.6, 0.6, cfg)  # q_fb - eps = 0.4 >= 0
+        assert cbf_constraint_check(np.array([0.6]), 0.6, cfg).tolist() == [True]  # q_fb - eps = 0.4 >= 0
 
 
 def test_constraint_rejects_non_finite():
     cfg = FilterConfig()
     with pytest.raises(ValueError):
-        cbf_constraint_check(np.nan, 0.5, cfg)
+        cbf_constraint_check(np.array([0.1, np.nan]), 0.5, cfg)
     with pytest.raises(ValueError):
-        cbf_constraint_check(0.5, np.inf, cfg)
+        cbf_constraint_check(np.array([0.5]), np.inf, cfg)
 
 
 def test_constraint_alpha_monotone_nesting():
@@ -196,10 +193,11 @@ def test_q_query_constant_critic_matches_both_modes():
     assert np.allclose(q_based, 0.37)
 
 
-def test_q_query_scalar_action_returns_float(grid_backend):
-    cfg = FilterConfig(query_mode="model_free", gamma=0.995)
-    out = q_query(grid_backend, np.array([-1.0, 0.0, 0.0]), 0.5, cfg)
-    assert isinstance(out, float)
+@pytest.mark.parametrize("mode", ["model_free", "model_based"])
+def test_q_query_returns_one_float_per_action(grid_backend, mode):
+    cfg = FilterConfig(query_mode=mode, gamma=0.995)
+    out = q_query(grid_backend, np.array([-1.0, 0.0, 0.0]), np.array([0.5]), cfg)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (1,)
 
 
 def test_q_query_model_based_matches_manual_loop(grid_backend):
@@ -210,7 +208,7 @@ def test_q_query_model_based_matches_manual_loop(grid_backend):
     manual = []
     for a in acts:
         succ = grid_backend.step(state, a)
-        manual.append(grid_backend.fallback_q(succ[None, :])[0])
+        manual.append(grid_backend.anchored_q(succ)[2][0])
     assert np.allclose(q, manual)
 
 
@@ -232,13 +230,13 @@ def test_q_query_modes_agree_on_converged_grid(grid_backend, solved_grid):
     diffs = []
     for state in states:
         a = float(rng.uniform(-2.0, 2.0))
-        q_free = q_query(grid_backend, state, a, cfg_free)
+        q_free = q_query(grid_backend, state, np.array([a]), cfg_free)[0]
         succ = grid_backend.step(state, a)
         ell_here = interpolate(margin, state)
         v_succ = interpolate(value, succ)
         if ell_here < v_succ + 0.05 or interpolate(margin, succ) < 0.1:
             continue  # margin-binding or near-failure: the modes answer different questions
-        q_based = q_query(grid_backend, state, a, cfg_based)
+        q_based = q_query(grid_backend, state, np.array([a]), cfg_based)[0]
         diffs.append(abs(q_free - q_based))
     diffs = np.array(diffs)
     # Worst case is set by the grid spacing (0.1) at kinks of the value
@@ -282,7 +280,9 @@ def test_grid_backend_fallback_is_greedy(grid_backend):
     table = np.stack([q_from_value(b.value, b.margin, states, a, b.gamma, b.dt) for a in b.actions], axis=1)
     greedy = b.actions[np.argmax(table, axis=1)]
     assert np.array_equal([b.fallback_action(s) for s in states], greedy)
-    assert np.max(np.abs(b.fallback_q(states) - table.max(axis=1))) <= 1e-15
+    a_fb, _, q_fb = b.anchored_q(states)
+    assert np.array_equal(a_fb, greedy)
+    assert np.max(np.abs(q_fb - table.max(axis=1))) <= 1e-15
 
 
 def test_grid_backend_fallback_makes_one_q_call(grid_backend, monkeypatch):
@@ -290,7 +290,7 @@ def test_grid_backend_fallback_makes_one_q_call(grid_backend, monkeypatch):
     inner = filters.q_from_value
     monkeypatch.setattr(filters, "q_from_value", lambda *args: calls.append(len(args[2])) or inner(*args))
     grid_backend.fallback_action(np.array([-0.7, -0.2, 0.4]))
-    grid_backend.fallback_q(np.zeros((4, 3)))
+    grid_backend.anchored_q(np.zeros((4, 3)))
     assert calls == [25, 100]
 
 
@@ -316,9 +316,57 @@ def test_grid_anchored_q_matches_its_parts(grid_backend):
     state = np.array([0.4, -0.9, 2.5])
     acts = np.array([-1.9, 0.05, 1.3])
     a_fb, q, q_fb = grid_backend.anchored_q(state, acts)
-    assert a_fb == grid_backend.fallback_action(state)
-    assert q_fb == grid_backend.fallback_q(state[None, :])[0]
-    assert np.array_equal(q, grid_backend.q_values(state, acts))
+    assert a_fb.tolist() == [grid_backend.fallback_action(state)]
+    assert q_fb.tolist() == grid_backend.anchored_q(state)[2].tolist()
+    assert np.array_equal(q, grid_backend.q_values(state, acts)[None, :])
+
+
+def test_grid_anchored_q_batch_matches_single_states(grid_backend):
+    states = sample_box_states(np.random.default_rng(12), 300)
+    acts = np.array([-1.9, 0.05, 1.3])
+    a_fb, q, q_fb = grid_backend.anchored_q(states, acts)
+    assert a_fb.shape == q_fb.shape == (300,) and q.shape == (300, 3)
+    single = [grid_backend.anchored_q(s, acts) for s in states]
+    assert np.array_equal(a_fb, np.concatenate([a for a, _, _ in single]))
+    assert np.array_equal(q, np.vstack([row for _, row, _ in single]))
+    assert np.array_equal(q_fb, np.concatenate([f for _, _, f in single]))
+
+
+def test_grid_anchored_q_ties_pick_first_maximizer():
+    # Constant fields give every action the same backup, so the greedy
+    # action is the first of the (unsorted) action set at every state.
+    spec = GridSpec(nx=5, ny=5, ntheta=4)
+    margin = GridField(spec, np.full((5, 5, 4), 0.3), "margin")
+    value = GridField(spec, np.full((5, 5, 4), 0.8), "value")
+    backend = GridBackend(value, margin, actions=np.array([0.5, -1.0, 2.0, -2.0]), gamma=0.995)
+    states = sample_box_states(np.random.default_rng(2), 50)
+    a_fb, q, q_fb = backend.anchored_q(states, [1.5])
+    assert a_fb.tolist() == [0.5] * 50
+    assert np.array_equal(q[:, 0], q_fb)
+    assert [backend.fallback_action(s) for s in states] == [0.5] * 50
+    assert [backend.anchored_q(s)[0].tolist() for s in states] == [[0.5]] * 50
+
+
+def test_critic_anchored_q_batch_matches_single_states():
+    backend = CriticBackend(*_small_nets(seed=13))
+    states = sample_box_states(np.random.default_rng(14), 300)
+    acts = np.array([-1.9, 0.05, 1.3])
+    a_fb, q, q_fb = backend.anchored_q(states, acts)
+    assert a_fb.shape == q_fb.shape == (300,) and q.shape == (300, 3)
+    # One actor pass over the states and one critic pass over the same
+    # (state, action) rows, built by hand, give the same bits.
+    want_fb = 2.0 * mlp_forward(backend.actor, states)[:, 0]
+    rows_a = np.column_stack([np.tile(acts, (300, 1)), want_fb]).reshape(-1, 1)
+    want = mlp_forward(backend.critic, np.hstack([np.repeat(states, 4, axis=0), rows_a]))[:, 0].reshape(300, 4)
+    assert np.array_equal(a_fb, want_fb)
+    assert np.array_equal(q, want[:, :3]) and np.array_equal(q_fb, want[:, 3])
+    # Single-state calls run the BLAS products at other row counts, whose
+    # kernels round the last bit differently.
+    single = [backend.anchored_q(s, acts) for s in states]
+    tol = dict(rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(a_fb, np.concatenate([a for a, _, _ in single]), **tol)
+    np.testing.assert_allclose(q, np.vstack([row for _, row, _ in single]), **tol)
+    np.testing.assert_allclose(q_fb, np.concatenate([f for _, _, f in single]), **tol)
 
 
 def test_grid_backend_rejects_swapped_fields(solved_grid):
@@ -523,14 +571,19 @@ def _assert_same_decision(got, want):
 def test_filters_match_two_query_oracle(grid_backend, visited, backend_name):
     backend = grid_backend if backend_name == "grid" else CriticBackend(*_small_nets(seed=9))
     assert len(visited) >= 100
+    # Then 500 states drawn over the whole box, with uniform nominal actions.
+    rng = np.random.default_rng(31)
+    box = list(zip(sample_box_states(rng, 500), rng.uniform(-2.0, 2.0, 500).tolist()))
     cfgs = [FilterConfig(query_mode=mode, gamma=0.995) for mode in ("model_free", "model_based")]
-    kept = 0
-    for state, a_nom in visited:
-        for cfg in cfgs:
-            _assert_same_decision(cbf_filter(state, a_nom, backend, cfg), two_query_cbf_filter(state, a_nom, backend, cfg))
-        # Two thresholds, so both backends take both lr branches.
-        for eps in (0.05, 0.3):
-            decision = lr_filter(state, a_nom, backend, eps)
-            _assert_same_decision(decision, two_query_lr_filter(state, a_nom, backend, eps))
-            kept += decision.feasible_count
-    assert 0 < kept < 2 * len(visited)
+    for pairs in (visited, box):
+        kept = 0
+        for state, a_nom in pairs:
+            for cfg in cfgs:
+                want = two_query_cbf_filter(state, a_nom, backend, cfg)
+                _assert_same_decision(cbf_filter(state, a_nom, backend, cfg), want)
+            # Two thresholds, so both backends take both lr branches.
+            for eps in (0.05, 0.3):
+                decision = lr_filter(state, a_nom, backend, eps)
+                _assert_same_decision(decision, two_query_lr_filter(state, a_nom, backend, eps))
+                kept += decision.feasible_count
+        assert 0 < kept < 2 * len(pairs)

@@ -1,6 +1,7 @@
 """Margin training: loss arithmetic, interpolation, trainer behavior,
 and evaluation metrics."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -247,6 +248,13 @@ class TestTrainMargin:
         assert np.all(signed_distance_margin(ds.safe_points) >= 0)
         assert np.all(signed_distance_margin(ds.fail_points) < 0)
         assert ds.safe_points.shape[0] + ds.fail_points.shape[0] == 5000
+
+    def test_dataset_bits_are_pinned(self):
+        # A change to the box sampler's random stream changes these bits.
+        ds = build_margin_dataset(2000, seed=3)
+        assert (ds.safe_points.shape, ds.fail_points.shape) == ((1635, 3), (365, 3))
+        digest = hashlib.sha256(ds.safe_points.tobytes() + ds.fail_points.tobytes()).hexdigest()
+        assert digest == "57a3c5bc926a1f58c93586309156f09744d088bef07c79770628f92a3e969cbd"
 
 
 class TestTrainingDtype:

@@ -1,7 +1,8 @@
 """Module boundaries of the package.
 
 No module imports another module's _private names, and every public
-top-level function or class has a caller outside the test suite.
+top-level function or class, and every public method of a public class,
+has a caller outside the test suite.
 """
 
 import ast
@@ -42,14 +43,27 @@ def _referenced_names(paths) -> set:
     return names
 
 
+def _public_defs(body) -> list:
+    """Public functions and classes defined directly in an AST body."""
+    return [
+        node
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
 def test_no_public_name_is_used_only_by_tests():
     assert PERFBENCH.is_dir()
     production = _referenced_names([*PACKAGE.glob("*.py"), *PERFBENCH.rglob("*.py")])
     tested = _referenced_names(TESTS.glob("*.py"))
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            is_public = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-            if is_public and node.name in tested and node.name not in production:
+        for node in _public_defs(ast.parse(path.read_text(), str(path)).body):
+            if node.name in tested and node.name not in production:
                 offenders.append(f"{path.name}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                for method in _public_defs(node.body):
+                    if method.name in tested and method.name not in production:
+                        offenders.append(f"{path.name}: {node.name}.{method.name}")
     assert offenders == []
+

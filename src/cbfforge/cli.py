@@ -61,8 +61,7 @@ def _cmd_train_rl(cfg: dict) -> int:
         return 0
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    margin_fn, _ = resolve_margin(cfg, out_dir)
-    train_actor_critic(cfg, out_dir, margin_fn)
+    train_actor_critic(cfg, out_dir, resolve_margin(cfg, out_dir))
     print(f"trained safety actor-critic -> {out_dir}/rl/")
     return 0
 

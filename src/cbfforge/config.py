@@ -4,9 +4,15 @@ Config files are plain text: one ``key = value`` per line, ``#`` starts a
 comment, blank lines are ignored.  Every key must appear in the schema;
 unknown keys are rejected so typos fail loudly.  List-valued settings use
 commas (``alpha_list = 0.7, 0.95``).
+
+SCHEMA is the one table of each key's type, default, allowed values and
+help text.  load_config checks file settings and overrides against it, so a
+value the library would refuse at run time fails at load instead.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class ConfigError(Exception):
@@ -24,96 +30,84 @@ EXPERIMENTS = (
 
 _QUERY_MODES = ("model_free", "model_based")
 
-# name -> (type, default, choices or None, help); a "strs" key checks its
-# choices per element.
+# name -> (type, default, allowed values, help).  Allowed values are None
+# (anything of the type), a tuple of choices, or an interval string such as
+# "[1, inf)" or "(0, 1]"; an infinite end is open, so nan and inf are never
+# in range.  A list key ("ints", "floats", "strs") checks each element.
 SCHEMA = {
     # run plumbing
     "experiment": ("str", "filter_comparison", EXPERIMENTS, "which experiment run_experiment executes"),
-    "seed": ("int", 0, None, "master seed; per-rollout streams derive from it"),
+    "seed": ("int", 0, "[0, inf)", "master seed; per-rollout streams derive from it"),
     "output_dir": ("str", "out", None, "directory receiving every artifact of the run"),
-    "n_rollouts": ("int", 100, None, "evaluation rollouts per method"),
-    "rollout_steps": ("int", 60, None, "max steps per evaluation rollout"),
-    "dt": ("float", 0.1, None, "integrator step of the vehicle dynamics"),
+    "n_rollouts": ("int", 100, "[1, inf)", "evaluation rollouts per method"),
+    "rollout_steps": ("int", 60, "[1, inf)", "max steps per evaluation rollout"),
+    "dt": ("float", 0.1, "(0, inf)", "integrator step of the vehicle dynamics"),
     "train_missing": ("bool", True, None, "train prerequisite models on demand instead of erroring"),
     # nominal task policy
     "nominal_mode": ("str", "obstacle_blind", ("obstacle_blind", "obstacle_aware"), "nominal policy variant"),
     "nominal_goal_x": ("float", 1.3, None, "goal x of the nominal policy"),
     "nominal_goal_y": ("float", 0.0, None, "goal y of the nominal policy"),
-    "nominal_gain": ("float", 2.0, None, "heading gain of the nominal policy"),
-    "nominal_noise_std": ("float", 0.0, None, "Gaussian action noise of the nominal policy"),
+    "nominal_gain": ("float", 2.0, "(0, inf)", "heading gain of the nominal policy"),
+    "nominal_noise_std": ("float", 0.0, "[0, inf)", "Gaussian action noise of the nominal policy"),
     # margin network
     "margin_mode": ("str", "exact", ("exact", "gp", "nogp"), "margin source: exact signed distance or a trained net"),
     "margin_model": ("str", "", None, "path to a saved margin net; empty trains on demand"),
-    "margin_iterations": ("int", 8000, None, "margin training iterations"),
-    "margin_batch_size": ("int", 256, None, "margin minibatch size per class"),
-    "margin_learning_rate": ("float", 1e-3, None, "margin Adam learning rate"),
-    "margin_hidden_dims": ("ints", (64, 64), None, "margin net hidden layer widths"),
-    "margin_train_points": ("int", 50000, None, "size of the labeled margin training set"),
-    "lambda_zs": ("float", 0.1, None, "weight of the separation term of the margin loss"),
-    "lambda_gp": ("float", 10.0, None, "weight of the gradient penalty"),
-    "lambda_sign": ("float", 1.0, None, "weight of the hinge sign loss"),
-    "gp_beta": ("float", 0.1, None, "target gradient norm of the penalty"),
-    "sign_delta": ("float", 0.75, None, "hinge offset used without the gradient penalty"),
+    "margin_iterations": ("int", 8000, "[1, inf)", "margin training iterations"),
+    "margin_batch_size": ("int", 256, "[1, inf)", "margin minibatch size per class"),
+    "margin_learning_rate": ("float", 1e-3, "(0, inf)", "margin Adam learning rate"),
+    "margin_hidden_dims": ("ints", (64, 64), "[1, inf)", "margin net hidden layer widths"),
+    "margin_train_points": ("int", 50000, "[1, inf)", "size of the labeled margin training set"),
+    "lambda_zs": ("float", 0.1, "[0, inf)", "weight of the separation term of the margin loss"),
+    "lambda_gp": ("float", 10.0, "[0, inf)", "weight of the gradient penalty"),
+    "lambda_sign": ("float", 1.0, "[0, inf)", "weight of the hinge sign loss"),
+    "gp_beta": ("float", 0.1, "(0, inf)", "target gradient norm of the penalty"),
+    "sign_delta": ("float", 0.75, "[0, inf)", "hinge offset used without the gradient penalty"),
     # value grid
-    "grid_nx": ("int", 61, None, "grid nodes along x"),
-    "grid_ny": ("int", 61, None, "grid nodes along y"),
-    "grid_ntheta": ("int", 31, None, "grid nodes along theta"),
-    "gamma": ("float", 0.995, None, "discount of the safety backup"),
-    "vi_tol": ("float", 1e-6, None, "sup-norm convergence tolerance of the grid solve"),
-    "vi_max_sweeps": ("int", 2000, None, "sweep cap of the grid solve"),
-    "n_action_samples": ("int", 25, None, "equispaced action count for solver and sampler"),
+    "grid_nx": ("int", 61, "[3, inf)", "grid nodes along x"),
+    "grid_ny": ("int", 61, "[3, inf)", "grid nodes along y"),
+    "grid_ntheta": ("int", 31, "[4, inf)", "grid nodes along theta"),
+    "gamma": ("float", 0.995, "[0, 1]", "discount of the safety backup"),
+    "vi_tol": ("float", 1e-6, "(0, inf)", "sup-norm convergence tolerance of the grid solve"),
+    "vi_max_sweeps": ("int", 2000, "[1, inf)", "sweep cap of the grid solve"),
+    "n_action_samples": ("int", 25, "[2, inf)", "equispaced action count for solver and sampler"),
     "value_grid": ("str", "", None, "path to a saved value field; empty solves on demand"),
     "margin_grid": ("str", "", None, "path to the matching saved margin field"),
     # safety actor-critic
-    "rl_iterations": ("int", 40000, None, "actor-critic training iterations"),
-    "rl_batch_size": ("int", 512, None, "actor-critic minibatch size"),
-    "rl_buffer_capacity": ("int", 100000, None, "replay buffer capacity"),
-    "rl_episode_len": ("int", 8, None, "steps per collected episode"),
-    "rl_actor_dims": ("ints", (512, 512, 512), None, "actor hidden layer widths"),
-    "rl_critic_dims": ("ints", (512, 512, 512), None, "critic hidden layer widths"),
-    "rl_critic_lr": ("float", 3e-4, None, "critic learning rate"),
-    "rl_actor_lr": ("float", 1e-4, None, "actor learning rate"),
-    "rl_tau": ("float", 0.005, None, "soft-update rate of the target critic"),
-    "rl_exploration_std": ("float", 0.3, None, "initial fallback exploration noise"),
-    "rl_exploration_std_final": ("float", 0.05, None, "final fallback exploration noise"),
+    "rl_iterations": ("int", 40000, "[1, inf)", "actor-critic training iterations"),
+    "rl_batch_size": ("int", 512, "[1, inf)", "actor-critic minibatch size"),
+    "rl_buffer_capacity": ("int", 100000, "[1, inf)", "replay buffer capacity"),
+    "rl_episode_len": ("int", 8, "[1, inf)", "steps per collected episode"),
+    "rl_actor_dims": ("ints", (512, 512, 512), "[1, inf)", "actor hidden layer widths"),
+    "rl_critic_dims": ("ints", (512, 512, 512), "[1, inf)", "critic hidden layer widths"),
+    "rl_critic_lr": ("float", 3e-4, "(0, inf)", "critic learning rate"),
+    "rl_actor_lr": ("float", 1e-4, "(0, inf)", "actor learning rate"),
+    "rl_tau": ("float", 0.005, "(0, inf)", "soft-update rate of the target critic"),
+    "rl_exploration_std": ("float", 0.3, "[0, inf)", "initial fallback exploration noise"),
+    "rl_exploration_std_final": ("float", 0.05, "[0, inf)", "final fallback exploration noise"),
     "rl_mix_nominal": ("bool", True, None, "mix nominal-policy episodes into the buffer"),
     "critic_model": ("str", "", None, "path to a saved critic; empty trains on demand"),
     "actor_model": ("str", "", None, "path to the matching saved actor"),
     # runtime filter
-    "alpha": ("float", 0.85, None, "decay rate of the barrier constraint"),
-    "alpha_list": ("floats", (0.7, 0.95), None, "alphas swept by the alpha ablation"),
-    "epsilon": ("float", 0.2, None, "safety threshold of the filters"),
+    "alpha": ("float", 0.85, "[0, 1)", "decay rate of the barrier constraint"),
+    "alpha_list": ("floats", (0.7, 0.95), "[0, 1)", "alphas swept by the alpha ablation"),
+    "epsilon": ("float", 0.2, "(0, inf)", "safety threshold of the filters"),
     "query_mode": ("str", "model_free", _QUERY_MODES, "how candidate actions are scored"),
     "filter_backend": ("str", "grid", ("grid", "critic"), "Q source for the filters"),
     "methods": ("strs", ("none", "lr", "cbf"), ("none", "lr", "cbf"), "filters compared by filter_comparison"),
     # margin-to-value bound
-    "lip_gamma": ("float", 0.9, None, "discount used by the bound verification"),
+    "lip_gamma": ("float", 0.9, "[0, 1)", "discount used by the bound verification"),
     "lip_margin_modes": ("strs", ("exact", "gp", "sat"), ("exact", "gp", "sat"), "margins checked against the bound"),
-    "lip_fd_samples": ("int", 2000, None, "samples for the dynamics Lipschitz estimate"),
+    "lip_fd_samples": ("int", 2000, "[1, inf)", "samples for the dynamics Lipschitz estimate"),
     "sat_scale": ("float", 4.0, None, "slope of the saturated-tanh margin variant"),
     # throughput benchmark
-    "bench_sizes": ("ints", (1, 10, 100, 1000, 10000), None, "candidate batch sizes benchmarked"),
-    "bench_reps": ("int", 50, None, "timed repetitions per size (after warmup)"),
+    "bench_sizes": ("ints", (1, 10, 100, 1000, 10000), "[1, inf)", "candidate batch sizes benchmarked"),
+    "bench_reps": ("int", 50, "[1, inf)", "timed repetitions per size (after warmup)"),
     "bench_modes": ("strs", ("model_free", "model_based"), _QUERY_MODES, "query modes benchmarked"),
 }
 
-_POSITIVE_KEYS = (
-    "n_rollouts",
-    "rollout_steps",
-    "margin_iterations",
-    "margin_batch_size",
-    "margin_train_points",
-    "grid_nx",
-    "grid_ny",
-    "grid_ntheta",
-    "n_action_samples",
-    "rl_iterations",
-    "rl_batch_size",
-    "rl_buffer_capacity",
-    "rl_episode_len",
-    "bench_reps",
-    "lip_fd_samples",
-)
+# Per scalar kind: the parser of one file token, and the type a value must have.
+_PARSERS = {"int": int, "float": float, "str": str}
+_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -128,26 +122,15 @@ def _parse_bool(raw: str, key: str) -> bool:
 def _parse_value(key: str, raw: str):
     kind = SCHEMA[key][0]
     raw = raw.strip()
+    if kind == "bool":
+        return _parse_bool(raw, key)
+    parse = _PARSERS[kind.removesuffix("s")]
     try:
-        if kind == "int":
-            value = int(raw)
-        elif kind == "float":
-            value = float(raw)
-        elif kind == "bool":
-            value = _parse_bool(raw, key)
-        elif kind == "str":
-            value = raw
-        elif kind == "ints":
-            value = tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        elif kind == "floats":
-            value = tuple(float(part.strip()) for part in raw.split(",") if part.strip())
-        elif kind == "strs":
-            value = tuple(part.strip() for part in raw.split(",") if part.strip())
-        else:  # pragma: no cover - schema is static
-            raise ConfigError(f"{key}: unhandled type {kind}")
+        if kind in _PARSERS:
+            return parse(raw)
+        return tuple(parse(part.strip()) for part in raw.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from exc
-    return value
 
 
 def default_config() -> dict:
@@ -189,35 +172,36 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         cfg.update(parse_config_text(text))
-    if overrides:
-        for key, value in overrides.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            cfg[key] = value
+    for key, value in (overrides or {}).items():
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown config key {key!r}")
+        cfg[key] = value
     validate_config(cfg)
     return cfg
 
 
+def _allowed(value, allowed) -> bool:
+    """Whether value is one of a choices tuple or lies in an interval string."""
+    if isinstance(allowed, tuple):
+        return value in allowed
+    low, high = (float(end) for end in allowed[1:-1].split(","))
+    above = value >= low if allowed[0] == "[" else value > low
+    below = value <= high if allowed[-1] == "]" else value < high
+    return above and below
+
+
 def validate_config(cfg: dict) -> None:
-    for key in _POSITIVE_KEYS:
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be a positive integer")
-    if cfg["dt"] <= 0.0:
-        raise ConfigError("dt must be positive")
-    if not 0.0 <= cfg["gamma"] <= 1.0:
-        raise ConfigError("gamma must lie in [0, 1]")
-    if not 0.0 <= cfg["alpha"] < 1.0:
-        raise ConfigError("alpha must lie in [0, 1)")
-    if any(not 0.0 <= a < 1.0 for a in cfg["alpha_list"]):
-        raise ConfigError("alpha_list entries must lie in [0, 1)")
-    if cfg["epsilon"] <= 0.0:
-        raise ConfigError("epsilon must be positive")
-    for key, (kind, _, choices, _) in SCHEMA.items():
-        if choices is None:
-            continue
-        for value in cfg[key] if kind == "strs" else (cfg[key],):
-            if value not in choices:
-                raise ConfigError(f"{key}: {value!r} is not one of {choices}")
+    """Check every value, and every element of a list value, against SCHEMA."""
+    for key, (kind, _, allowed, _) in SCHEMA.items():
+        value, scalar = cfg[key], kind.removesuffix("s")
+        if scalar != kind and not isinstance(value, tuple):
+            raise ConfigError(f"{key}: expected a tuple of {kind}, got {value!r}")
+        for item in value if scalar != kind else (value,):
+            if not isinstance(item, _TYPES[scalar]):
+                raise ConfigError(f"{key}: expected {kind}, got {item!r}")
+            if allowed is not None and not _allowed(item, allowed):
+                where = "one of" if isinstance(allowed, tuple) else "in"
+                raise ConfigError(f"{key}: {item!r} is not {where} {allowed}")
 
 
 def format_config(cfg: dict) -> str:
@@ -238,7 +222,8 @@ def format_config(cfg: dict) -> str:
 def describe_keys() -> str:
     """Human-readable schema listing for --help output."""
     lines = []
-    for key, (kind, default, choices, help_text) in SCHEMA.items():
-        extra = f" (one of {', '.join(map(str, choices))})" if choices else ""
-        lines.append(f"  {key} ({kind}, default {default!r}): {help_text}{extra}")
+    for key, (kind, default, allowed, help_text) in SCHEMA.items():
+        if allowed:
+            help_text += f" (one of {', '.join(allowed)})" if isinstance(allowed, tuple) else f" (in {allowed})"
+        lines.append(f"  {key} ({kind}, default {default!r}): {help_text}")
     return "\n".join(lines)

@@ -129,10 +129,10 @@ def train_margin_net(cfg: dict, use_gp: bool, out_dir: str):
 
 
 def resolve_margin(cfg: dict, out_dir: str):
-    """Return (raw margin callable, net or None) for cfg["margin_mode"]."""
+    """The raw margin callable (n, 3) -> (n,) for cfg["margin_mode"]."""
     mode = cfg["margin_mode"]
     if mode == "exact":
-        return signed_distance_margin, None
+        return signed_distance_margin
     if cfg["margin_model"]:
         if not os.path.exists(cfg["margin_model"]):
             raise ConfigError(f"margin_model file not found: {cfg['margin_model']}")
@@ -143,14 +143,14 @@ def resolve_margin(cfg: dict, out_dir: str):
         raise ConfigError(
             f"margin net ({mode}) missing: set margin_model or train_missing = true"
         )
-    return net_margin_fn(net), net
+    return net_margin_fn(net)
 
 
 def field_margin(cfg: dict, out_dir: str):
     """Margin used to label grid cells: unbounded (GP) nets are clipped to [-1, 1]."""
-    margin_fn, net = resolve_margin(cfg, out_dir)
-    if net is not None and cfg["margin_mode"] == "gp":
-        return net_margin_fn(net, clip=(-1.0, 1.0))
+    margin_fn = resolve_margin(cfg, out_dir)
+    if cfg["margin_mode"] == "gp":
+        return lambda states: np.clip(margin_fn(states), -1.0, 1.0)
     return margin_fn
 
 
@@ -207,8 +207,7 @@ def actor_critic(cfg: dict, out_dir: str):
         return load_model(cfg["actor_model"]), load_model(cfg["critic_model"])
     if not cfg["train_missing"]:
         raise ConfigError("critic/actor missing: set critic_model and actor_model or train_missing = true")
-    margin_fn, _ = resolve_margin(cfg, out_dir)
-    return train_actor_critic(cfg, out_dir, margin_fn)
+    return train_actor_critic(cfg, out_dir, resolve_margin(cfg, out_dir))
 
 
 def train_actor_critic(cfg: dict, out_dir: str, margin_fn, mix_nominal: bool | None = None, tag: str = "rl"):
@@ -326,7 +325,7 @@ def _experiment_margin_quality(cfg: dict, out_dir: str) -> MetricsTable:
     rows = []
     for mode, use_gp in (("gp", True), ("nogp", False)):
         net = train_margin_net(cfg, use_gp, out_dir)
-        metrics = evaluate_margin(net, records)
+        metrics = evaluate_margin(net_margin_fn(net), records)
         save_metrics_csv(metrics, os.path.join(out_dir, f"margin_metrics_{mode}.csv"))
         rows.append(
             MetricsRow(
@@ -419,7 +418,7 @@ def _experiment_mix_ablation(cfg: dict, out_dir: str) -> MetricsTable:
     Saved grids and saved actor/critic models are ignored: the oracle must
     match the margin, and each variant trains its own pair.
     """
-    margin_fn, _ = resolve_margin(cfg, out_dir)
+    margin_fn = resolve_margin(cfg, out_dir)
     tanh_fn = lambda pts: np.tanh(margin_fn(np.atleast_2d(pts)))
     margin_f, value_f = grid_fields(dict(cfg, value_grid="", margin_grid=""), out_dir, tanh_fn)
     nom = nominal_config(cfg)
@@ -455,8 +454,8 @@ def throughput_benchmark(backend, sizes, query_mode: str, reps: int) -> list:
         List of dicts: query_mode, n_samples, reps, mean_ms, std_ms,
         per_sample_us.
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    if reps < 1 or min(sizes, default=1) < 1:
+        raise ValueError("reps and every size must be positive")
     state = np.array([-1.0, 0.4, 0.3])
     fcfg = FilterConfig(query_mode=query_mode)
     out = []
@@ -515,13 +514,11 @@ def run_experiment(cfg: dict) -> MetricsTable:
     Every file lands under cfg["output_dir"]: the resolved config, the
     metrics table, per-trajectory dumps, and experiment-specific reports.
     """
-    name = cfg["experiment"]
-    if name not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}")
+    experiment = _EXPERIMENTS[cfg["experiment"]]  # load_config checked the name
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.txt"), "w") as fh:
         fh.write(format_config(cfg))
-    table = _EXPERIMENTS[name](cfg, out_dir)
+    table = experiment(cfg, out_dir)
     table.save_csv(os.path.join(out_dir, "metrics.csv"))
     return table

@@ -37,6 +37,7 @@ from .dubins import (
 
 FIELD_KINDS = ("margin", "value")
 FIELD_FORMAT = "grid-hex64"  # first header token of a saved field
+BOUND_TOL = 0.05  # relative slack of the Lipschitz bound check
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def value_iteration(
         gamma: discount in [0, 1].
         dt: dynamics step.
         tol: sup-norm residual threshold, > 0.
-        max_iters: sweep cap.
+        max_iters: sweep cap, >= 1.
     """
     action_set = np.atleast_1d(np.asarray(action_set, dtype=float))
     if action_set.size == 0:
@@ -226,6 +227,8 @@ def value_iteration(
         raise ValueError("gamma must lie in [0, 1]")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
 
     spec = margin.spec
     nt, nx, ny = spec.ntheta, spec.nx, spec.ny
@@ -350,7 +353,7 @@ class LipschitzReport:
     """Empirical margin/value Lipschitz constants against the analytic bound.
 
     bound = L_ell * max(1, (1 - gamma) / (1 - gamma * L_f)), valid only under
-    the hypothesis gamma * L_f < 1; holds means L_V <= bound * (1 + tol).
+    the hypothesis gamma * L_f < 1; holds means L_V <= bound * (1 + BOUND_TOL).
     """
 
     L_ell: float
@@ -367,7 +370,6 @@ def verify_margin_value_bound(
     dt: float,
     action_set: np.ndarray,
     L_f: float,
-    tol: float = 0.05,
     vi_tol: float = 1e-6,
     max_iters: int = 2000,
 ) -> LipschitzReport:
@@ -393,7 +395,7 @@ def verify_margin_value_bound(
         L_f=L_f,
         gamma=gamma,
         bound=bound,
-        holds=bool(l_v <= bound * (1.0 + tol)),
+        holds=bool(l_v <= bound * (1.0 + BOUND_TOL)),
     )
 
 

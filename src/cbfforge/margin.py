@@ -98,23 +98,20 @@ def sign_loss(margin_net: MlpNet, batch_safe: np.ndarray, batch_fail: np.ndarray
 
 
 def interpolate_pair(z_plus: np.ndarray, z_minus: np.ndarray, eta) -> np.ndarray:
-    """Linear interpolation (1 - eta) z+ + eta z-, theta along the shorter arc.
+    """Row-wise (1 - eta) z+ + eta z-, theta along the shorter arc.
 
-    Accepts single states (3,) with scalar eta or batches (n, 3) with (n,) eta.
+    Takes batches z_plus, z_minus (n, 3) and eta scalar or (n,).
     """
-    z_plus = np.asarray(z_plus, dtype=float)
-    z_minus = np.asarray(z_minus, dtype=float)
+    zp = np.asarray(z_plus, dtype=float)
+    zm = np.asarray(z_minus, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     if np.any(eta_arr < 0.0) or np.any(eta_arr > 1.0):
         raise ValueError("eta must lie in [0, 1]")
-    single = z_plus.ndim == 1
-    zp = z_plus[None, :] if single else z_plus
-    zm = z_minus[None, :] if single else z_minus
     e = np.broadcast_to(eta_arr, zp.shape[:1]).astype(float)
     out = np.empty_like(zp)
     out[:, :2] = (1.0 - e)[:, None] * zp[:, :2] + e[:, None] * zm[:, :2]
     out[:, 2] = wrap_angle(zp[:, 2] + e * wrap_angle(zm[:, 2] - zp[:, 2]))
-    return out[0] if single else out
+    return out
 
 
 def _hinge(l_safe: np.ndarray, l_fail: np.ndarray, delta: float):
@@ -137,7 +134,7 @@ def margin_loss(
     batch_safe: np.ndarray,
     batch_fail: np.ndarray,
     cfg: MarginTrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ):
     """The objective train_margin minimises, with its parameter gradient.
 
@@ -147,7 +144,7 @@ def margin_loss(
              + lambda_gp * mean (||grad l(zhat)|| - beta)^2,
     where each zhat interpolates one (z+, z-) pair at its own
     eta ~ U(0, 1); pairs are formed by index up to the shorter batch.
-    NoGP: loss = lambda_sign * hinge at cfg.delta.
+    NoGP: loss = lambda_sign * hinge at cfg.delta.  rng draws the etas.
 
     The hinge and separation seeds are summed before one parameter pass over
     the stacked (safe, fail) batch; GP adds one penalty pass.
@@ -159,8 +156,6 @@ def margin_loss(
     batch_fail = np.atleast_2d(batch_fail)
     if batch_safe.shape[0] == 0 or batch_fail.shape[0] == 0:
         raise ValueError("margin_loss needs non-empty batches")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     n_s, n_f = batch_safe.shape[0], batch_fail.shape[0]
     delta = 0.0 if cfg.use_gp else cfg.delta
@@ -209,28 +204,16 @@ def train_margin(dataset: MarginDataset, cfg: MarginTrainConfig) -> MlpNet:
     return net.astype(np.float64)
 
 
-def net_margin_fn(net: MlpNet, clip: tuple[float, float] | None = None):
-    """Batched callable (n, 3) -> (n,) margins from a net, optionally clipped.
-
-    Clipping to [-1, 1] is how an unbounded GP margin is made boundable when
-    it labels grid cells for value iteration; leave clip None for evaluation
-    of the raw margin.
-    """
-
-    def fn(states: np.ndarray) -> np.ndarray:
-        out = mlp_forward(net, np.atleast_2d(states))[:, 0]
-        if clip is not None:
-            out = np.clip(out, clip[0], clip[1])
-        return out
-
-    return fn
+def net_margin_fn(net: MlpNet):
+    """Batched callable (n, 3) -> (n,) raw margins from a net."""
+    return lambda states: mlp_forward(net, np.atleast_2d(states))[:, 0]
 
 
-def evaluate_margin(margin, trajectories) -> dict[str, float]:
+def evaluate_margin(margin_fn, trajectories) -> dict[str, float]:
     """Classification and smoothness metrics along executed trajectories.
 
     Args:
-        margin: MlpNet or batched callable (n, 3) -> (n,).
+        margin_fn: batched callable (n, 3) -> (n,).
         trajectories: TrajectoryRecords carrying ground-truth margin_values.
 
     Returns:
@@ -240,7 +223,6 @@ def evaluate_margin(margin, trajectories) -> dict[str, float]:
     records = list(trajectories)
     if not records:
         raise ValueError("evaluate_margin needs at least one trajectory")
-    margin_fn = net_margin_fn(margin) if isinstance(margin, MlpNet) else margin
 
     true_safe, pred_safe, max_deltas = [], [], []
     for rec in records:

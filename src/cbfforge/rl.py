@@ -53,6 +53,7 @@ SOURCE_FALLBACK = 0
 SOURCE_NOMINAL = 1
 DIVERGENCE_LIMIT = 1e3
 CHECKPOINT_EVERY = 10000
+LOG_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,6 @@ class RlConfig:
     exploration_std_final: float = 0.05
     mix_nominal: bool = True
     seed: int = 0
-    log_every: int = 50
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
@@ -89,7 +89,7 @@ class RlConfig:
         for name in ("critic_lr", "actor_lr", "tau", "dt"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("batch_size", "buffer_capacity", "iterations", "episode_len", "log_every"):
+        for name in ("batch_size", "buffer_capacity", "iterations", "episode_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if self.exploration_std < 0.0 or self.exploration_std_final < 0.0:
@@ -151,7 +151,7 @@ def collect_episode(
     buffer: ReplayBuffer,
     cfg: RlConfig,
     rng: np.random.Generator,
-    exploration_std: float | None = None,
+    sigma: float,
 ) -> None:
     """Roll one episode through the true dynamics and append its transitions.
 
@@ -166,12 +166,11 @@ def collect_episode(
         nominal_cfg: nominal task policy parameters.
         margin_fn: batched callable (n, 3) -> (n,) margins.
         buffer: destination buffer.
-        cfg: supplies episode_len, mix_nominal, exploration_std, dt.
+        cfg: supplies episode_len, mix_nominal, dt.
         rng: generator driving resets, the coin, and the noise.
-        exploration_std: override of cfg.exploration_std (the trainer passes
+        sigma: std of the fallback exploration noise (the trainer passes
             the annealed value).
     """
-    sigma = cfg.exploration_std if exploration_std is None else float(exploration_std)
     use_nominal = bool(cfg.mix_nominal) and rng.random() < 0.5
     source = SOURCE_NOMINAL if use_nominal else SOURCE_FALLBACK
 
@@ -208,7 +207,7 @@ def critic_update(
     target_actor: MlpNet,
     batch: dict,
     cfg: RlConfig,
-    opt: AdamState | None = None,
+    opt: AdamState,
 ) -> float:
     """One supervised step of the critic toward the discounted safety backup.
 
@@ -225,15 +224,14 @@ def critic_update(
         target_critic: slow copy providing the bootstrap term.
         target_actor: slow actor copy choosing the bootstrap action at z_next.
         batch: arrays z, a, l, z_next.
-        cfg: supplies gamma, critic_lr, tau.
-        opt: persistent Adam state; a fresh one is used when omitted.
+        cfg: supplies gamma and tau.
+        opt: the critic's persistent Adam state.
 
     Returns:
         The scalar mean-squared-error loss before the step.
     """
     if batch["z"].shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    opt = opt if opt is not None else AdamState(learning_rate=cfg.critic_lr)
     a_boot = actor_action(target_actor, batch["z_next"])
     q_next = mlp_forward(target_critic, critic_features(batch["z_next"], a_boot))[:, 0]
     y = (1.0 - cfg.gamma) * batch["l"] + cfg.gamma * np.minimum(batch["l"], q_next)
@@ -253,8 +251,7 @@ def actor_update(
     actor: MlpNet,
     critic: MlpNet,
     batch: dict,
-    cfg: RlConfig,
-    opt: AdamState | None = None,
+    opt: AdamState,
 ) -> float:
     """One Adam step of the actor on the loss -mean Q(z, actor(z)).
 
@@ -266,8 +263,7 @@ def actor_update(
         actor: live fallback actor (tanh head).
         critic: frozen critic scoring the actor's actions.
         batch: must contain z.
-        cfg: supplies actor_lr.
-        opt: persistent Adam state; a fresh one is used when omitted.
+        opt: the actor's persistent Adam state.
 
     Returns:
         The scalar loss -mean Q before the step.
@@ -275,7 +271,6 @@ def actor_update(
     states = batch["z"]
     if states.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    opt = opt if opt is not None else AdamState(learning_rate=cfg.actor_lr)
     n = states.shape[0]
 
     def neg_mean_q(outputs: np.ndarray):
@@ -350,18 +345,18 @@ def train_safety_rl(
     for it in range(cfg.iterations):
         frac = it / span
         sigma = cfg.exploration_std + frac * (cfg.exploration_std_final - cfg.exploration_std)
-        collect_episode(actor, nominal_cfg, margin_fn, buffer, cfg, rng, exploration_std=sigma)
+        collect_episode(actor, nominal_cfg, margin_fn, buffer, cfg, rng, sigma)
         if len(buffer) >= cfg.batch_size:
             batch = buffer.sample(rng, cfg.batch_size)
             critic_loss = critic_update(critic, target_critic, target_actor, batch, cfg, critic_opt)
-            actor_loss = actor_update(actor, critic, batch, cfg, actor_opt)
+            actor_loss = actor_update(actor, critic, batch, actor_opt)
             soft_update(target_actor, actor, cfg.tau)
             if critic_loss > DIVERGENCE_LIMIT:
                 raise RuntimeError(
                     f"critic diverged at iteration {it}: loss {critic_loss:.3g} "
                     f"(buffer size {len(buffer)}, nominal fraction {buffer.nominal_fraction():.3f})"
                 )
-        if it % cfg.log_every == 0 or it == cfg.iterations - 1:
+        if it % LOG_EVERY == 0 or it == cfg.iterations - 1:
             history.iterations.append(it)
             history.critic_losses.append(critic_loss)
             history.actor_losses.append(actor_loss)

@@ -337,7 +337,7 @@ def reference_adam_step(net: MlpNet, grads: MlpGrads, state) -> None:
         p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
 
 
-def two_pass_actor_update(actor: MlpNet, critic: MlpNet, batch: dict, cfg, opt) -> float:
+def two_pass_actor_update(actor: MlpNet, critic: MlpNet, batch: dict, opt) -> float:
     """rl.actor_update with Q and dQ/da from two separate critic passes."""
     states = batch["z"]
     n = states.shape[0]

@@ -50,6 +50,31 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sub,lines",
+    [
+        ("solve-grid", ["vi_max_sweeps = 0"]),
+        ("solve-grid", ["vi_tol = 0"]),
+        ("filter-eval", ["grid_nx = 2", "margin_mode = gp"]),
+        ("filter-eval", ["n_action_samples = 1"]),
+        ("train-margin", ["margin_learning_rate = 0", "margin_mode = gp"]),
+        ("bench", ["bench_sizes = 0"]),
+        ("demo", ["seed = -1"]),
+    ],
+    ids=["vi_max_sweeps", "vi_tol", "grid_nx", "n_action_samples", "margin_learning_rate", "bench_sizes", "seed"],
+)
+def test_out_of_range_value_exits_2_before_any_artifact(tmp_path, capsys, sub, lines):
+    # The library would refuse each value only at run time, some after a net
+    # has trained; the schema's ranges refuse it at load.
+    out = tmp_path / "o"
+    out.mkdir()
+    cfg = _write_cfg(tmp_path, *lines)
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+    key = lines[0].split(" = ")[0]  # the out-of-range line comes first
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_bound_hypothesis_violation_exits_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "lip_gamma = 0.96", "lip_fd_samples = 500")
     assert main(["verify-bound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

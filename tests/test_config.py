@@ -1,5 +1,9 @@
 """Tests for the flat key=value config parser and schema."""
 
+import math
+import re
+
+import numpy as np
 import pytest
 
 from cbfforge.config import (
@@ -11,6 +15,13 @@ from cbfforge.config import (
     load_config,
     parse_config_text,
 )
+from cbfforge.dubins import NominalPolicyConfig, equispaced_actions, estimate_dynamics_lipschitz, rollout
+from cbfforge.experiments import throughput_benchmark
+from cbfforge.filters import FilterConfig, GridBackend
+from cbfforge.hj import GridField, GridSpec, value_iteration, verify_margin_value_bound
+from cbfforge.margin import MarginTrainConfig
+from cbfforge.nets import mlp_init
+from cbfforge.rl import RlConfig
 
 
 def test_defaults_cover_every_key():
@@ -60,7 +71,7 @@ def test_parse_rejects_unknown_and_malformed(tmp_path):
         parse_config_text("train_missing = maybe")
 
 
-@pytest.mark.parametrize("key", [key for key, spec in SCHEMA.items() if spec[2] is not None])
+@pytest.mark.parametrize("key", [key for key, spec in SCHEMA.items() if isinstance(spec[2], tuple)])
 def test_every_choice_key_rejects_a_bad_override(key):
     kind, _, choices, _ = SCHEMA[key]
     bad, good = ((choices[0], "bogus"), choices) if kind == "strs" else ("bogus", choices[-1])
@@ -70,13 +81,13 @@ def test_every_choice_key_rejects_a_bad_override(key):
 
 
 def test_validation_rules():
-    with pytest.raises(ConfigError, match="alpha"):
+    with pytest.raises(ConfigError, match=re.escape("alpha: 1.0 is not in [0, 1)")):
         load_config(overrides={"alpha": 1.0})
-    with pytest.raises(ConfigError, match="epsilon"):
+    with pytest.raises(ConfigError, match=re.escape("epsilon: -0.1 is not in (0, inf)")):
         load_config(overrides={"epsilon": -0.1})
-    with pytest.raises(ConfigError, match="dt"):
+    with pytest.raises(ConfigError, match=re.escape("dt: 0.0 is not in (0, inf)")):
         load_config(overrides={"dt": 0.0})
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match=re.escape("n_rollouts: 0 is not in [1, inf)")):
         load_config(overrides={"n_rollouts": 0})
     with pytest.raises(ConfigError, match="methods"):
         load_config(overrides={"methods": ("none", "pid")})
@@ -108,3 +119,147 @@ def test_describe_keys_documents_everything():
     text = describe_keys()
     for key in SCHEMA:
         assert key in text
+
+
+def test_describe_keys_prints_each_range():
+    text = describe_keys()
+    assert "vi_max_sweeps (int, default 2000): sweep cap of the grid solve (in [1, inf))" in text
+    assert "margin_mode (str, default 'exact')" in text and "(one of exact, gp, nogp)" in text
+
+
+# ------------------------------------------------------------------ ranges
+
+
+def _scalar(key, value):
+    """value as the scalar type of key (or of its elements)."""
+    return int(value) if SCHEMA[key][0].startswith("int") else float(value)
+
+
+def _typed(key, value):
+    """value as key holds it: a scalar, or a 1-tuple for a list key."""
+    return (_scalar(key, value),) if SCHEMA[key][0].endswith("s") else _scalar(key, value)
+
+
+def _finite_ends(key):
+    """(side, value just outside, closed end or None) per finite interval end."""
+    allowed = SCHEMA[key][2]
+    low, high = (float(end) for end in allowed[1:-1].split(","))
+    ends = []
+    for side, end, closed, away in (("low", low, allowed[0] == "[", -1.0), ("high", high, allowed[-1] == "]", 1.0)):
+        if math.isinf(end):
+            continue
+        outside = end
+        if closed:
+            outside = end + away if SCHEMA[key][0].startswith("int") else math.nextafter(end, away * math.inf)
+        ends.append((side, outside, end if closed else None))
+    return ends
+
+
+RANGED = [key for key, spec in SCHEMA.items() if isinstance(spec[2], str)]
+ENDS = [
+    pytest.param(key, outside, closed, id=f"{key}-{side}")
+    for key in RANGED
+    for side, outside, closed in _finite_ends(key)
+]
+
+
+@pytest.mark.parametrize("key", [key for key in RANGED if SCHEMA[key][0].startswith("float")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_are_refused(key, bad):
+    with pytest.raises(ConfigError, match=f"^{key}: .* is not in "):
+        load_config(None, {key: _typed(key, bad)})
+
+
+@pytest.mark.parametrize("key", list(SCHEMA))
+def test_wrongly_typed_override_names_the_key(key):
+    kind = SCHEMA[key][0]
+    bad = 3 if kind.startswith("str") else "3"
+    with pytest.raises(ConfigError, match=f"^{key}: expected "):
+        load_config(None, {key: (bad,) if kind.endswith("s") else bad})
+    if kind.endswith("s"):
+        with pytest.raises(ConfigError, match=f"^{key}: expected a tuple"):
+            load_config(None, {key: list(SCHEMA[key][1])})
+
+
+# Drift guard: for every ranged key that a library object also checks, the
+# table and the library agree at each finite end.  The value just outside is
+# refused by both and a closed end is accepted by both, so load_config never
+# refuses a run the library would accept, nor passes a value the library
+# refuses (non-finite values aside: only the table refuses those).
+
+
+def _margin():
+    return GridField(GridSpec(nx=5, ny=5, ntheta=6), np.full((5, 5, 6), 0.1), kind="margin")
+
+
+def _solve(**kwargs):
+    args = dict(margin=_margin(), action_set=equispaced_actions(3), gamma=0.9, max_iters=5)
+    return value_iteration(**{**args, **kwargs})
+
+
+def _bench(sizes, reps):
+    margin = _margin()
+    backend = GridBackend(GridField(margin.spec, margin.values, kind="value"), margin, actions=equispaced_actions(3))
+    return throughput_benchmark(backend, sizes, "model_free", reps)
+
+
+LIBRARY = {
+    "nominal_noise_std": [lambda v: NominalPolicyConfig(noise_std=v)],
+    "nominal_gain": [lambda v: NominalPolicyConfig(gain=v)],
+    "lambda_zs": [lambda v: MarginTrainConfig(lambda_zs=v)],
+    "lambda_gp": [lambda v: MarginTrainConfig(lambda_gp=v)],
+    "lambda_sign": [lambda v: MarginTrainConfig(lambda_sign=v)],
+    "sign_delta": [lambda v: MarginTrainConfig(delta=v)],
+    "gp_beta": [lambda v: MarginTrainConfig(beta=v)],
+    "margin_iterations": [lambda v: MarginTrainConfig(iterations=v)],
+    "margin_batch_size": [lambda v: MarginTrainConfig(batch_size=v)],
+    "margin_learning_rate": [lambda v: MarginTrainConfig(learning_rate=v)],
+    "margin_hidden_dims": [lambda v: mlp_init([3, v, 1])],
+    "grid_nx": [lambda v: GridSpec(nx=v)],
+    "grid_ny": [lambda v: GridSpec(ny=v)],
+    "grid_ntheta": [lambda v: GridSpec(ntheta=v)],
+    "n_action_samples": [equispaced_actions],
+    "gamma": [lambda v: RlConfig(gamma=v), lambda v: FilterConfig(gamma=v), lambda v: _solve(gamma=v)],
+    "dt": [lambda v: RlConfig(dt=v), lambda v: FilterConfig(dt=v), lambda v: _solve(dt=v)],
+    "vi_tol": [lambda v: _solve(tol=v)],
+    "vi_max_sweeps": [lambda v: _solve(max_iters=v)],
+    "rl_iterations": [lambda v: RlConfig(iterations=v)],
+    "rl_batch_size": [lambda v: RlConfig(batch_size=v)],
+    "rl_buffer_capacity": [lambda v: RlConfig(buffer_capacity=v)],
+    "rl_episode_len": [lambda v: RlConfig(episode_len=v)],
+    "rl_actor_dims": [lambda v: mlp_init([3, v, 1])],
+    "rl_critic_dims": [lambda v: mlp_init([4, v, 1])],
+    "rl_critic_lr": [lambda v: RlConfig(critic_lr=v)],
+    "rl_actor_lr": [lambda v: RlConfig(actor_lr=v)],
+    "rl_tau": [lambda v: RlConfig(tau=v)],
+    "rl_exploration_std": [lambda v: RlConfig(exploration_std=v)],
+    "rl_exploration_std_final": [lambda v: RlConfig(exploration_std_final=v)],
+    "alpha": [lambda v: FilterConfig(alpha=v)],
+    "alpha_list": [lambda v: FilterConfig(alpha=v)],
+    "epsilon": [lambda v: FilterConfig(epsilon=v)],
+    "rollout_steps": [lambda v: rollout(lambda s: 0.0, np.array([-1.0, 0.4, 0.0]), v)],
+    "lip_gamma": [lambda v: verify_margin_value_bound(_margin(), v, 0.1, equispaced_actions(3), L_f=1.05)],
+    "lip_fd_samples": [lambda v: estimate_dynamics_lipschitz(n_samples=v)],
+    "bench_sizes": [lambda v: _bench((v,), 1)],
+    "bench_reps": [lambda v: _bench((1,), v)],
+}
+# Ranged keys no library object checks: the table is their only owner.
+TABLE_ONLY = {"seed", "n_rollouts", "margin_train_points"}
+
+
+def test_every_ranged_key_is_guarded_or_table_only():
+    assert set(LIBRARY) | TABLE_ONLY == set(RANGED)
+    assert not set(LIBRARY) & TABLE_ONLY
+
+
+@pytest.mark.parametrize("key,outside,closed", ENDS)
+def test_every_interval_end_is_enforced(key, outside, closed):
+    with pytest.raises(ConfigError, match=f"^{key}: .* is not in "):
+        load_config(None, {key: _typed(key, outside)})
+    for library in LIBRARY.get(key, []):
+        with pytest.raises(ValueError):
+            library(_scalar(key, outside))
+    if closed is not None:
+        assert load_config(None, {key: _typed(key, closed)})[key] == _typed(key, closed)
+        for library in LIBRARY.get(key, []):
+            library(_scalar(key, closed))

@@ -190,6 +190,15 @@ class TestValueIteration:
         with pytest.raises(ValueError):
             value_iteration(margin, equispaced_actions(3), 0.9, tol=0.0)
 
+    def test_zero_sweep_cap_rejected(self):
+        # A solve with no sweep has no residual for require_converged to
+        # report; one sweep is the smallest solve.
+        margin = constant_field(GridSpec(nx=5, ny=5, ntheta=4), 0.1)
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            value_iteration(margin, equispaced_actions(3), 0.9, max_iters=0)
+        sol = value_iteration(margin, equispaced_actions(3), 0.9, tol=1e-12, max_iters=1)
+        assert sol.sweeps == 1 and len(sol.residuals) == 1
+
     @pytest.mark.parametrize("shape", [(41, 41, 21), (17, 23, 9), (9, 9, 6)])
     @pytest.mark.parametrize("dt", [0.1, 0.35, 2.0])
     @pytest.mark.parametrize(

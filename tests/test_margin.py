@@ -11,7 +11,9 @@ import pytest
 
 import cbfforge
 import cbfforge.margin as margin_module
+from cbfforge.config import load_config
 from cbfforge.dubins import NominalPolicyConfig, nominal_policy, rollout, signed_distance_margin
+from cbfforge.experiments import field_margin, resolve_margin
 from cbfforge.margin import (
     MarginDataset,
     MarginTrainConfig,
@@ -88,24 +90,24 @@ class TestSignLoss:
 
 class TestInterpolatePair:
     def test_endpoints(self):
-        zp = np.array([0.2, -0.3, 1.0])
-        zm = np.array([-0.5, 0.8, -2.0])
+        zp = np.array([[0.2, -0.3, 1.0]])
+        zm = np.array([[-0.5, 0.8, -2.0]])
         np.testing.assert_allclose(interpolate_pair(zp, zm, 0.0), zp)
         np.testing.assert_allclose(interpolate_pair(zp, zm, 1.0), zm)
 
     def test_midpoint_with_shorter_arc(self):
-        got = interpolate_pair(np.array([0.0, 0.0, 0.1]), np.array([1.0, 1.0, -0.1]), 0.5)
-        np.testing.assert_allclose(got, [0.5, 0.5, 0.0], atol=1e-12)
+        got = interpolate_pair(np.array([[0.0, 0.0, 0.1]]), np.array([[1.0, 1.0, -0.1]]), 0.5)
+        np.testing.assert_allclose(got, [[0.5, 0.5, 0.0]], atol=1e-12)
 
     def test_arc_across_wrap(self):
         # From theta = pi - 0.1 to theta = -pi + 0.1 the shorter arc crosses
         # the wrap plane; the midpoint is at the wrap, not at 0.
-        got = interpolate_pair(np.array([0.0, 0.0, np.pi - 0.1]), np.array([0.0, 0.0, -np.pi + 0.1]), 0.5)
-        assert abs(got[2]) == pytest.approx(np.pi)
+        got = interpolate_pair(np.array([[0.0, 0.0, np.pi - 0.1]]), np.array([[0.0, 0.0, -np.pi + 0.1]]), 0.5)
+        assert abs(got[0, 2]) == pytest.approx(np.pi)
 
     def test_eta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            interpolate_pair(np.zeros(3), np.ones(3), 1.5)
+            interpolate_pair(np.zeros((1, 3)), np.ones((1, 3)), 1.5)
 
 
 class TestMarginLoss:
@@ -116,7 +118,7 @@ class TestMarginLoss:
         cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0)
         safe = np.array([[1.0, 0.0, 0.0]])
         fail = np.array([[-1.0, 0.0, 0.0]])
-        value, _ = margin_loss(net, safe, fail, cfg)
+        value, _ = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed))
         assert value == pytest.approx(-0.2, abs=1e-12)
 
     def test_penalty_contributes(self):
@@ -125,7 +127,7 @@ class TestMarginLoss:
         cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0)
         safe = np.array([[0.5, 0.0, 0.0]])
         fail = np.array([[-0.5, 0.0, 0.0]])
-        value, _ = margin_loss(net, safe, fail, cfg)
+        value, _ = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed))
         assert value == pytest.approx(0.1 * (-1.0 - 1.0) + 10.0, abs=1e-12)
 
     def test_linear_closed_form_gradient(self):
@@ -137,7 +139,7 @@ class TestMarginLoss:
         cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=0.1)
         safe = rng.normal(size=(6, 3))
         fail = rng.normal(size=(6, 3))
-        value, grads = margin_loss(net, safe, fail, cfg)
+        value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed))
         norm = np.linalg.norm(w)
         expect_w = cfg.lambda_zs * (fail.mean(axis=0) - safe.mean(axis=0))
         expect_w = expect_w + cfg.lambda_gp * 2.0 * (norm - cfg.beta) * w / norm
@@ -150,7 +152,7 @@ class TestMarginLoss:
     def test_penalty_zero_iff_norm_beta(self):
         net = linear_net(np.array([0.3, 0.0, 0.0]))
         cfg = MarginTrainConfig(lambda_zs=0.0, lambda_gp=5.0, lambda_sign=0.0, beta=0.3)
-        value, grads = margin_loss(net, np.ones((3, 3)), -np.ones((3, 3)), cfg)
+        value, grads = margin_loss(net, np.ones((3, 3)), -np.ones((3, 3)), cfg, np.random.default_rng(cfg.seed))
         assert value == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(flat_grads(grads), 0.0, atol=1e-12)
 
@@ -179,7 +181,7 @@ class TestMarginLoss:
     def test_nogp_equals_hinge_pass_exactly(self, seed):
         safe, fail, net = _fixed_batches(seed, 256, 256, use_gp=False)
         cfg = MarginTrainConfig(use_gp=False, seed=seed)
-        value, grads = margin_loss(net, safe, fail, cfg)
+        value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
         ref_value, ref_grads = three_pass_margin_loss(net, safe, fail, cfg, None)
         assert np.array_equal(flat_grads(grads), flat_grads(ref_grads))
         assert value == ref_value
@@ -199,7 +201,7 @@ class TestMarginLoss:
         for name in ("param_gradient", "penalty_param_gradient"):
             monkeypatch.setattr(margin_module, name, counted(name))
         safe, fail, net = _fixed_batches(0, 64, 64, use_gp=True)
-        margin_loss(net, safe, fail, MarginTrainConfig(use_gp=True))
+        margin_loss(net, safe, fail, MarginTrainConfig(use_gp=True), np.random.default_rng(0))
         assert sorted(calls) == ["param_gradient", "penalty_param_gradient"]
 
 
@@ -370,13 +372,13 @@ class TestEvaluateMargin:
 
     def test_constant_margin_has_zero_step_delta(self):
         recs = self.make_rollouts()
-        metrics = evaluate_margin(constant_net(1.0), recs)
+        metrics = evaluate_margin(net_margin_fn(constant_net(1.0)), recs)
         assert metrics["max_step_delta_mean"] == 0.0
         assert metrics["max_step_delta_std"] == 0.0
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_margin(constant_net(1.0), [])
+            evaluate_margin(net_margin_fn(constant_net(1.0)), [])
 
     def test_metrics_csv(self, tmp_path):
         path = tmp_path / "metrics.csv"
@@ -386,9 +388,15 @@ class TestEvaluateMargin:
         assert lines[1].startswith("f1,")
         assert len(lines) == 3
 
-    def test_clip_applies_only_when_requested(self):
-        net = constant_net(3.0)
-        raw = net_margin_fn(net)(np.zeros((1, 3)))
-        clipped = net_margin_fn(net, clip=(-1.0, 1.0))(np.zeros((1, 3)))
+    def test_clip_applies_only_when_requested(self, tmp_path):
+        # Only the unbounded GP net is clipped, and only where it labels grid
+        # cells: the raw margin and a NoGP net's field margin pass through.
+        path = str(tmp_path / "margin.txt")
+        save_model(constant_net(3.0), path)
+        cfgs = {mode: load_config(None, {"margin_mode": mode, "margin_model": path}) for mode in ("gp", "nogp")}
+        raw = resolve_margin(cfgs["gp"], str(tmp_path))(np.zeros((1, 3)))
+        clipped = field_margin(cfgs["gp"], str(tmp_path))(np.zeros((1, 3)))
+        unclipped = field_margin(cfgs["nogp"], str(tmp_path))(np.zeros((1, 3)))
         assert raw[0] == pytest.approx(3.0)
         assert clipped[0] == pytest.approx(1.0)
+        assert unclipped[0] == pytest.approx(3.0)

@@ -46,7 +46,6 @@ def _tiny_cfg(**overrides):
         episode_len=4,
         actor_dims=(16, 16),
         critic_dims=(16, 16),
-        log_every=10,
         seed=3,
     )
     base.update(overrides)
@@ -142,16 +141,17 @@ def test_collect_all_fallback_without_mixing():
     cfg = _tiny_cfg(mix_nominal=False, episode_len=6)
     buf = ReplayBuffer(64)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=0)
-    assert collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(0)) is None
+    rng = np.random.default_rng(0)
+    assert collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, rng, cfg.exploration_std) is None
     assert len(buf) == 6
     assert np.all(buf.source[:6] == SOURCE_FALLBACK)
 
 
 def test_collect_single_step_stores_noise_free_actor_action():
-    cfg = _tiny_cfg(mix_nominal=False, episode_len=1, exploration_std=0.0)
+    cfg = _tiny_cfg(mix_nominal=False, episode_len=1)
     buf = ReplayBuffer(8)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=1)
-    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(5), exploration_std=0.0)
+    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(5), 0.0)
     # noise-free fallback: the stored action is exactly the actor's output
     assert len(buf) == 1
     assert buf.a[0] == pytest.approx(actor_action(actor, buf.z[0]))
@@ -161,7 +161,7 @@ def test_collect_chains_states_and_actions():
     cfg = _tiny_cfg(episode_len=5)
     buf = ReplayBuffer(64)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=2)
-    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(9))
+    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(9), cfg.exploration_std)
     assert len(buf) == 5
     assert len(set(buf.source[:5].tolist())) == 1  # one coin flip per episode
     for k in range(4):
@@ -172,7 +172,7 @@ def test_collect_steps_at_configured_dt():
     cfg = _tiny_cfg(mix_nominal=False, episode_len=5, dt=0.05)
     buf = ReplayBuffer(64)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=2)
-    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(9))
+    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(9), cfg.exploration_std)
     for k in range(5):
         np.testing.assert_array_equal(buf.z_next[k], dynamics_step(buf.z[k], buf.a[k], 0.05))
 
@@ -182,7 +182,7 @@ def test_collect_labels_bounded_even_for_wild_margins():
     buf = ReplayBuffer(64)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=0)
     wild = lambda pts: 1e6 * np.ones(len(np.atleast_2d(pts)))
-    collect_episode(actor, NOM_CFG, wild, buf, cfg, np.random.default_rng(1))
+    collect_episode(actor, NOM_CFG, wild, buf, cfg, np.random.default_rng(1), cfg.exploration_std)
     assert np.all((-1.0 <= buf.l[:4]) & (buf.l[:4] <= 1.0))
     assert buf.l[0] == pytest.approx(1.0)
 
@@ -193,15 +193,15 @@ def test_collect_fair_coin_proportion():
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=0)
     rng = np.random.default_rng(123)
     for _ in range(10000):
-        collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, rng)
+        collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, rng, cfg.exploration_std)
     assert 0.45 <= buf.nominal_fraction() <= 0.55
 
 
 def test_collect_exploration_noise_is_clipped():
-    cfg = _tiny_cfg(mix_nominal=False, episode_len=32, buffer_capacity=4096, exploration_std=5.0)
+    cfg = _tiny_cfg(mix_nominal=False, episode_len=32, buffer_capacity=4096)
     buf = ReplayBuffer(4096)
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=0)
-    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(2))
+    collect_episode(actor, NOM_CFG, signed_distance_margin, buf, cfg, np.random.default_rng(2), 5.0)
     acts = buf.a[: len(buf)]
     assert np.all(np.abs(acts) <= 2.0)
     assert np.any(np.abs(np.abs(acts) - 2.0) < 1e-12)  # sigma=5 saturates some
@@ -228,7 +228,7 @@ def test_critic_target_arithmetic_examples():
             "z_next": np.zeros((4, 3)),
         }
         cfg = _tiny_cfg(gamma=0.995)
-        loss = critic_update(critic, target, target_actor, batch, cfg)
+        loss = critic_update(critic, target, target_actor, batch, cfg, AdamState(learning_rate=cfg.critic_lr))
         assert loss == pytest.approx(y**2)  # critic outputs 0 everywhere
 
 
@@ -248,7 +248,8 @@ def test_critic_bootstrap_uses_target_actor_not_stored_action():
         "l": np.ones(4),
         "z_next": np.zeros((4, 3)),
     }
-    loss = critic_update(critic, target, _zero_actor(), batch, _tiny_cfg(gamma=0.995))
+    cfg = _tiny_cfg(gamma=0.995)
+    loss = critic_update(critic, target, _zero_actor(), batch, cfg, AdamState(learning_rate=cfg.critic_lr))
     assert loss == pytest.approx(0.005**2)
 
 
@@ -264,13 +265,14 @@ def test_critic_update_moves_critic_and_target():
         "z_next": rng.normal(size=(16, 3)),
     }
     cfg = _tiny_cfg()
-    critic_update(critic, target, _zero_actor(), batch, cfg)
+    opt = AdamState(learning_rate=cfg.critic_lr)
+    critic_update(critic, target, _zero_actor(), batch, cfg, opt)
     assert any(not np.array_equal(b, w) for b, w in zip(before, critic.weights))
     # target moved tau of the way toward the updated critic
     expected = (1.0 - cfg.tau) * before[0] + cfg.tau * critic.weights[0]
     assert np.allclose(target.weights[0], expected)
     with pytest.raises(ValueError):
-        critic_update(critic, target, _zero_actor(), {k: v[:0] for k, v in batch.items()}, cfg)
+        critic_update(critic, target, _zero_actor(), {k: v[:0] for k, v in batch.items()}, cfg, opt)
 
 
 def test_critic_regression_converges_on_fixed_batch():
@@ -335,7 +337,7 @@ def test_actor_saturates_under_monotone_critic():
     opt = AdamState(learning_rate=cfg.actor_lr)
     states = np.random.default_rng(0).uniform(-1, 1, size=(32, 3))
     for _ in range(400):
-        actor_update(actor, critic, {"z": states}, cfg, opt)
+        actor_update(actor, critic, {"z": states}, opt)
     assert np.all(actor_action(actor, states) > 1.9)
 
 
@@ -344,7 +346,8 @@ def test_actor_unchanged_under_constant_critic():
     actor = mlp_init([3, 8, 1], output_activation="tanh", seed=8)
     before_w = [w.copy() for w in actor.weights]
     before_b = [b.copy() for b in actor.biases]
-    loss = actor_update(actor, critic, {"z": np.random.default_rng(1).normal(size=(16, 3))}, _tiny_cfg())
+    states = np.random.default_rng(1).normal(size=(16, 3))
+    loss = actor_update(actor, critic, {"z": states}, AdamState(learning_rate=_tiny_cfg().actor_lr))
     assert loss == pytest.approx(-0.42)
     assert all(np.array_equal(b, w) for b, w in zip(before_w, actor.weights))
     assert all(np.array_equal(b, a) for b, a in zip(before_b, actor.biases))
@@ -371,7 +374,8 @@ def test_train_writes_checkpoints_and_curve(tmp_path, monkeypatch):
     import cbfforge.rl as rl_mod
 
     monkeypatch.setattr(rl_mod, "CHECKPOINT_EVERY", 30)
-    cfg = _tiny_cfg(iterations=70, batch_size=16, episode_len=4, log_every=7)
+    monkeypatch.setattr(rl_mod, "LOG_EVERY", 7)
+    cfg = _tiny_cfg(iterations=70, batch_size=16, episode_len=4)
     out = str(tmp_path / "run")
     train_safety_rl(signed_distance_margin, NOM_CFG, cfg, out_dir=out)
     names = sorted(os.listdir(out))
@@ -490,7 +494,7 @@ def test_actor_update_equals_two_pass_oracle(dtype):
     opt, ref_opt = AdamState(learning_rate=cfg.actor_lr), AdamState(learning_rate=cfg.actor_lr)
     for seed in range(3):
         batch = _small_batch(seed=seed)
-        assert actor_update(actor, critic, batch, cfg, opt) == two_pass_actor_update(ref, critic, batch, cfg, ref_opt)
+        assert actor_update(actor, critic, batch, opt) == two_pass_actor_update(ref, critic, batch, ref_opt)
         assert _equal_nets(actor, ref)
 
 
@@ -504,9 +508,9 @@ def test_critic_update_equals_reference_path(monkeypatch, dtype):
     ]
     ref = [net.copy() for net in nets]
     batch = _small_batch()
-    loss = critic_update(*nets, batch, cfg)
+    loss = critic_update(*nets, batch, cfg, AdamState(learning_rate=cfg.critic_lr))
     _use_reference_nets(monkeypatch)
-    assert critic_update(*ref, batch, cfg) == loss
+    assert critic_update(*ref, batch, cfg, AdamState(learning_rate=cfg.critic_lr)) == loss
     assert all(_equal_nets(a, b) for a, b in zip(nets, ref))
 
 
@@ -538,7 +542,7 @@ def test_actor_update_makes_one_critic_pass(monkeypatch):
 
     for name in ("mlp_forward", "input_gradient"):
         monkeypatch.setattr(rl_module, name, counted(name))
-    actor_update(actor, critic, _small_batch(), _tiny_cfg())
+    actor_update(actor, critic, _small_batch(), AdamState(learning_rate=_tiny_cfg().actor_lr))
     assert critic_calls == ["input_gradient"]
 
 
@@ -603,8 +607,8 @@ def test_updates_leave_the_batch_unchanged():
     actor = mlp_init([3, 32, 32, 1], output_activation="tanh", seed=11)
     batch = _small_batch()
     kept = {key: arr.copy() for key, arr in batch.items()}
-    critic_update(critic, critic.copy(), actor.copy(), batch, cfg)
-    actor_update(actor, critic, batch, cfg)
+    critic_update(critic, critic.copy(), actor.copy(), batch, cfg, AdamState(learning_rate=cfg.critic_lr))
+    actor_update(actor, critic, batch, AdamState(learning_rate=cfg.actor_lr))
     assert all(np.array_equal(batch[key], kept[key]) for key in kept)
 
 
@@ -618,7 +622,7 @@ def _wide_rl_setup():
     opts = AdamState(learning_rate=cfg.critic_lr), AdamState(learning_rate=cfg.actor_lr)
     batch = _small_batch(n=256)
     critic_update(critic, *targets, batch, cfg, opts[0])
-    actor_update(actor, critic, batch, cfg, opts[1])
+    actor_update(actor, critic, batch, opts[1])
     return cfg, critic, actor, targets, opts, batch
 
 
@@ -635,4 +639,4 @@ def test_critic_update_memory_budget():
 
 def test_actor_update_memory_budget():
     cfg, critic, actor, _, opts, batch = _wide_rl_setup()
-    assert traced_peak_bytes(lambda: actor_update(actor, critic, batch, cfg, opts[1])) <= 10 * RL_BLOCK
+    assert traced_peak_bytes(lambda: actor_update(actor, critic, batch, opts[1])) <= 10 * RL_BLOCK

@@ -154,12 +154,12 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
+def load_config(path: str | None, overrides: dict) -> dict:
     """Defaults, then file settings, then programmatic overrides.
 
     Args:
-        path: optional config file.
-        overrides: optional already-typed settings (e.g. CLI flags).
+        path: config file, or None for the defaults alone.
+        overrides: already-typed settings (e.g. CLI flags).
 
     Returns:
         Complete validated config dict covering every schema key.
@@ -172,7 +172,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         cfg.update(parse_config_text(text))
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = value
@@ -197,7 +197,8 @@ def validate_config(cfg: dict) -> None:
         if scalar != kind and not isinstance(value, tuple):
             raise ConfigError(f"{key}: expected a tuple of {kind}, got {value!r}")
         for item in value if scalar != kind else (value,):
-            if not isinstance(item, _TYPES[scalar]):
+            # bool subclasses int, so True would pass as 1 without the second test.
+            if not isinstance(item, _TYPES[scalar]) or (isinstance(item, bool) and scalar != "bool"):
                 raise ConfigError(f"{key}: expected {kind}, got {item!r}")
             if allowed is not None and not _allowed(item, allowed):
                 where = "one of" if isinstance(allowed, tuple) else "in"

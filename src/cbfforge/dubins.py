@@ -2,14 +2,14 @@
 
 States are numpy arrays ``[x, y, theta]`` (batches are ``(n, 3)``).  The car
 moves at unit speed, the action is the turn rate in [-2, 2], integration is
-RK4 with dt = 0.1 by default.  Positions are clamped to the workspace box
-[-1.5, 1.5]^2 after every step and theta is wrapped to [-pi, pi).
+RK4 with step dt.  Positions are clamped to the workspace box [-1.5, 1.5]^2
+after every step and theta is wrapped to [-pi, pi).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ def wrap_angle(theta):
     return np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
 
 
-def equispaced_actions(n: int = 25) -> np.ndarray:
+def equispaced_actions(n: int) -> np.ndarray:
     """n equally spaced turn rates spanning [-2, 2], endpoints included.
 
     This is the shared action discretization: the grid solver maximizes over
@@ -42,8 +42,11 @@ def equispaced_actions(n: int = 25) -> np.ndarray:
     return np.linspace(-ACTION_BOUND, ACTION_BOUND, n)
 
 
-def state_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Distance between states with geodesic (wrapped) angular component."""
+def state_distance(a: np.ndarray, b: np.ndarray):
+    """Distance between states with geodesic (wrapped) angular component.
+
+    States (3,) give a scalar; batches (n, 3) give an (n,) array.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d_xy = a[..., :2] - b[..., :2]
@@ -58,7 +61,7 @@ def _validate_actions(actions: np.ndarray) -> None:
         raise ValueError(f"turn rate outside [-{ACTION_BOUND}, {ACTION_BOUND}]")
 
 
-def dynamics_step_batch(states: np.ndarray, actions, dt: float = DEFAULT_DT) -> np.ndarray:
+def dynamics_step_batch(states: np.ndarray, actions, dt: float) -> np.ndarray:
     """RK4 step of (cos theta, sin theta, a) for a batch of states.
 
     Args:
@@ -92,7 +95,7 @@ def dynamics_step_batch(states: np.ndarray, actions, dt: float = DEFAULT_DT) -> 
     return out
 
 
-def dynamics_step(state: np.ndarray, action: float, dt: float = DEFAULT_DT) -> np.ndarray:
+def dynamics_step(state: np.ndarray, action: float, dt: float) -> np.ndarray:
     """RK4 step for a single state (3,); see dynamics_step_batch."""
     return dynamics_step_batch(np.asarray(state, dtype=float)[None, :], action, dt)[0]
 
@@ -171,7 +174,7 @@ def nominal_policy(
     return float(np.clip(a, -ACTION_BOUND, ACTION_BOUND))
 
 
-def sample_initial_states(rng: np.random.Generator, n: int = 1) -> np.ndarray:
+def sample_initial_states(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform draw from the initial-condition box x in [-1.5, -1],
     y in [-1, 1], theta in [-pi/3, pi/3]."""
     out = np.empty((n, 3))
@@ -196,8 +199,9 @@ class TrajectoryRecord:
     """One executed episode.
 
     states has one more entry than the action arrays; margin_values holds the
-    true signed-distance margin at every visited state.  diagnostics carries
-    optional per-step filter columns (feasible_count, q_nominal, q_fallback).
+    true signed-distance margin at every visited state.  diagnostics holds
+    the per-step filter columns (feasible_count, q_nominal, q_fallback) of a
+    filtered rollout and is empty for an unfiltered one.
     """
 
     states: np.ndarray
@@ -206,7 +210,7 @@ class TrajectoryRecord:
     margin_values: np.ndarray
     collided: bool
     override_magnitudes: np.ndarray
-    diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
+    diagnostics: dict[str, np.ndarray]
 
     @property
     def n_steps(self) -> int:
@@ -217,8 +221,8 @@ def rollout(
     policy,
     x0: np.ndarray,
     n_steps: int,
-    action_filter=None,
-    dt: float = DEFAULT_DT,
+    action_filter,
+    dt: float,
 ) -> TrajectoryRecord:
     """Execute a policy for n_steps or until the state enters the failure set.
 
@@ -226,9 +230,10 @@ def rollout(
         policy: callable state -> nominal action.
         x0: initial state (3,).
         n_steps: cap on executed steps, >= 1.
-        action_filter: optional callable (state, a_nominal) -> decision, a
-            filters.FilterDecision.  Its action is executed and its
-            feasible_count / q_nominal / q_fallback are recorded per step.
+        action_filter: callable (state, a_nominal) -> decision, a
+            filters.FilterDecision, or None to execute the nominal action.
+            A decision's action is executed and its feasible_count /
+            q_nominal / q_fallback are recorded per step.
         dt: integrator step.
     """
     if n_steps < 1:
@@ -309,7 +314,7 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
             writer.writerow(row)
 
 
-def estimate_dynamics_lipschitz(dt: float = DEFAULT_DT, n_samples: int = 1000, seed: int = 0) -> float:
+def estimate_dynamics_lipschitz(dt: float, n_samples: int, seed: int) -> float:
     """Empirical Lipschitz constant of the one-step dynamics in the state.
 
     Samples (state, action, unit direction) triples and returns the largest

@@ -304,7 +304,7 @@ def override_statistics(records) -> tuple[float, float]:
     Steps with |a_exec - a_nom| below dubins.OVERRIDE_THRESHOLD do not count
     as interventions; with no interventions at all both statistics are 0.
     """
-    deltas = np.concatenate([rec.override_magnitudes for rec in records]) if records else np.array([])
+    deltas = np.concatenate([rec.override_magnitudes for rec in records])
     acted = deltas[deltas >= OVERRIDE_THRESHOLD]
     if acted.size == 0:
         return 0.0, 0.0

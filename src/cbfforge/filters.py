@@ -64,8 +64,9 @@ class FilterConfig:
 
     alpha in [0, 1) is the allowed per-step decay rate of the thresholded
     safety value; epsilon > 0 is the safety threshold absorbing learning
-    error.  query_mode selects how candidate actions are scored; gamma and
-    dt must match the artifact the backend was built from.
+    error.  query_mode selects how candidate actions are scored.  gamma and
+    dt are validated but not read: the backend carries the values it was
+    built with.  They stay while the benchmark passes them.
     """
 
     alpha: float = 0.85
@@ -142,19 +143,12 @@ class GridBackend:
     grid was solved with.
     """
 
-    def __init__(
-        self,
-        value: GridField,
-        margin: GridField,
-        actions: np.ndarray | None = None,
-        gamma: float = 0.995,
-        dt: float = DEFAULT_DT,
-    ):
+    def __init__(self, value: GridField, margin: GridField, actions: np.ndarray, gamma: float, dt: float):
         if value.kind != "value" or margin.kind != "margin":
             raise ValueError("expected a value field and a margin field")
         self.value = value
         self.margin = margin
-        self.actions = equispaced_actions() if actions is None else np.asarray(actions, dtype=float)
+        self.actions = np.asarray(actions, dtype=float)
         if self.actions.size == 0:
             raise ValueError("action set must be non-empty")
         self.gamma = float(gamma)
@@ -211,7 +205,7 @@ class CriticBackend:
     maps a state to a tanh-bounded action rescaled to the action interval.
     """
 
-    def __init__(self, critic: MlpNet, actor: MlpNet, dt: float = DEFAULT_DT):
+    def __init__(self, critic: MlpNet, actor: MlpNet, dt: float):
         if critic.output_dim != 1:
             raise ValueError("critic must have a single output")
         if actor.output_dim != 1 or actor.output_activation != "tanh":

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import decode_floats, encode_floats
-from .dubins import (
-    DEFAULT_DT,
-    XY_BOUND,
-    dynamics_step_batch,
-    wrap_angle,
-)
+from .dubins import XY_BOUND, dynamics_step_batch, wrap_angle
 
 FIELD_KINDS = ("margin", "value")
 FIELD_FORMAT = "grid-hex64"  # first header token of a saved field
@@ -48,9 +43,9 @@ class GridSpec:
     spacing 2 pi / ntheta (no duplicate node at +pi).
     """
 
-    nx: int = 61
-    ny: int = 61
-    ntheta: int = 31
+    nx: int
+    ny: int
+    ntheta: int
 
     def __post_init__(self) -> None:
         if self.nx < 3 or self.ny < 3:
@@ -188,8 +183,8 @@ def value_iteration(
     margin: GridField,
     action_set: np.ndarray,
     gamma: float,
-    dt: float = DEFAULT_DT,
-    tol: float = 1e-6,
+    dt: float,
+    tol: float,
     max_iters: int = 2000,
 ) -> ValueSolution:
     """Solve the discounted avoid fixed point by Jacobi sweeps.
@@ -319,7 +314,7 @@ def q_from_value(
     states: np.ndarray,
     actions,
     gamma: float,
-    dt: float = DEFAULT_DT,
+    dt: float,
 ):
     """One-step backup Q(z, a) = (1-g) l(z) + g min(l(z), V(f(z, a))).
 
@@ -370,8 +365,8 @@ def verify_margin_value_bound(
     dt: float,
     action_set: np.ndarray,
     L_f: float,
-    vi_tol: float = 1e-6,
-    max_iters: int = 2000,
+    vi_tol: float,
+    max_iters: int,
 ) -> LipschitzReport:
     """Solve the discounted field and check the margin-to-value
     Lipschitz bound L_V <= L_ell * max(1, (1-gamma)/(1-gamma L_f)).
@@ -412,7 +407,7 @@ def save_field(field: GridField, path: str) -> None:
         fh.write(encode_floats(field.values, sep="\n") + "\n")
 
 
-def load_field(path: str, kind: str = "value") -> GridField:
+def load_field(path: str, kind: str) -> GridField:
     """Read a field written by save_field.
 
     Raises ValueError naming the path when the file records a kind other than

@@ -45,7 +45,7 @@ class MarginDataset:
         self.fail_points = np.atleast_2d(np.asarray(self.fail_points, dtype=float))
 
 
-def build_margin_dataset(n_total: int = 50_000, seed: int = 0) -> MarginDataset:
+def build_margin_dataset(n_total: int, seed: int) -> MarginDataset:
     """Sample n_total states uniformly over the box and label by true margin."""
     rng = np.random.default_rng(seed)
     states = sample_box_states(rng, n_total)
@@ -61,16 +61,16 @@ class MarginTrainConfig:
     always uses the zero-margin hinge.  hidden_dims sizes the MLP.
     """
 
+    iterations: int
+    use_gp: bool
+    seed: int
     lambda_zs: float = 0.1
     lambda_gp: float = 10.0
     lambda_sign: float = 1.0
     beta: float = 0.1
     delta: float = 0.75
     batch_size: int = 256
-    iterations: int = 8000
     learning_rate: float = 1e-3
-    use_gp: bool = True
-    seed: int = 0
     hidden_dims: tuple[int, ...] = (64, 64)
 
     def __post_init__(self) -> None:

@@ -18,7 +18,8 @@ the small MLP type defined here.  Three derivative routes are provided:
 The training forward pass caches each activation's auxiliary value (the
 sigmoid for SiLU, the output for tanh), and every derivative reads it
 instead of re-evaluating ``exp`` or ``tanh``.  Inference (``mlp_forward``)
-runs a cache-free pass that keeps only the current layer and forms no aux.
+runs the same loop cache-free: it keeps only the current layer, forms no
+aux, and gives the same bits.
 
 Precision follows the weights: every entry point casts its inputs and loss
 seeds to the dtype of the net's parameters, so a float64 net computes in
@@ -67,16 +68,16 @@ GRAD_NORM_FLOOR = 1e-12
 TRAIN_DTYPE = np.float32
 
 
-# Each activation returns (value, aux); its derivatives read the array the
-# forward pass kept (the pre-activation, or the value that ReLU and tanh
-# write over it when the forward pass passes overwrite=True) and the cached
-# aux, so no derivative re-evaluates exp or tanh.  ReLU and identity carry
-# no aux, and cache=False asks for none.  Called on its own, an activation
-# leaves its argument unchanged.
+# Each activation takes the pre-activation the forward pass owns and returns
+# (value, aux).  ReLU and tanh write their value over it, and so does SiLU
+# without a cache.  The derivatives read the array the pass kept (the
+# pre-activation, or the value written over it) and the cached aux, so no
+# derivative re-evaluates exp or tanh.  ReLU and identity carry no aux, and
+# cache=False asks for none.
 
 
-def _relu(x: np.ndarray, overwrite: bool = False, cache: bool = True):
-    return np.maximum(x, 0.0, out=x if overwrite else None), None
+def _relu(x: np.ndarray, cache: bool):
+    return np.maximum(x, 0.0, out=x), None
 
 
 def _relu_d(x: np.ndarray, aux) -> np.ndarray:
@@ -89,13 +90,13 @@ def _relu_dd(x: np.ndarray, aux) -> np.ndarray:
     return np.zeros_like(x)
 
 
-def _silu(x: np.ndarray, overwrite: bool = False, cache: bool = True):
+def _silu(x: np.ndarray, cache: bool):
     # Overwrites x only without a cache, as the derivatives read x.  The
     # value is x / e, not x * s, which would round differently.
     e = np.exp(-x)
     e += 1.0
     if not cache:
-        return np.divide(x, e, out=x if overwrite else e), None
+        return np.divide(x, e, out=x), None
     value = x / e
     return value, np.reciprocal(e, out=e)
 
@@ -125,8 +126,8 @@ def _silu_dd(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return dd
 
 
-def _tanh(x: np.ndarray, overwrite: bool = False, cache: bool = True):
-    t = np.tanh(x, out=x if overwrite else None)
+def _tanh(x: np.ndarray, cache: bool):
+    t = np.tanh(x, out=x)
     return t, t
 
 
@@ -138,7 +139,7 @@ def _tanh_dd(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return -2.0 * t * (1.0 - t * t)
 
 
-def _identity(x: np.ndarray, overwrite: bool = False, cache: bool = True):
+def _identity(x: np.ndarray, cache: bool):
     return x, None
 
 
@@ -237,7 +238,7 @@ class MlpGrads:
             [np.zeros_like(b) for b in net.biases],
         )
 
-    def add_scaled(self, other: "MlpGrads", scale: float = 1.0) -> "MlpGrads":
+    def add_scaled(self, other: "MlpGrads", scale: float) -> "MlpGrads":
         for w, ow in zip(self.weights, other.weights):
             w += scale * ow
         for b, ob in zip(self.biases, other.biases):
@@ -249,7 +250,8 @@ def mlp_init(
     layer_dims: list[int],
     hidden_activation: str = "relu",
     output_activation: str = "identity",
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> MlpNet:
     """Build an MLP with uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] init.
 
@@ -272,40 +274,34 @@ def mlp_init(
     return MlpNet(weights, biases, hidden_activation, output_activation)
 
 
-def _forward_cached(net: MlpNet, x: np.ndarray):
-    """Batched forward pass keeping what the reverse passes read.
+def _forward(net: MlpNet, x: np.ndarray, cache: bool):
+    """Batched forward pass; bias and activation are written into the
+    product the pass owns.
 
-    Returns (output (n, out), layers) where layers[k] is the triple
-    (input h_k (n, d_k), s_k (n, d_k+1), activation aux); s_k is the
-    pre-activation, or for ReLU and tanh the value written over it.
+    Returns (output (n, out), layers).  With cache, layers[k] is the triple
+    (input h_k (n, d_k), s_k (n, d_k+1), activation aux) the reverse passes
+    read; s_k is the pre-activation, or for ReLU and tanh the value written
+    over it.  Without, layers is empty: only the current layer is kept and
+    no aux is formed.  The products and their order are the same either
+    way, so the outputs are the same bits.
     """
-    h = x
-    layers = []
+    h, layers = x, []
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         s = h @ w.T
         s += b
         act, _, _ = net._activation_at(k)
-        h_next, aux = act(s, overwrite=True)
-        layers.append((h, s, aux))
+        h_next, aux = act(s, cache)
+        if cache:
+            layers.append((h, s, aux))
         h = h_next
     return h, layers
 
 
 def mlp_forward(net: MlpNet, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on one input (d,) or a batch (n, d).
-
-    Keeps only the current layer: bias and activation are written into the
-    product the pass owns, with the products and their order of
-    _forward_cached, so the outputs are the same bits.
-    """
+    """Evaluate the network on one input (d,) or a batch (n, d), cache-free."""
     x = np.asarray(x, dtype=net.dtype)
     single = x.ndim == 1
-    h = x[None, :] if single else x
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        s = h @ w.T
-        s += b
-        act, _, _ = net._activation_at(k)
-        h, _ = act(s, overwrite=True, cache=False)
+    h, _ = _forward(net, x[None, :] if single else x, cache=False)
     return h[0] if single else h
 
 
@@ -366,7 +362,7 @@ def param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn):
         (loss value, MlpGrads).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=net.dtype))
-    out, layers = _forward_cached(net, inputs)
+    out, layers = _forward(net, inputs, cache=True)
     loss, out_seed = loss_fn(out)
     return float(loss), _param_backward(net, layers, np.asarray(out_seed, dtype=net.dtype))
 
@@ -374,16 +370,14 @@ def param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn):
 def input_gradient(net: MlpNet, x: np.ndarray):
     """Output and input gradient of a scalar-output network, one forward pass.
 
-    Accepts one state (d,) or a batch (n, d).  Returns (y, g): y shaped as
-    mlp_forward(net, x) returns it and g = d y / d x shaped like x.
+    Takes a batch (n, d); one input (d,) is a batch of one.  Returns
+    (y (n, 1), g = d y / d x (n, d)).
     """
     if net.output_dim != 1:
         raise ValueError("input_gradient requires a scalar-output network")
-    x = np.asarray(x, dtype=net.dtype)
-    single = x.ndim == 1
-    y, layers = _forward_cached(net, x[None, :] if single else x)
+    y, layers = _forward(net, np.atleast_2d(np.asarray(x, dtype=net.dtype)), cache=True)
     g, _ = _input_backward(net, layers)
-    return (y[0], g[0]) if single else (y, g)
+    return y, g
 
 
 def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
@@ -410,7 +404,7 @@ def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
     z = np.atleast_2d(np.asarray(points, dtype=net.dtype))
     n = z.shape[0]
 
-    _, layers = _forward_cached(net, z)
+    _, layers = _forward(net, z, cache=True)
     g, d1 = _input_backward(net, layers)
     norms = np.linalg.norm(g, axis=1)
     value = float(np.mean((norms - beta) ** 2))

@@ -54,6 +54,7 @@ SOURCE_NOMINAL = 1
 DIVERGENCE_LIMIT = 1e3
 CHECKPOINT_EVERY = 10000
 LOG_EVERY = 50
+ORACLE_PAIRS = 10000  # state-action pairs critic_error_vs_oracle scores
 
 
 @dataclass(frozen=True)
@@ -378,50 +379,41 @@ def critic_error_vs_oracle(
     value_grid: GridField,
     margin_grid: GridField,
     eval_source: str,
-    actor: MlpNet | None = None,
-    nominal_cfg: NominalPolicyConfig | None = None,
-    gamma: float = 0.995,
-    dt: float = DEFAULT_DT,
-    n: int = 10000,
-    seed: int = 0,
+    actor: MlpNet,
+    nominal_cfg: NominalPolicyConfig,
+    gamma: float,
+    dt: float,
+    seed: int,
 ) -> float:
     """Mean absolute error of the critic against the grid backup Q.
 
-    Draws n states uniformly over the box, pairs each with an action from
-    the chosen source policy, and compares the critic to the one-step
-    backup on the solved grid.  The grid must be solved on the same label
+    Draws ORACLE_PAIRS states uniformly over the box, pairs each with an
+    action from the chosen source policy, and compares the critic to the
+    one-step backup on the solved grid.  The grid must be solved on the same label
     scale the critic was trained on.
 
     Args:
-        critic: trained critic net, or a callable (states, actions) -> q.
+        critic: trained critic net.
         value_grid: solved value field.
         margin_grid: margin field of the same solve.
         eval_source: "nominal_policy" or "fallback_policy".
-        actor: fallback actor (required for fallback_policy).
-        nominal_cfg: nominal policy parameters (required for nominal_policy).
+        actor: fallback actor, whose actions fallback_policy scores.
+        nominal_cfg: nominal policy parameters, for nominal_policy.
         gamma: discount the grid was solved with.
         dt: integrator step.
-        n: number of state-action pairs.
         seed: draw seed.
 
     Returns:
         Mean |Q_critic - Q_grid| over the pairs.
     """
     rng = np.random.default_rng(seed)
-    states = sample_box_states(rng, n)
+    states = sample_box_states(rng, ORACLE_PAIRS)
     if eval_source == "nominal_policy":
-        if nominal_cfg is None:
-            raise ValueError("nominal_policy evaluation needs nominal_cfg")
         actions = np.array([float(nominal_policy(s, nominal_cfg)) for s in states])
     elif eval_source == "fallback_policy":
-        if actor is None:
-            raise ValueError("fallback_policy evaluation needs the actor")
         actions = actor_action(actor, states)
     else:
         raise ValueError(f"unknown eval_source {eval_source!r}")
-    if isinstance(critic, MlpNet):
-        q_critic = mlp_forward(critic, critic_features(states, actions))[:, 0]
-    else:
-        q_critic = np.asarray(critic(states, actions), dtype=float)
+    q_critic = mlp_forward(critic, critic_features(states, actions))[:, 0]
     q_grid = q_from_value(value_grid, margin_grid, states, actions, gamma, dt)
     return float(np.mean(np.abs(q_critic - q_grid)))

@@ -393,7 +393,7 @@ def three_pass_margin_loss(net: MlpNet, batch_safe, batch_fail, cfg, rng):
     value, grads = reference_param_gradient(net, np.vstack([batch_safe, batch_fail]), sign_term)
     if cfg.use_gp:
         wgan_value, wgan_grads = wgan_loss(net, batch_safe, batch_fail, cfg, rng)
-        grads.add_scaled(wgan_grads)
+        grads.add_scaled(wgan_grads, 1.0)
         value += wgan_value
     return value, grads
 

@@ -55,7 +55,7 @@ EVAL = {"nominal_goal_x": 1.5, "sign_delta": 0.25}
 
 def _run(tmp_path_factory, name, **overrides):
     out = tmp_path_factory.mktemp(name)
-    cfg = load_config(overrides={"output_dir": str(out), **EVAL, **overrides})
+    cfg = load_config(None, {"output_dir": str(out), **EVAL, **overrides})
     table = run_experiment(cfg)
     return cfg, table, str(out)
 
@@ -64,7 +64,7 @@ def _run(tmp_path_factory, name, **overrides):
 def reference_grid():
     spec = GridSpec(nx=31, ny=31, ntheta=15)
     margin = margin_field(spec, signed_distance_margin)
-    sol = value_iteration(margin, equispaced_actions(), gamma=0.995, tol=1e-6)
+    sol = value_iteration(margin, equispaced_actions(25), gamma=0.995, dt=0.1, tol=1e-6)
     assert sol.converged
     return margin, sol.field
 
@@ -118,7 +118,7 @@ def test_finite_horizon_grid_sign_matches_exhaustive_enumeration():
     spec = GridSpec(nx=31, ny=31, ntheta=15)
     margin = margin_field(spec, signed_distance_margin)
     actions3 = np.array([-2.0, 0.0, 2.0])
-    sol = value_iteration(margin, actions3, gamma=1.0, tol=1e-12, max_iters=6)
+    sol = value_iteration(margin, actions3, gamma=1.0, dt=0.1, tol=1e-12, max_iters=6)
     assert sol.sweeps == 6
 
     rng = np.random.default_rng(11)
@@ -145,7 +145,7 @@ def test_converged_field_fixed_point_properties(reference_grid):
 
     nodes = value.spec.nodes()
     best = np.full(nodes.shape[0], -np.inf)
-    for a in equispaced_actions():
+    for a in equispaced_actions(25):
         best = np.maximum(best, q_from_value(value, margin, nodes, a, 0.995, 0.1))
     residual = np.max(np.abs(best - value.values.ravel()))
 
@@ -307,7 +307,7 @@ def test_filter_empty_feasible_set_defaults_to_fallback():
 def test_batched_query_throughput_and_per_sample_cost():
     critic = mlp_init([4, 128, 128, 128, 1], seed=5)
     actor = mlp_init([3, 128, 128, 128, 1], output_activation="tanh", seed=6)
-    backend = CriticBackend(critic, actor)
+    backend = CriticBackend(critic, actor, dt=0.1)
 
     big = throughput_benchmark(backend, sizes=(10000,), query_mode="model_free", reps=20)
     assert big[0]["mean_ms"] < 50.0

@@ -1,5 +1,6 @@
 """Tests for the flat key=value config parser and schema."""
 
+import inspect
 import math
 import re
 
@@ -25,7 +26,7 @@ from cbfforge.rl import RlConfig
 
 
 def test_defaults_cover_every_key():
-    cfg = load_config()
+    cfg = load_config(None, {})
     assert set(cfg) == set(SCHEMA)
     assert cfg["experiment"] == "filter_comparison"
     assert cfg["n_rollouts"] == 100
@@ -66,7 +67,7 @@ def test_parse_rejects_unknown_and_malformed(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("experiment = tea_break\n")
     with pytest.raises(ConfigError, match="not one of"):
-        load_config(str(path))
+        load_config(str(path), {})
     with pytest.raises(ConfigError, match="boolean"):
         parse_config_text("train_missing = maybe")
 
@@ -82,17 +83,17 @@ def test_every_choice_key_rejects_a_bad_override(key):
 
 def test_validation_rules():
     with pytest.raises(ConfigError, match=re.escape("alpha: 1.0 is not in [0, 1)")):
-        load_config(overrides={"alpha": 1.0})
+        load_config(None, {"alpha": 1.0})
     with pytest.raises(ConfigError, match=re.escape("epsilon: -0.1 is not in (0, inf)")):
-        load_config(overrides={"epsilon": -0.1})
+        load_config(None, {"epsilon": -0.1})
     with pytest.raises(ConfigError, match=re.escape("dt: 0.0 is not in (0, inf)")):
-        load_config(overrides={"dt": 0.0})
+        load_config(None, {"dt": 0.0})
     with pytest.raises(ConfigError, match=re.escape("n_rollouts: 0 is not in [1, inf)")):
-        load_config(overrides={"n_rollouts": 0})
+        load_config(None, {"n_rollouts": 0})
     with pytest.raises(ConfigError, match="methods"):
-        load_config(overrides={"methods": ("none", "pid")})
+        load_config(None, {"methods": ("none", "pid")})
     with pytest.raises(ConfigError, match="unknown config key"):
-        load_config(overrides={"mystery": 1})
+        load_config(None, {"mystery": 1})
 
 
 def test_file_and_override_precedence(tmp_path):
@@ -103,7 +104,7 @@ def test_file_and_override_precedence(tmp_path):
     assert cfg["alpha"] == 0.5  # file beats default
     assert cfg["epsilon"] == 0.2  # default survives
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config(str(tmp_path / "missing.cfg"))
+        load_config(str(tmp_path / "missing.cfg"), {})
 
 
 def test_format_config_round_trips():
@@ -179,6 +180,11 @@ def test_wrongly_typed_override_names_the_key(key):
     if kind.endswith("s"):
         with pytest.raises(ConfigError, match=f"^{key}: expected a tuple"):
             load_config(None, {key: list(SCHEMA[key][1])})
+    # bool subclasses int: True must not pass as 1, nor False as 0.
+    if kind != "bool":
+        for flag in (True, False):
+            with pytest.raises(ConfigError, match=f"^{key}: expected "):
+                load_config(None, {key: (flag, *SCHEMA[key][1][:1]) if kind.endswith("s") else flag})
 
 
 # Drift guard: for every ranged key that a library object also checks, the
@@ -193,31 +199,40 @@ def _margin():
 
 
 def _solve(**kwargs):
-    args = dict(margin=_margin(), action_set=equispaced_actions(3), gamma=0.9, max_iters=5)
+    args = dict(margin=_margin(), action_set=equispaced_actions(3), gamma=0.9, dt=0.1, tol=1e-6, max_iters=5)
     return value_iteration(**{**args, **kwargs})
 
 
 def _bench(sizes, reps):
     margin = _margin()
-    backend = GridBackend(GridField(margin.spec, margin.values, kind="value"), margin, actions=equispaced_actions(3))
+    value = GridField(margin.spec, margin.values, kind="value")
+    backend = GridBackend(value, margin, actions=equispaced_actions(3), gamma=0.995, dt=0.1)
     return throughput_benchmark(backend, sizes, "model_free", reps)
+
+
+def _margin_cfg(**kwargs):
+    return MarginTrainConfig(**{"iterations": 8000, "use_gp": True, "seed": 0, **kwargs})
+
+
+def _grid(**kwargs):
+    return GridSpec(**{"nx": 61, "ny": 61, "ntheta": 31, **kwargs})
 
 
 LIBRARY = {
     "nominal_noise_std": [lambda v: NominalPolicyConfig(noise_std=v)],
     "nominal_gain": [lambda v: NominalPolicyConfig(gain=v)],
-    "lambda_zs": [lambda v: MarginTrainConfig(lambda_zs=v)],
-    "lambda_gp": [lambda v: MarginTrainConfig(lambda_gp=v)],
-    "lambda_sign": [lambda v: MarginTrainConfig(lambda_sign=v)],
-    "sign_delta": [lambda v: MarginTrainConfig(delta=v)],
-    "gp_beta": [lambda v: MarginTrainConfig(beta=v)],
-    "margin_iterations": [lambda v: MarginTrainConfig(iterations=v)],
-    "margin_batch_size": [lambda v: MarginTrainConfig(batch_size=v)],
-    "margin_learning_rate": [lambda v: MarginTrainConfig(learning_rate=v)],
-    "margin_hidden_dims": [lambda v: mlp_init([3, v, 1])],
-    "grid_nx": [lambda v: GridSpec(nx=v)],
-    "grid_ny": [lambda v: GridSpec(ny=v)],
-    "grid_ntheta": [lambda v: GridSpec(ntheta=v)],
+    "lambda_zs": [lambda v: _margin_cfg(lambda_zs=v)],
+    "lambda_gp": [lambda v: _margin_cfg(lambda_gp=v)],
+    "lambda_sign": [lambda v: _margin_cfg(lambda_sign=v)],
+    "sign_delta": [lambda v: _margin_cfg(delta=v)],
+    "gp_beta": [lambda v: _margin_cfg(beta=v)],
+    "margin_iterations": [lambda v: _margin_cfg(iterations=v)],
+    "margin_batch_size": [lambda v: _margin_cfg(batch_size=v)],
+    "margin_learning_rate": [lambda v: _margin_cfg(learning_rate=v)],
+    "margin_hidden_dims": [lambda v: mlp_init([3, v, 1], seed=0)],
+    "grid_nx": [lambda v: _grid(nx=v)],
+    "grid_ny": [lambda v: _grid(ny=v)],
+    "grid_ntheta": [lambda v: _grid(ntheta=v)],
     "n_action_samples": [equispaced_actions],
     "gamma": [lambda v: RlConfig(gamma=v), lambda v: FilterConfig(gamma=v), lambda v: _solve(gamma=v)],
     "dt": [lambda v: RlConfig(dt=v), lambda v: FilterConfig(dt=v), lambda v: _solve(dt=v)],
@@ -227,8 +242,8 @@ LIBRARY = {
     "rl_batch_size": [lambda v: RlConfig(batch_size=v)],
     "rl_buffer_capacity": [lambda v: RlConfig(buffer_capacity=v)],
     "rl_episode_len": [lambda v: RlConfig(episode_len=v)],
-    "rl_actor_dims": [lambda v: mlp_init([3, v, 1])],
-    "rl_critic_dims": [lambda v: mlp_init([4, v, 1])],
+    "rl_actor_dims": [lambda v: mlp_init([3, v, 1], seed=0)],
+    "rl_critic_dims": [lambda v: mlp_init([4, v, 1], seed=0)],
     "rl_critic_lr": [lambda v: RlConfig(critic_lr=v)],
     "rl_actor_lr": [lambda v: RlConfig(actor_lr=v)],
     "rl_tau": [lambda v: RlConfig(tau=v)],
@@ -237,9 +252,9 @@ LIBRARY = {
     "alpha": [lambda v: FilterConfig(alpha=v)],
     "alpha_list": [lambda v: FilterConfig(alpha=v)],
     "epsilon": [lambda v: FilterConfig(epsilon=v)],
-    "rollout_steps": [lambda v: rollout(lambda s: 0.0, np.array([-1.0, 0.4, 0.0]), v)],
-    "lip_gamma": [lambda v: verify_margin_value_bound(_margin(), v, 0.1, equispaced_actions(3), L_f=1.05)],
-    "lip_fd_samples": [lambda v: estimate_dynamics_lipschitz(n_samples=v)],
+    "rollout_steps": [lambda v: rollout(lambda s: 0.0, np.array([-1.0, 0.4, 0.0]), v, None, 0.1)],
+    "lip_gamma": [lambda v: verify_margin_value_bound(_margin(), v, 0.1, equispaced_actions(3), 1.05, 1e-6, 2000)],
+    "lip_fd_samples": [lambda v: estimate_dynamics_lipschitz(0.1, v, 0)],
     "bench_sizes": [lambda v: _bench((v,), 1)],
     "bench_reps": [lambda v: _bench((1,), v)],
 }
@@ -263,3 +278,62 @@ def test_every_interval_end_is_enforced(key, outside, closed):
         assert load_config(None, {key: _typed(key, closed)})[key] == _typed(key, closed)
         for library in LIBRARY.get(key, []):
             library(_scalar(key, closed))
+
+
+# Defaults drift guard: the benchmark builds these library objects without
+# the settings below, so each library default must be the SCHEMA default a
+# CLI run passes.
+_RL = RlConfig()
+_MARGIN = MarginTrainConfig(iterations=1, use_gp=True, seed=0)
+_FILTER = FilterConfig()
+_NOMINAL = NominalPolicyConfig()
+DEFAULT_PAIRS = {
+    "RlConfig": [
+        ("gamma", _RL.gamma),
+        ("rl_critic_lr", _RL.critic_lr),
+        ("rl_actor_lr", _RL.actor_lr),
+        ("rl_buffer_capacity", _RL.buffer_capacity),
+        ("rl_episode_len", _RL.episode_len),
+        ("rl_actor_dims", _RL.actor_dims),
+        ("rl_critic_dims", _RL.critic_dims),
+        ("rl_tau", _RL.tau),
+        ("rl_exploration_std", _RL.exploration_std),
+        ("rl_exploration_std_final", _RL.exploration_std_final),
+        ("rl_mix_nominal", _RL.mix_nominal),
+        ("dt", _RL.dt),
+    ],
+    "MarginTrainConfig": [
+        ("lambda_zs", _MARGIN.lambda_zs),
+        ("lambda_gp", _MARGIN.lambda_gp),
+        ("lambda_sign", _MARGIN.lambda_sign),
+        ("gp_beta", _MARGIN.beta),
+        ("sign_delta", _MARGIN.delta),
+        ("margin_batch_size", _MARGIN.batch_size),
+        ("margin_learning_rate", _MARGIN.learning_rate),
+        ("margin_hidden_dims", _MARGIN.hidden_dims),
+    ],
+    "FilterConfig": [
+        ("alpha", _FILTER.alpha),
+        ("epsilon", _FILTER.epsilon),
+        ("query_mode", _FILTER.query_mode),
+        ("gamma", _FILTER.gamma),
+        ("dt", _FILTER.dt),
+        ("n_action_samples", _FILTER.sampler.n),
+    ],
+    "NominalPolicyConfig": [
+        ("nominal_goal_x", _NOMINAL.goal[0]),
+        ("nominal_goal_y", _NOMINAL.goal[1]),
+        ("nominal_gain", _NOMINAL.gain),
+        ("nominal_mode", _NOMINAL.mode),
+        ("nominal_noise_std", _NOMINAL.noise_std),
+    ],
+    "value_iteration": [("vi_max_sweeps", inspect.signature(value_iteration).parameters["max_iters"].default)],
+}
+
+
+@pytest.mark.parametrize(
+    "key,library",
+    [pytest.param(key, value, id=f"{owner}-{key}") for owner, pairs in DEFAULT_PAIRS.items() for key, value in pairs],
+)
+def test_schema_default_is_the_library_default(key, library):
+    assert SCHEMA[key][1] == library

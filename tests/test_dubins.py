@@ -35,17 +35,17 @@ def euler_reference(state, action, dt, n_sub=20000):
 
 class TestDynamics:
     def test_straight_line_is_exact(self):
-        np.testing.assert_allclose(dynamics_step(np.zeros(3), 0.0), [0.1, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(dynamics_step(np.zeros(3), 0.0, 0.1), [0.1, 0.0, 0.0], atol=1e-15)
 
     def test_heading_pi_moves_backward(self):
-        out = dynamics_step(np.array([0.0, 0.0, np.pi]), 0.0)
+        out = dynamics_step(np.array([0.0, 0.0, np.pi]), 0.0, 0.1)
         np.testing.assert_allclose(out[:2], [-0.1, 0.0], atol=1e-15)
         assert -np.pi <= out[2] < np.pi
 
     def test_turning_matches_circular_arc(self):
         # Closed form for constant turn rate a from the origin heading +x:
         # (sin(a dt)/a, (1 - cos(a dt))/a, a dt).
-        out = dynamics_step(np.zeros(3), 2.0)
+        out = dynamics_step(np.zeros(3), 2.0, 0.1)
         expected = [np.sin(0.2) / 2.0, (1.0 - np.cos(0.2)) / 2.0, 0.2]
         np.testing.assert_allclose(out, expected, atol=1e-6)
 
@@ -54,32 +54,32 @@ class TestDynamics:
         for _ in range(10):
             s = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-np.pi, np.pi)])
             a = rng.uniform(-2, 2)
-            got = dynamics_step(s, a)
+            got = dynamics_step(s, a, 0.1)
             ref = euler_reference(s, a, 0.1)
             np.testing.assert_allclose(got[:2], ref[:2], atol=2e-6)
             assert abs(wrap_angle(got[2] - ref[2])) < 1e-10
 
     def test_positions_clamped(self):
-        out = dynamics_step(np.array([1.45, 0.0, 0.0]), 0.0)
+        out = dynamics_step(np.array([1.45, 0.0, 0.0]), 0.0, 0.1)
         assert out[0] == 1.5
 
     def test_theta_wrapped(self):
-        out = dynamics_step(np.array([0.0, 0.0, np.pi - 0.05]), 2.0)
+        out = dynamics_step(np.array([0.0, 0.0, np.pi - 0.05]), 2.0, 0.1)
         assert -np.pi <= out[2] < np.pi
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
         states = rng.uniform(-1, 1, size=(6, 3))
         actions = rng.uniform(-2, 2, size=6)
-        batched = dynamics_step_batch(states, actions)
+        batched = dynamics_step_batch(states, actions, 0.1)
         for i in range(6):
-            np.testing.assert_allclose(batched[i], dynamics_step(states[i], actions[i]), rtol=1e-14)
+            np.testing.assert_allclose(batched[i], dynamics_step(states[i], actions[i], 0.1), rtol=1e-14)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            dynamics_step(np.array([np.nan, 0.0, 0.0]), 0.0)
+            dynamics_step(np.array([np.nan, 0.0, 0.0]), 0.0, 0.1)
         with pytest.raises(ValueError):
-            dynamics_step(np.zeros(3), 2.5)
+            dynamics_step(np.zeros(3), 2.5, 0.1)
         with pytest.raises(ValueError):
             dynamics_step(np.zeros(3), 0.0, dt=-0.1)
 
@@ -151,14 +151,14 @@ class TestNominalPolicy:
 
 class TestRollout:
     def test_single_step_record(self):
-        rec = rollout(lambda s: 0.0, np.zeros(3), 1)
+        rec = rollout(lambda s: 0.0, np.zeros(3), 1, None, 0.1)
         assert rec.states.shape == (2, 3)
         np.testing.assert_allclose(rec.states[1], [0.1, 0.0, 0.0], atol=1e-15)
         assert not rec.collided
         assert rec.n_steps == 1
 
     def test_start_inside_failure(self):
-        rec = rollout(lambda s: 0.0, np.array([0.25, 0.65, 0.0]), 10)
+        rec = rollout(lambda s: 0.0, np.array([0.25, 0.65, 0.0]), 10, None, 0.1)
         assert rec.collided
         assert rec.n_steps == 0
         assert rec.states.shape == (1, 3)
@@ -166,7 +166,7 @@ class TestRollout:
     def test_stops_at_collision(self):
         # Drive straight into the upper circle from the left.
         x0 = np.array([-0.6, 0.65, 0.0])
-        rec = rollout(lambda s: 0.0, x0, 60)
+        rec = rollout(lambda s: 0.0, x0, 60, None, 0.1)
         assert rec.collided
         assert rec.n_steps < 60
         assert rec.margin_values[-1] < 0
@@ -175,17 +175,17 @@ class TestRollout:
     def test_pass_through_filter_matches_unfiltered(self):
         x0 = np.array([-1.2, 0.3, 0.1])
         cfg = NominalPolicyConfig()
-        plain = rollout(lambda s: nominal_policy(s, cfg), x0, 30)
+        plain = rollout(lambda s: nominal_policy(s, cfg), x0, 30, None, 0.1)
         keep = lambda s, a: FilterDecision(
             action=a, overridden=False, delta_a=0.0, feasible_count=1, q_nominal=0.5, q_fallback=0.5
         )
-        filtered = rollout(lambda s: nominal_policy(s, cfg), x0, 30, action_filter=keep)
+        filtered = rollout(lambda s: nominal_policy(s, cfg), x0, 30, action_filter=keep, dt=0.1)
         np.testing.assert_array_equal(plain.states, filtered.states)
         assert np.all(filtered.override_magnitudes == 0.0)
         assert np.all(filtered.diagnostics["feasible_count"] == 1)
 
     def test_trajectory_csv(self, tmp_path):
-        rec = rollout(lambda s: 0.5, np.array([-1.2, -0.8, 0.0]), 5)
+        rec = rollout(lambda s: 0.5, np.array([-1.2, -0.8, 0.0]), 5, None, 0.1)
         path = tmp_path / "traj.csv"
         save_trajectory_csv(rec, str(path))
         lines = path.read_text().splitlines()
@@ -218,7 +218,7 @@ class TestRollout:
 class TestLipschitz:
     def test_identity_dynamics(self, monkeypatch):
         monkeypatch.setattr("cbfforge.dubins.dynamics_step_batch", lambda s, a, dt: s)
-        lf = estimate_dynamics_lipschitz(n_samples=200)
+        lf = estimate_dynamics_lipschitz(n_samples=200, dt=0.1, seed=0)
         assert lf == pytest.approx(1.0, rel=1e-6)
 
     def test_pure_rotation_is_isometry(self, monkeypatch):
@@ -228,13 +228,13 @@ class TestLipschitz:
             return out
 
         monkeypatch.setattr("cbfforge.dubins.dynamics_step_batch", rot)
-        lf = estimate_dynamics_lipschitz(n_samples=200)
+        lf = estimate_dynamics_lipschitz(n_samples=200, dt=0.1, seed=0)
         assert lf == pytest.approx(1.0, rel=1e-6)
 
     def test_dubins_reference_value(self):
         # Frozen seed-0 estimate; the true operator norm at dt=0.1 is about
         # 1.05, and the sampler should land within [1.0, 1.1].
-        lf = estimate_dynamics_lipschitz(n_samples=1000, seed=0)
+        lf = estimate_dynamics_lipschitz(n_samples=1000, seed=0, dt=0.1)
         assert 1.0 < lf < 1.1
 
     @pytest.mark.parametrize("seed, dt", [(0, 0.1), (1, 0.1), (2, 0.05)])

@@ -61,7 +61,7 @@ class StubBackend:
 def solved_grid():
     spec = GridSpec(nx=31, ny=31, ntheta=15)
     margin = margin_field(spec, signed_distance_margin)
-    sol = value_iteration(margin, equispaced_actions(), gamma=0.995, tol=1e-6)
+    sol = value_iteration(margin, equispaced_actions(25), gamma=0.995, dt=0.1, tol=1e-6)
     assert sol.converged
     return margin, sol.field
 
@@ -69,7 +69,7 @@ def solved_grid():
 @pytest.fixture(scope="session")
 def grid_backend(solved_grid):
     margin, value = solved_grid
-    return GridBackend(value, margin, gamma=0.995)
+    return GridBackend(value, margin, actions=equispaced_actions(25), gamma=0.995, dt=0.1)
 
 
 def _small_nets(seed=0):
@@ -184,7 +184,7 @@ def test_q_query_constant_critic_matches_both_modes():
     for b in critic.biases:
         b[:] = 0.0
     critic.biases[-1][:] = 0.37
-    backend = CriticBackend(critic, actor)
+    backend = CriticBackend(critic, actor, dt=0.1)
     state = np.array([0.2, -0.4, 1.0])
     acts = np.linspace(-2.0, 2.0, 9)
     q_free = q_query(backend, state, acts, FilterConfig(query_mode="model_free"))
@@ -251,7 +251,7 @@ def test_q_query_modes_agree_on_converged_grid(grid_backend, solved_grid):
 
 def test_critic_backend_forward_matches_manual():
     critic, actor = _small_nets(seed=4)
-    backend = CriticBackend(critic, actor)
+    backend = CriticBackend(critic, actor, dt=0.1)
     state = np.array([0.1, 0.2, -0.3])
     acts = np.array([-1.0, 0.0, 0.25])
     feats = np.hstack([np.tile(state, (3, 1)), acts[:, None]])
@@ -265,9 +265,9 @@ def test_critic_backend_validation():
     critic, actor = _small_nets()
     bad_actor = mlp_init([3, 8, 1], seed=0)  # identity output head
     with pytest.raises(ValueError):
-        CriticBackend(critic, bad_actor)
+        CriticBackend(critic, bad_actor, dt=0.1)
     with pytest.raises(ValueError):
-        CriticBackend(mlp_init([3, 8, 1], seed=0), actor)  # critic missing the action input
+        CriticBackend(mlp_init([3, 8, 1], seed=0), actor, dt=0.1)  # critic missing the action input
     with pytest.raises(ValueError):
         actor_action(bad_actor, np.zeros(3))
 
@@ -338,7 +338,7 @@ def test_grid_anchored_q_ties_pick_first_maximizer():
     spec = GridSpec(nx=5, ny=5, ntheta=4)
     margin = GridField(spec, np.full((5, 5, 4), 0.3), "margin")
     value = GridField(spec, np.full((5, 5, 4), 0.8), "value")
-    backend = GridBackend(value, margin, actions=np.array([0.5, -1.0, 2.0, -2.0]), gamma=0.995)
+    backend = GridBackend(value, margin, actions=np.array([0.5, -1.0, 2.0, -2.0]), gamma=0.995, dt=0.1)
     states = sample_box_states(np.random.default_rng(2), 50)
     a_fb, q, q_fb = backend.anchored_q(states, [1.5])
     assert a_fb.tolist() == [0.5] * 50
@@ -348,7 +348,7 @@ def test_grid_anchored_q_ties_pick_first_maximizer():
 
 
 def test_critic_anchored_q_batch_matches_single_states():
-    backend = CriticBackend(*_small_nets(seed=13))
+    backend = CriticBackend(*_small_nets(seed=13), dt=0.1)
     states = sample_box_states(np.random.default_rng(14), 300)
     acts = np.array([-1.9, 0.05, 1.3])
     a_fb, q, q_fb = backend.anchored_q(states, acts)
@@ -372,7 +372,7 @@ def test_critic_anchored_q_batch_matches_single_states():
 def test_grid_backend_rejects_swapped_fields(solved_grid):
     margin, value = solved_grid
     with pytest.raises(ValueError):
-        GridBackend(margin, value)
+        GridBackend(margin, value, actions=equispaced_actions(25), gamma=0.995, dt=0.1)
 
 
 # ------------------------------------------------------------------ filters
@@ -509,7 +509,7 @@ def test_filtered_rollouts_stay_safe_on_grid(grid_backend):
     collisions = 0
     overrides = 0
     for s in safe_starts:
-        rec = rollout(policy, s, 60, action_filter=action_filter)
+        rec = rollout(policy, s, 60, action_filter=action_filter, dt=0.1)
         collisions += int(rec.collided)
         overrides += int(np.any(rec.override_magnitudes > 1e-9))
     assert collisions == 0
@@ -524,6 +524,7 @@ def test_cbf_filter_records_diagnostics_in_rollout(grid_backend):
         np.array([-1.2, 0.1, 0.0]),
         20,
         action_filter=lambda s, a: cbf_filter(s, a, grid_backend, cfg),
+        dt=0.1,
     )
     for key in ("feasible_count", "q_nominal", "q_fallback"):
         assert key in rec.diagnostics
@@ -552,6 +553,7 @@ def visited(grid_backend):
             s,
             40,
             action_filter=lambda z, a: cbf_filter(z, a, grid_backend, cfg),
+            dt=0.1,
         )
         pairs += [(rec.states[t], float(rec.actions_nominal[t])) for t in range(rec.n_steps)]
     return pairs
@@ -569,7 +571,7 @@ def _assert_same_decision(got, want):
 
 @pytest.mark.parametrize("backend_name", ["grid", "critic"])
 def test_filters_match_two_query_oracle(grid_backend, visited, backend_name):
-    backend = grid_backend if backend_name == "grid" else CriticBackend(*_small_nets(seed=9))
+    backend = grid_backend if backend_name == "grid" else CriticBackend(*_small_nets(seed=9), dt=0.1)
     assert len(visited) >= 100
     # Then 500 states drawn over the whole box, with uniform nominal actions.
     rng = np.random.default_rng(31)

@@ -135,25 +135,25 @@ class TestValueIteration:
     def test_constant_margin_fixed_point(self):
         spec = GridSpec(nx=9, ny=9, ntheta=6)
         for gamma in (0.9, 0.995, 1.0):
-            sol = value_iteration(constant_field(spec, 0.4), equispaced_actions(5), gamma, max_iters=50)
+            sol = value_iteration(constant_field(spec, 0.4), equispaced_actions(5), gamma, max_iters=50, dt=0.1, tol=1e-6)
             np.testing.assert_allclose(sol.field.values, 0.4, atol=1e-9)
             assert sol.converged
 
     def test_inescapable_failure(self):
         spec = GridSpec(nx=9, ny=9, ntheta=6)
-        sol = value_iteration(constant_field(spec, -0.3), equispaced_actions(5), 0.995, max_iters=50)
+        sol = value_iteration(constant_field(spec, -0.3), equispaced_actions(5), 0.995, max_iters=50, dt=0.1, tol=1e-6)
         np.testing.assert_allclose(sol.field.values, -0.3, atol=1e-9)
 
     def test_gamma_zero_returns_margin(self):
         spec = GridSpec(nx=9, ny=9, ntheta=6)
         margin = margin_field(spec, signed_distance_margin)
-        sol = value_iteration(margin, equispaced_actions(5), 0.0, max_iters=5)
+        sol = value_iteration(margin, equispaced_actions(5), 0.0, max_iters=5, dt=0.1, tol=1e-6)
         np.testing.assert_allclose(sol.field.values, margin.values, atol=1e-12)
 
     def test_value_below_margin_and_contraction(self):
         spec = small_spec()
         margin = margin_field(spec, signed_distance_margin)
-        sol = value_iteration(margin, equispaced_actions(9), 0.9, tol=1e-8, max_iters=500)
+        sol = value_iteration(margin, equispaced_actions(9), 0.9, tol=1e-8, max_iters=500, dt=0.1)
         assert sol.converged
         assert np.all(sol.field.values <= margin.values + 1e-12)
         resid = sol.residuals
@@ -163,20 +163,20 @@ class TestValueIteration:
         spec = small_spec()
         margin = margin_field(spec, signed_distance_margin)
         actions = equispaced_actions(9)
-        sol = value_iteration(margin, actions, 0.9, tol=1e-9, max_iters=800)
+        sol = value_iteration(margin, actions, 0.9, tol=1e-9, max_iters=800, dt=0.1)
         assert sol.converged
         nodes = spec.nodes()
         rng = np.random.default_rng(4)
         picks = rng.integers(0, nodes.shape[0], size=300)
         best = np.full(picks.shape, -np.inf)
         for a in actions:
-            best = np.maximum(best, q_from_value(sol.field, margin, nodes[picks], a, 0.9))
+            best = np.maximum(best, q_from_value(sol.field, margin, nodes[picks], a, 0.9, 0.1))
         np.testing.assert_allclose(best, sol.field.values.ravel()[picks], atol=2e-9)
 
     def test_gamma_one_flagged_when_cut_short(self):
         spec = small_spec()
         margin = margin_field(spec, signed_distance_margin)
-        sol = value_iteration(margin, equispaced_actions(5), 1.0, tol=1e-10, max_iters=3)
+        sol = value_iteration(margin, equispaced_actions(5), 1.0, tol=1e-10, max_iters=3, dt=0.1)
         assert not sol.converged
         assert sol.sweeps == 3
 
@@ -184,19 +184,19 @@ class TestValueIteration:
         spec = GridSpec(nx=5, ny=5, ntheta=4)
         margin = constant_field(spec, 0.1)
         with pytest.raises(ValueError):
-            value_iteration(margin, np.array([]), 0.9)
+            value_iteration(margin, np.array([]), 0.9, dt=0.1, tol=1e-6)
         with pytest.raises(ValueError):
-            value_iteration(margin, equispaced_actions(3), 1.5)
+            value_iteration(margin, equispaced_actions(3), 1.5, dt=0.1, tol=1e-6)
         with pytest.raises(ValueError):
-            value_iteration(margin, equispaced_actions(3), 0.9, tol=0.0)
+            value_iteration(margin, equispaced_actions(3), 0.9, tol=0.0, dt=0.1)
 
     def test_zero_sweep_cap_rejected(self):
         # A solve with no sweep has no residual for require_converged to
         # report; one sweep is the smallest solve.
         margin = constant_field(GridSpec(nx=5, ny=5, ntheta=4), 0.1)
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
-            value_iteration(margin, equispaced_actions(3), 0.9, max_iters=0)
-        sol = value_iteration(margin, equispaced_actions(3), 0.9, tol=1e-12, max_iters=1)
+            value_iteration(margin, equispaced_actions(3), 0.9, max_iters=0, dt=0.1, tol=1e-6)
+        sol = value_iteration(margin, equispaced_actions(3), 0.9, tol=1e-12, max_iters=1, dt=0.1)
         assert sol.sweeps == 1 and len(sol.residuals) == 1
 
     @pytest.mark.parametrize("shape", [(41, 41, 21), (17, 23, 9), (9, 9, 6)])
@@ -211,7 +211,7 @@ class TestValueIteration:
         # successors clamp on both sides of it.
         spec = GridSpec(*shape)
         margin = GridField(spec, np.random.default_rng(8).normal(size=shape), kind="margin")
-        sol = value_iteration(margin, actions, 1.0, dt, max_iters=1)
+        sol = value_iteration(margin, actions, 1.0, dt, max_iters=1, tol=1e-6)
         ref = gather_value_iteration(margin, actions, 1.0, dt, tol=1e-6, max_iters=1)
         assert np.max(np.abs(sol.field.values - ref.field.values)) <= 1e-13
         assert sol.residuals == pytest.approx(ref.residuals, abs=1e-13)
@@ -220,7 +220,7 @@ class TestValueIteration:
         spec = GridSpec(nx=41, ny=41, ntheta=21)
         margin = margin_field(spec, signed_distance_margin)
         actions = equispaced_actions(25)
-        sol = value_iteration(margin, actions, 0.995, tol=1e-5)
+        sol = value_iteration(margin, actions, 0.995, tol=1e-5, dt=0.1)
         ref = gather_value_iteration(margin, actions, 0.995, 0.1, tol=1e-5, max_iters=2000)
         assert (sol.sweeps, sol.converged) == (ref.sweeps, ref.converged)
         assert np.max(np.abs(sol.field.values - ref.field.values)) <= 1e-12
@@ -233,7 +233,7 @@ class TestValueIteration:
         margin = margin_field(spec, signed_distance_margin)
         tracemalloc.start()
         try:
-            value_iteration(margin, equispaced_actions(25), 0.995, max_iters=2)
+            value_iteration(margin, equispaced_actions(25), 0.995, max_iters=2, dt=0.1, tol=1e-6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -245,7 +245,7 @@ class TestValueIteration:
         # random cell sample away from the zero level set.
         spec = GridSpec(nx=31, ny=31, ntheta=15)
         margin = margin_field(spec, signed_distance_margin)
-        sol = value_iteration(margin, equispaced_actions(9), 0.9, tol=1e-6, max_iters=300)
+        sol = value_iteration(margin, equispaced_actions(9), 0.9, tol=1e-6, max_iters=300, dt=0.1)
         assert sol.converged
         rng = np.random.default_rng(5)
         nodes = spec.nodes()
@@ -266,21 +266,21 @@ class TestQFromValue:
     def test_constant_fields(self):
         spec = GridSpec(nx=5, ny=5, ntheta=4)
         one = constant_field(spec, 1.0)
-        q = q_from_value(GridField(spec, one.values, "value"), one, np.zeros(3), 0.5, 0.995)
+        q = q_from_value(GridField(spec, one.values, "value"), one, np.zeros(3), 0.5, 0.995, 0.1)
         assert q == pytest.approx(1.0, abs=1e-12)
 
     def test_margin_pins_min(self):
         spec = GridSpec(nx=5, ny=5, ntheta=4)
         margin = constant_field(spec, -1.0)
         value = constant_field(spec, 0.8, kind="value")
-        q = q_from_value(value, margin, np.zeros(3), 0.0, 0.995)
+        q = q_from_value(value, margin, np.zeros(3), 0.0, 0.995, 0.1)
         assert q == pytest.approx(-1.0, abs=1e-12)
 
     def test_blend_arithmetic(self):
         spec = GridSpec(nx=5, ny=5, ntheta=4)
         margin = constant_field(spec, 0.5)
         value = constant_field(spec, 0.2, kind="value")
-        q = q_from_value(value, margin, np.zeros(3), 0.0, 0.995)
+        q = q_from_value(value, margin, np.zeros(3), 0.0, 0.995, 0.1)
         assert q == pytest.approx(0.0025 + 0.995 * 0.2, abs=1e-12)
 
     def test_peak_memory_at_most_loop_coeffs(self, monkeypatch):
@@ -294,7 +294,7 @@ class TestQFromValue:
         def peak():
             tracemalloc.start()
             try:
-                q_from_value(margin, margin, nodes, actions, 0.995)
+                q_from_value(margin, margin, nodes, actions, 0.995, 0.1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -307,7 +307,7 @@ class TestQFromValue:
         margin = constant_field(GridSpec(5, 5, 4), 0.5)
         value = constant_field(GridSpec(7, 5, 4), 0.5, kind="value")
         with pytest.raises(ValueError):
-            q_from_value(value, margin, np.zeros(3), 0.0, 0.995)
+            q_from_value(value, margin, np.zeros(3), 0.0, 0.995, 0.1)
 
 
 class TestBruteForceOracle:
@@ -332,7 +332,7 @@ class TestBruteForceOracle:
             slow = recursive_avoid_value(
                 s,
                 lambda st: float(signed_distance_margin(st)),
-                lambda st, a: dynamics_step(st, a),
+                lambda st, a: dynamics_step(st, a, 0.1),
                 actions,
                 4,
             )
@@ -354,7 +354,7 @@ class TestLipschitzScan:
 
     def test_bound_on_constant_margin(self):
         spec = GridSpec(nx=9, ny=9, ntheta=6)
-        report = verify_margin_value_bound(constant_field(spec, 0.5), 0.9, 0.1, equispaced_actions(5), L_f=1.05)
+        report = verify_margin_value_bound(constant_field(spec, 0.5), 0.9, 0.1, equispaced_actions(5), L_f=1.05, vi_tol=1e-6, max_iters=2000)
         assert isinstance(report, LipschitzReport)
         assert report.L_ell == 0.0
         assert report.L_V == pytest.approx(0.0, abs=1e-9)
@@ -365,12 +365,12 @@ class TestLipschitzScan:
         spec = GridSpec(nx=9, ny=9, ntheta=6)
         margin = margin_field(spec, signed_distance_margin)
         with pytest.raises(RuntimeError, match="did not converge.*after 2 sweeps.*vi_max_sweeps \\(now 2\\)"):
-            verify_margin_value_bound(margin, 0.9, 0.1, equispaced_actions(5), L_f=1.05, max_iters=2)
+            verify_margin_value_bound(margin, 0.9, 0.1, equispaced_actions(5), L_f=1.05, max_iters=2, vi_tol=1e-6)
 
     def test_hypothesis_violation_rejected(self):
         spec = GridSpec(nx=9, ny=9, ntheta=6)
         with pytest.raises(ValueError):
-            verify_margin_value_bound(constant_field(spec, 0.5), 0.995, 0.1, equispaced_actions(5), L_f=1.05)
+            verify_margin_value_bound(constant_field(spec, 0.5), 0.995, 0.1, equispaced_actions(5), L_f=1.05, vi_tol=1e-6, max_iters=2000)
 
 
 class TestFieldIo:
@@ -380,7 +380,7 @@ class TestFieldIo:
         field = GridField(spec, rng.normal(size=(5, 4, 4)))
         path = tmp_path / "field.txt"
         save_field(field, str(path))
-        loaded = load_field(str(path))
+        loaded = load_field(str(path), kind="value")
         assert loaded.spec == spec
         np.testing.assert_array_equal(loaded.values, field.values)
 
@@ -388,7 +388,7 @@ class TestFieldIo:
         path = tmp_path / "field.txt"
         path.write_text("grid 2 2 4\n1.0\n2.0\n")
         with pytest.raises(ValueError):
-            load_field(str(path))
+            load_field(str(path), kind="value")
 
 
 
@@ -396,7 +396,7 @@ class TestFieldFiles:
     def _solved(self):
         spec = GridSpec(nx=9, ny=9, ntheta=6)
         margin = margin_field(spec, signed_distance_margin)
-        return margin, value_iteration(margin, equispaced_actions(5), 0.9, tol=1e-6, max_iters=300).field
+        return margin, value_iteration(margin, equispaced_actions(5), 0.9, tol=1e-6, max_iters=300, dt=0.1).field
 
     def test_round_trip_matches_original_and_decimal_oracle(self, tmp_path):
         margin, value = self._solved()
@@ -436,14 +436,14 @@ class TestFieldFiles:
         path = tmp_path / "value_grid.txt"
         decimal_save_field(self._solved()[1], str(path))
         with pytest.raises(ValueError, match="value_grid.txt: grid file uses the old decimal format; regenerate it"):
-            load_field(str(path))
+            load_field(str(path), kind="value")
 
     @pytest.mark.parametrize("header", ["", "grid-hex64 value 3 x 4", "grid-hex64 3 3 4", "mlp-hex64 value 3 3 4"])
     def test_bad_header_refused(self, tmp_path, header):
         path = tmp_path / "field.txt"
         path.write_text(header + "\n" + "0000000000000000\n" * 36)
         with pytest.raises(ValueError, match="field.txt: bad grid header"):
-            load_field(str(path))
+            load_field(str(path), kind="value")
 
     def test_bad_count_and_corrupt_value_refused(self, tmp_path):
         path = tmp_path / "field.txt"
@@ -451,11 +451,11 @@ class TestFieldFiles:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="expected 36 values, found 35"):
-            load_field(str(path))
+            load_field(str(path), kind="value")
         lines[5] = "0.50000000000000"  # 16 characters, but not a bit pattern
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="field.txt: not hex-float64"):
-            load_field(str(path))
+            load_field(str(path), kind="value")
 
 
 class TestDiscretizationStability:
@@ -465,7 +465,7 @@ class TestDiscretizationStability:
         fractions = []
         for spec in (GridSpec(31, 31, 15), GridSpec(61, 61, 30)):
             margin = margin_field(spec, signed_distance_margin)
-            sol = value_iteration(margin, actions, 0.9, tol=1e-6, max_iters=300)
+            sol = value_iteration(margin, actions, 0.9, tol=1e-6, max_iters=300, dt=0.1)
             assert sol.converged
             fractions.append(float(np.mean(sol.field.values >= 0.0)))
         assert abs(fractions[1] - fractions[0]) / fractions[0] < 0.05

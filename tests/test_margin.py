@@ -115,7 +115,7 @@ class TestMarginLoss:
         # Linear net with unit gradient norm equal to beta=1 so the penalty
         # vanishes: loss = lambda_zs * (l(z-) - l(z+)).
         net = linear_net(np.array([1.0, 0.0, 0.0]))
-        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0)
+        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0, iterations=8000, use_gp=True, seed=0)
         safe = np.array([[1.0, 0.0, 0.0]])
         fail = np.array([[-1.0, 0.0, 0.0]])
         value, _ = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed))
@@ -124,7 +124,7 @@ class TestMarginLoss:
     def test_penalty_contributes(self):
         # Gradient norm 2 with beta=1 adds lambda_gp * (2 - 1)^2 = 10.
         net = linear_net(np.array([2.0, 0.0, 0.0]))
-        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0)
+        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0, iterations=8000, use_gp=True, seed=0)
         safe = np.array([[0.5, 0.0, 0.0]])
         fail = np.array([[-0.5, 0.0, 0.0]])
         value, _ = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed))
@@ -136,7 +136,7 @@ class TestMarginLoss:
         rng = np.random.default_rng(1)
         w = rng.normal(size=3)
         net = linear_net(w)
-        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=0.1)
+        cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=0.1, iterations=8000, use_gp=True, seed=0)
         safe = rng.normal(size=(6, 3))
         fail = rng.normal(size=(6, 3))
         value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed))
@@ -151,7 +151,7 @@ class TestMarginLoss:
 
     def test_penalty_zero_iff_norm_beta(self):
         net = linear_net(np.array([0.3, 0.0, 0.0]))
-        cfg = MarginTrainConfig(lambda_zs=0.0, lambda_gp=5.0, lambda_sign=0.0, beta=0.3)
+        cfg = MarginTrainConfig(lambda_zs=0.0, lambda_gp=5.0, lambda_sign=0.0, beta=0.3, iterations=8000, use_gp=True, seed=0)
         value, grads = margin_loss(net, np.ones((3, 3)), -np.ones((3, 3)), cfg, np.random.default_rng(cfg.seed))
         assert value == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(flat_grads(grads), 0.0, atol=1e-12)
@@ -170,7 +170,7 @@ class TestMarginLoss:
         safe, fail, net = _fixed_batches(seed, n_safe, n_fail, use_gp=True)
         net = net.astype(dtype)
         tol = 1e-13 * np.finfo(dtype).eps / np.finfo(np.float64).eps
-        cfg = MarginTrainConfig(use_gp=True, seed=seed)
+        cfg = MarginTrainConfig(use_gp=True, seed=seed, iterations=8000)
         value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
         ref_value, ref_grads = three_pass_margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
         assert flat_grads(grads).dtype == flat_grads(ref_grads).dtype == dtype
@@ -180,7 +180,7 @@ class TestMarginLoss:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nogp_equals_hinge_pass_exactly(self, seed):
         safe, fail, net = _fixed_batches(seed, 256, 256, use_gp=False)
-        cfg = MarginTrainConfig(use_gp=False, seed=seed)
+        cfg = MarginTrainConfig(use_gp=False, seed=seed, iterations=8000)
         value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
         ref_value, ref_grads = three_pass_margin_loss(net, safe, fail, cfg, None)
         assert np.array_equal(flat_grads(grads), flat_grads(ref_grads))
@@ -201,7 +201,7 @@ class TestMarginLoss:
         for name in ("param_gradient", "penalty_param_gradient"):
             monkeypatch.setattr(margin_module, name, counted(name))
         safe, fail, net = _fixed_batches(0, 64, 64, use_gp=True)
-        margin_loss(net, safe, fail, MarginTrainConfig(use_gp=True), np.random.default_rng(0))
+        margin_loss(net, safe, fail, MarginTrainConfig(use_gp=True, iterations=8000, seed=0), np.random.default_rng(0))
         assert sorted(calls) == ["param_gradient", "penalty_param_gradient"]
 
 
@@ -228,7 +228,7 @@ class TestTrainMargin:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            train_margin(MarginDataset(np.zeros((3, 3)), np.zeros((0, 3))), MarginTrainConfig())
+            train_margin(MarginDataset(np.zeros((3, 3)), np.zeros((0, 3))), MarginTrainConfig(iterations=8000, use_gp=True, seed=0))
 
     def test_deterministic_given_seed(self):
         ds = build_margin_dataset(2000, seed=1)
@@ -240,8 +240,8 @@ class TestTrainMargin:
 
     def test_output_activations_by_mode(self):
         ds = build_margin_dataset(500, seed=2)
-        gp = train_margin(ds, MarginTrainConfig(use_gp=True, iterations=5, hidden_dims=(8,)))
-        nogp = train_margin(ds, MarginTrainConfig(use_gp=False, iterations=5, hidden_dims=(8,)))
+        gp = train_margin(ds, MarginTrainConfig(use_gp=True, iterations=5, hidden_dims=(8,), seed=0))
+        nogp = train_margin(ds, MarginTrainConfig(use_gp=False, iterations=5, hidden_dims=(8,), seed=0))
         assert gp.output_activation == "identity"
         assert nogp.output_activation == "tanh"
 
@@ -277,7 +277,7 @@ class TestTrainingDtype:
 
         for name in ("margin_loss", "adam_step"):
             monkeypatch.setattr(margin_module, name, spy(name))
-        cfg = MarginTrainConfig(use_gp=use_gp, iterations=3, hidden_dims=(8,))
+        cfg = MarginTrainConfig(use_gp=use_gp, iterations=3, hidden_dims=(8,), seed=0)
         net = train_margin(build_margin_dataset(500, seed=2), cfg)
         assert [name for name, _ in seen] == ["margin_loss", "adam_step"] * cfg.iterations
         assert {dtype for _, dtype in seen} == {np.dtype(TRAIN_DTYPE)}
@@ -285,7 +285,7 @@ class TestTrainingDtype:
 
     @pytest.mark.parametrize("use_gp", [True, False])
     def test_returns_an_exact_float64_upcast_that_saves_bit_exactly(self, tmp_path, use_gp):
-        cfg = MarginTrainConfig(use_gp=use_gp, iterations=20, hidden_dims=(16, 16))
+        cfg = MarginTrainConfig(use_gp=use_gp, iterations=20, hidden_dims=(16, 16), seed=0)
         net = train_margin(build_margin_dataset(1000, seed=3), cfg)
         params = net.weights + net.biases
         assert all(p.dtype == np.float64 for p in params)
@@ -324,7 +324,7 @@ MARGIN_BLOCK = 256 * 64 * 8
 @pytest.mark.parametrize("use_gp,budget", [(True, 12), (False, 9)])
 def test_one_training_iteration_peak(use_gp, budget):
     dataset = build_margin_dataset(4000, seed=0)
-    cfg = MarginTrainConfig(use_gp=use_gp, iterations=1)
+    cfg = MarginTrainConfig(use_gp=use_gp, iterations=1, seed=0)
     assert traced_peak_bytes(lambda: train_margin(dataset, cfg)) <= budget * MARGIN_BLOCK
 
 
@@ -338,7 +338,7 @@ import resource
 from cbfforge.margin import MarginTrainConfig, build_margin_dataset, train_margin
 dataset = build_margin_dataset(50_000, seed=0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-train_margin(dataset, MarginTrainConfig(use_gp=True, iterations=200))
+train_margin(dataset, MarginTrainConfig(use_gp=True, iterations=200, seed=0))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -360,7 +360,7 @@ class TestEvaluateMargin:
         recs = []
         for _ in range(n):
             x0 = np.array([rng.uniform(-1.5, -1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)])
-            recs.append(rollout(lambda s: nominal_policy(s, cfg, rng), x0, steps))
+            recs.append(rollout(lambda s: nominal_policy(s, cfg, rng), x0, steps, None, 0.1))
         return recs
 
     def test_ground_truth_margin_is_perfect(self):

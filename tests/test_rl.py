@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cbfforge.rl as rl_module
-from cbfforge.dubins import NominalPolicyConfig, dynamics_step, signed_distance_margin
+from cbfforge.dubins import NominalPolicyConfig, dynamics_step, nominal_policy, signed_distance_margin
 from cbfforge.filters import actor_action
 from cbfforge.hj import GridSpec, margin_field, value_iteration, q_from_value
 from cbfforge.dubins import equispaced_actions
@@ -404,60 +404,60 @@ def test_train_divergence_aborts():
 def tanh_scale_grid():
     spec = GridSpec(nx=25, ny=25, ntheta=13)
     margin = margin_field(spec, lambda pts: np.tanh(signed_distance_margin(pts)))
-    sol = value_iteration(margin, equispaced_actions(), gamma=0.995, tol=1e-6)
+    sol = value_iteration(margin, equispaced_actions(25), gamma=0.995, dt=0.1, tol=1e-6)
     assert sol.converged
     return margin, sol.field
 
 
-def test_critic_error_zero_for_oracle_wrapper(tanh_scale_grid):
+def _oracle_states(seed):
+    """The states critic_error_vs_oracle draws at this seed, recomputed."""
+    rng = np.random.default_rng(seed)
+    n = rl_module.ORACLE_PAIRS
+    return np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n), rng.uniform(-np.pi, np.pi, n)])
+
+
+def _oracle_mae(critic, value, margin, states, acts):
+    q_critic = mlp_forward(critic, np.column_stack([states, acts]))[:, 0]
+    return float(np.mean(np.abs(q_critic - q_from_value(value, margin, states, acts, 0.995, 0.1))))
+
+
+ORACLE_ACTOR = mlp_init([3, 8, 1], output_activation="tanh", seed=0)
+
+
+def test_critic_error_scores_the_net_on_state_action_rows(tanh_scale_grid):
     margin, value = tanh_scale_grid
-    oracle = lambda s, a: q_from_value(value, margin, s, a, 0.995)
-    err = critic_error_vs_oracle(oracle, value, margin, "nominal_policy", nominal_cfg=NOM_CFG, n=500)
-    assert err == 0.0
+    critic = mlp_init([4, 16, 16, 1], seed=3)
+    err = critic_error_vs_oracle(critic, value, margin, "nominal_policy", ORACLE_ACTOR, NOM_CFG, 0.995, 0.1, 0)
+    states = _oracle_states(0)
+    acts = np.array([float(nominal_policy(s, NOM_CFG)) for s in states])
+    assert err == _oracle_mae(critic, value, margin, states, acts)
 
 
 def test_critic_error_constant_critic_matches_manual(tanh_scale_grid):
     margin, value = tanh_scale_grid
-    const = lambda s, a: np.zeros(len(np.atleast_2d(s)))
-    err = critic_error_vs_oracle(const, value, margin, "nominal_policy", nominal_cfg=NOM_CFG, n=800, seed=11)
+    critic = mlp_init([4, 8, 1], seed=0)
+    for p in critic.weights + critic.biases:
+        p[:] = 0.0
+    err = critic_error_vs_oracle(critic, value, margin, "nominal_policy", ORACLE_ACTOR, NOM_CFG, 0.995, 0.1, 11)
     # recompute by hand with the same draws
-    rng = np.random.default_rng(11)
-    states = np.column_stack(
-        [rng.uniform(-1.5, 1.5, 800), rng.uniform(-1.5, 1.5, 800), rng.uniform(-np.pi, np.pi, 800)]
-    )
-    from cbfforge.dubins import nominal_policy
-
+    states = _oracle_states(11)
     acts = np.array([float(nominal_policy(s, NOM_CFG)) for s in states])
-    manual = np.mean(np.abs(q_from_value(value, margin, states, acts, 0.995)))
-    assert err == pytest.approx(manual)
+    assert err == np.mean(np.abs(q_from_value(value, margin, states, acts, 0.995, 0.1)))
 
 
 def test_critic_error_requires_matching_policy_args(tanh_scale_grid):
     margin, value = tanh_scale_grid
-    const = lambda s, a: np.zeros(len(np.atleast_2d(s)))
-    with pytest.raises(ValueError):
-        critic_error_vs_oracle(const, value, margin, "nominal_policy", n=10)
-    with pytest.raises(ValueError):
-        critic_error_vs_oracle(const, value, margin, "fallback_policy", n=10)
-    with pytest.raises(ValueError):
-        critic_error_vs_oracle(const, value, margin, "greedy", nominal_cfg=NOM_CFG, n=10)
+    critic = mlp_init([4, 8, 1], seed=0)
+    with pytest.raises(ValueError, match="unknown eval_source"):
+        critic_error_vs_oracle(critic, value, margin, "greedy", ORACLE_ACTOR, NOM_CFG, 0.995, 0.1, 0)
 
 
 def test_critic_error_fallback_source_uses_actor(tanh_scale_grid):
     margin, value = tanh_scale_grid
-    actor = mlp_init([3, 8, 1], output_activation="tanh", seed=0)
-    captured = {}
-
-    def probe(s, a):
-        captured["actions"] = a
-        return np.zeros(len(np.atleast_2d(s)))
-
-    critic_error_vs_oracle(probe, value, margin, "fallback_policy", actor=actor, n=50, seed=2)
-    rng = np.random.default_rng(2)
-    states = np.column_stack(
-        [rng.uniform(-1.5, 1.5, 50), rng.uniform(-1.5, 1.5, 50), rng.uniform(-np.pi, np.pi, 50)]
-    )
-    assert np.allclose(captured["actions"], actor_action(actor, states))
+    critic = mlp_init([4, 16, 16, 1], seed=4)
+    err = critic_error_vs_oracle(critic, value, margin, "fallback_policy", ORACLE_ACTOR, NOM_CFG, 0.995, 0.1, 2)
+    states = _oracle_states(2)
+    assert err == _oracle_mae(critic, value, margin, states, actor_action(ORACLE_ACTOR, states))
 
 
 # ------------------------------------------- equivalence with the two-pass nets

@@ -166,12 +166,33 @@ def _saved_pair(cfg: dict, first: str, second: str) -> bool:
     return True
 
 
+def _save_vi_residuals(sol, gamma: float, path: str) -> None:
+    """Write the solve's history: ``sweep,residual,jump`` per sweep, where jump
+    is ``kept`` or ``rejected`` for a sweep of an extrapolated iterate and
+    ``no`` otherwise, then ``bound,<b>,<converged|not_converged>``.
+
+    b = gamma / (1 - gamma) * r bounds the sup-norm distance of the returned
+    field from the fixed point, where r is the residual of the sweep that
+    produced it (the last one that was not a rejected jump); inf at gamma 1.
+    """
+    lines = ["sweep,residual,jump"]
+    for k, r in enumerate(sol.residuals, 1):
+        jump = "no" if k not in sol.jumps else "kept" if sol.jumps[k] else "rejected"
+        lines.append(f"{k},{r:.17g},{jump}")
+    final = [r for k, r in enumerate(sol.residuals, 1) if sol.jumps.get(k, True)][-1]
+    bound = gamma / (1.0 - gamma) * final if gamma < 1.0 else float("inf")
+    lines.append(f"bound,{bound:.17g},{'converged' if sol.converged else 'not_converged'}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def grid_fields(cfg: dict, out_dir: str, margin_fn=None):
     """Load the saved (margin, value) field pair, or solve and save it.
 
     Only a solve resolves a margin: margin_fn labels the grid cells, and
-    defaults to field_margin(cfg, out_dir).  Raises RuntimeError when the
-    solve stops at vi_max_sweeps unconverged.
+    defaults to field_margin(cfg, out_dir).  A solve writes vi_residuals.csv
+    first, then raises RuntimeError when it stopped at vi_max_sweeps
+    unconverged.
     """
     if _saved_pair(cfg, "value_grid", "margin_grid"):
         value = load_field(cfg["value_grid"], kind="value")
@@ -191,6 +212,7 @@ def grid_fields(cfg: dict, out_dir: str, margin_fn=None):
         tol=cfg["vi_tol"],
         max_iters=cfg["vi_max_sweeps"],
     )
+    _save_vi_residuals(sol, cfg["gamma"], os.path.join(out_dir, "vi_residuals.csv"))
     require_converged(sol, cfg["vi_tol"], cfg["vi_max_sweeps"])
     save_field(sol.field, os.path.join(out_dir, "value_grid.txt"))
     save_field(margin, os.path.join(out_dir, "margin_grid.txt"))

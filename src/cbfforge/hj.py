@@ -14,16 +14,39 @@ and the action, and clamping a successor into the box is the same as
 edge-padding the field.  Each sweep is therefore a semi-Lagrangian stencil
 (Falcone & Ferretti, SIAM 2013): per action, one theta lerp and a bilinear
 shift of edge-padded xy planes, with per-heading weights.  It needs a few
-copies of the field and no per-node tables.  `interpolate` and
-`q_from_value` are the query path for arbitrary states; their trilinear
-coefficients come from one loop-free broadcast over the 8 cell corners,
-written straight into the (8, n) index and weight arrays.  Empirical
-Lipschitz scans check the solved fields against the margin-to-value bound.
+copies of the field and no per-node tables.
+
+After a short transient the residual of plain Jacobi sweeps shrinks by one
+fixed ratio per sweep, which is the tail Aitken's delta-squared process
+removes (Aitken 1926; Walker & Ni, SIAM J. Numer. Anal. 2011, for the
+safeguarded form).  `accelerated_fixed_point` drives the sweeps: once two
+successive residual ratios agree to RATIO_AGREEMENT it jumps along the last
+change, keeps the jump only if the next sweep's residual is smaller than
+the one before the jump, and otherwise returns to the iterate before it and
+waits BACKOFF times longer before the next try.  The stopping test reads
+only a plain sweep's change, so the gamma / (1 - gamma) * tol error bound
+of plain iteration still holds.  With the exact margin, 25 actions and one
+BLAS thread (2-core x86 host, numpy on OpenBLAS), against plain sweeps:
+
+    41x41x21, gamma 0.995, tol 1e-5:  75 -> 22 sweeps; distance from a
+                                      tol 1e-11 solve 1.30e-4 -> 2.8e-6
+    61x61x31, gamma 0.995, tol 1e-6:  533 -> 17 sweeps (28-44 s -> 0.9 s);
+                                      distance 1.29e-4 -> 2.0e-9
+    41x41x21, gamma 0.9, tol 1e-5:    32 -> 19 sweeps
+    41x41x21, gamma 1, tol 1e-5:      1,059 -> 1,067 sweeps: every jump is
+                                      rejected, and the back-off keeps the
+                                      waste to 8 sweeps
+
+`interpolate` and `q_from_value` are the query path for arbitrary states;
+their trilinear coefficients come from one loop-free broadcast over the 8
+cell corners, written straight into the (8, n) index and weight arrays.
+Empirical Lipschitz scans check the solved fields against the
+margin-to-value bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +56,13 @@ from .dubins import XY_BOUND, dynamics_step_batch, wrap_angle
 FIELD_KINDS = ("margin", "value")
 FIELD_FORMAT = "grid-hex64"  # first header token of a saved field
 BOUND_TOL = 0.05  # relative slack of the Lipschitz bound check
+# A jump is tried only when the last two residual ratios agree to this
+# relative tolerance, i.e. when the tail is one geometric mode.
+RATIO_AGREEMENT = 1e-3
+# Plain sweeps a chain needs before the first jump: two ratios take three.
+MIN_CHAIN = 3
+# Factor on the plain sweeps required before the next jump after a rejected one.
+BACKOFF = 2
 
 
 @dataclass(frozen=True)
@@ -171,12 +201,71 @@ def interpolate(field: GridField, states: np.ndarray):
 
 @dataclass
 class ValueSolution:
-    """Solved field plus convergence bookkeeping."""
+    """Solved field plus convergence bookkeeping.
+
+    residuals holds the change of every sweep, so len(residuals) == sweeps;
+    jumps maps each sweep that started from an extrapolated iterate to
+    whether the jump was kept.
+    """
 
     field: GridField
     converged: bool
     sweeps: int
     residuals: list[float]
+    jumps: dict[int, bool] = field(default_factory=dict)
+
+
+def accelerated_fixed_point(sweep, start: np.ndarray, tol: float, max_iters: int):
+    """Iterate sweep from start until its change is below tol, with the
+    safeguarded Aitken jumps of the module docstring.
+
+    sweep(v, out) writes the plain sweep of v into out and keeps neither
+    array.  When the last two residual ratios r agree, the iterate v with
+    last change d is replaced by the jump w = v + r / (1 - r) * d; the sweep
+    of w counts in residuals and against max_iters like any other.  Every
+    stopping test reads a sweep's own change |T(w) - w|, which bounds the
+    distance of T(w) from the fixed point of a gamma-contraction T by
+    gamma / (1 - gamma) times that change, whatever w was.
+
+    Returns (v, converged, residuals, jumps): the last kept iterate (a new
+    array), whether its residual fell below tol, the change of every sweep,
+    and each jump's sweep number mapped to whether it was kept.
+    """
+    v = np.array(start, dtype=float)
+    out, delta = np.empty_like(v), np.empty_like(v)
+    residuals: list[float] = []
+    jumps: dict[int, bool] = {}
+    chain: list[float] = []  # residuals of the plain sweeps that led to v since the last try
+    wait = MIN_CHAIN
+    converged = False
+    while len(residuals) < max_iters:
+        src = v
+        if len(chain) >= wait:
+            ratio_before, ratio = chain[-2] / chain[-3], chain[-1] / chain[-2]
+            if 0.0 < ratio < 1.0 and abs(ratio - ratio_before) <= RATIO_AGREEMENT * ratio:
+                # The jump overwrites delta: the sweep of it rewrites delta anyway.
+                delta *= ratio / (1.0 - ratio)
+                delta += v
+                src = delta
+        sweep(src, out)
+        np.subtract(out, src, out=delta)
+        residual = float(max(delta.max(), -delta.min()))
+        residuals.append(residual)
+        if src is delta:
+            kept = residual < chain[-1]
+            jumps[len(residuals)] = kept
+            if not kept:
+                # v is unchanged, and the next sweep of it rewrites delta.
+                wait *= BACKOFF
+                chain = chain[-1:]
+                continue
+            chain = []
+        chain.append(residual)
+        v, out = out, v
+        if residual < tol:
+            converged = True
+            break
+    return v, converged, residuals, jumps
 
 
 def value_iteration(
@@ -187,10 +276,11 @@ def value_iteration(
     tol: float,
     max_iters: int = 2000,
 ) -> ValueSolution:
-    """Solve the discounted avoid fixed point by Jacobi sweeps.
+    """Solve the discounted avoid fixed point by Jacobi sweeps with
+    safeguarded Aitken jumps (see accelerated_fixed_point).
 
-    Every sweep writes into a fresh buffer (deterministic under parallel cell
-    updates) and applies, at each node s,
+    Every sweep writes into a buffer other than its input (deterministic
+    under parallel cell updates) and applies, at each node s,
 
         V(s) = (1 - gamma) * margin(s)
                + gamma * min(margin(s), max_a Interp(V, f(s, a))).
@@ -203,9 +293,15 @@ def value_iteration(
     padding reproduces the clamping of successors into the box.  Memory is a
     few copies of the field; nothing is stored per node and action.
 
-    For gamma < 1 this is a gamma-contraction and must converge; gamma = 1 is
-    the undiscounted fixed point and may hit max_iters, in which case the
-    solution is returned flagged non-converged.
+    A sweep is one application of that backup, to the last iterate or to a
+    jump from it; sweeps, residuals and max_iters count both kinds, so
+    len(residuals) == sweeps <= max_iters.  The solve stops when a sweep
+    changes its input by less than tol in the sup norm, and returns that
+    sweep's output V.  For gamma < 1 the backup is a gamma-contraction, so
+    V lies within gamma / (1 - gamma) * tol of the fixed point and its own
+    residual is below gamma * tol.  gamma = 1 is the undiscounted fixed
+    point and may hit max_iters, in which case the solution is returned
+    flagged non-converged.
 
     Args:
         margin: gridded margin (kind "margin").
@@ -262,41 +358,39 @@ def value_iteration(
         taps.append((it0, it1, wt[:, None, None], corners))
 
     ell = np.ascontiguousarray(np.moveaxis(margin.values, 2, 0))
-    v = ell
-    residuals: list[float] = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_iters + 1):
+
+    def sweep(v: np.ndarray, out: np.ndarray) -> None:
         # Lerping padded planes keeps their pads exact, so pad V once per sweep.
         padded[:, pad : pad + nx, pad : pad + ny] = v
         padded[:, pad : pad + nx, :pad] = v[:, :, :1]
         padded[:, pad : pad + nx, pad + ny :] = v[:, :, -1:]
         padded[:, :pad] = padded[:, pad : pad + 1]
         padded[:, pad + nx :] = padded[:, pad + nx - 1 : pad + nx]
-        best = np.full(v.shape, -np.inf)
+        out.fill(-np.inf)
         for it0, it1, wt, corners in taps:
             # The indices are in range; "clip" only skips buffering `out`.
             np.take(padded, it0, axis=0, out=lo, mode="clip")
             np.take(padded, it1, axis=0, out=lerp, mode="clip")
-            lerp -= lo
-            lerp *= wt
-            lerp += lo
+            np.subtract(lerp, lo, out=lerp)
+            np.multiply(lerp, wt, out=lerp)
+            np.add(lerp, lo, out=lerp)
             ux, uy, w = corners[0]
             acc = windows[ks, ux, uy] * w
             for ux, uy, w in corners[1:]:
                 pick = windows[ks, ux, uy]
                 pick *= w
                 acc += pick
-            np.maximum(best, acc, out=best)
-        v_new = (1.0 - gamma) * ell + gamma * np.minimum(ell, best)
-        residual = float(np.max(np.abs(v_new - v)))
-        residuals.append(residual)
-        v = v_new
-        if residual < tol:
-            converged = True
-            break
+            np.maximum(out, acc, out=out)
+        np.minimum(ell, out, out=out)
+        out *= gamma
+        # lo is free until the next sweep: hold (1 - gamma) * margin in it.
+        share = lo[:, :nx, :ny]
+        np.multiply(ell, 1.0 - gamma, out=share)
+        out += share
+
+    v, converged, residuals, jumps = accelerated_fixed_point(sweep, ell, tol, max_iters)
     field = GridField(spec, np.moveaxis(v, 0, 2), kind="value")
-    return ValueSolution(field, converged, sweeps, residuals)
+    return ValueSolution(field, converged, len(residuals), residuals, jumps)
 
 
 def require_converged(solution: ValueSolution, vi_tol: float, max_sweeps: int) -> None:

@@ -332,7 +332,7 @@ def test_cli_runs_are_byte_deterministic(tmp_path):
     # check covers its deterministic outputs instead)
     plans = {
         "train-margin": (margin + ["margin_mode = nogp"], ["margin_nogp.txt"]),
-        "solve-grid": (grid, ["value_grid.txt", "margin_grid.txt"]),
+        "solve-grid": (grid, ["value_grid.txt", "margin_grid.txt", "vi_residuals.csv"]),
         "train-rl": (rl, ["rl/actor.txt", "rl/critic.txt", "rl/training_curve.csv"]),
         "filter-eval": (grid + ["n_rollouts = 3", "rollout_steps = 10"],
                         ["metrics.csv", "trajectories/cbf_000.csv"]),

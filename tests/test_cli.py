@@ -124,6 +124,25 @@ def test_unconverged_grid_solve_exits_1(tmp_path, capsys):
     assert not (out / "value_grid.txt").exists()
 
 
+@pytest.mark.parametrize("cap, status", [(2000, "converged"), (2, "not_converged")])
+def test_solve_grid_writes_its_residual_history(tmp_path, cap, status):
+    cfg = _write_cfg(tmp_path, *TINY_GRID, f"vi_max_sweeps = {cap}")
+    out = tmp_path / "grid"
+    assert main(["solve-grid", "--config", cfg, "--out", str(out)]) == (0 if status == "converged" else 1)
+    lines = (out / "vi_residuals.csv").read_text().splitlines()
+    assert lines[0] == "sweep,residual,jump"
+    rows = [ln.split(",") for ln in lines[1:-1]]
+    assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+    assert len(rows) <= cap and {r[2] for r in rows} <= {"no", "kept", "rejected"}
+    label, bound, final = lines[-1].split(",")
+    assert (label, final) == ("bound", status)
+    # gamma / (1 - gamma) * the residual of the returned field's sweep
+    last = [float(r[1]) for r in rows if r[2] != "rejected"][-1]
+    assert float(bound) == pytest.approx(0.995 / 0.005 * last, rel=1e-12)
+    if status == "converged":
+        assert last < 1e-4
+
+
 def test_unconverged_bound_solve_exits_1(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, *TINY_GRID, "vi_max_sweeps = 2", "lip_margin_modes = exact", "lip_fd_samples = 500")
     out = tmp_path / "bound"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cbfforge import hj
+from cbfforge.config import default_config
 from cbfforge.dubins import equispaced_actions, signed_distance_margin
 from cbfforge.hj import (
     GridField,
@@ -239,6 +240,19 @@ class TestValueIteration:
             tracemalloc.stop()
         assert peak <= 16 * margin.values.nbytes
 
+    def test_peak_memory_is_a_few_fields_through_a_jump(self):
+        # The jump's arithmetic runs in buffers allocated once per solve.
+        spec = GridSpec(nx=41, ny=41, ntheta=21)
+        margin = margin_field(spec, signed_distance_margin)
+        tracemalloc.start()
+        try:
+            sol = value_iteration(margin, equispaced_actions(25), 0.995, max_iters=30, dt=0.1, tol=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert True in sol.jumps.values()
+        assert peak <= 16 * margin.values.nbytes
+
     def test_sign_agreement_with_oracle_sample(self):
         # Desk-scale echo of the solver-vs-oracle agreement check: solved
         # discounted field against the 3-action horizon-6 enumeration, on a
@@ -260,6 +274,106 @@ class TestValueIteration:
             agree += int(np.sign(oracle) == np.sign(sol.field.values.ravel()[i]))
         assert total > 100
         assert agree / total >= 0.98
+
+
+def _saturated_margin(pts):
+    return np.tanh(4.0 * signed_distance_margin(np.atleast_2d(pts)))
+
+
+class TestAcceleratedSolve:
+    """The safeguarded-extrapolation driver, on its own and inside value_iteration.
+
+    Solves on the 17x17x9 grid take jumps within a few tens of sweeps; at
+    gamma = 1, which is not a contraction, every jump is rejected.
+    """
+
+    SPEC = GridSpec(nx=17, ny=17, ntheta=9)
+
+    def test_one_geometric_mode_is_removed_in_one_jump(self):
+        # v_k - v* = r^k (v_0 - v*) exactly: after three plain sweeps the two
+        # ratios agree, and the jump lands on the fixed point.
+        target = np.linspace(-1.0, 2.0, 7)
+
+        def sweep(v, out):
+            np.subtract(v, target, out=out)
+            out *= 0.5
+            out += target
+
+        start = np.zeros(7)
+        v, converged, residuals, jumps = hj.accelerated_fixed_point(sweep, start, 1e-12, 50)
+        assert converged and len(residuals) == 4
+        assert jumps == {4: True}
+        np.testing.assert_allclose(v, target, rtol=0, atol=1e-14)
+        assert np.all(start == 0.0)  # the start array is not written
+
+    @pytest.mark.parametrize(
+        "margin_fn, gamma",
+        [(signed_distance_margin, 0.995), (signed_distance_margin, 0.9), (_saturated_margin, 0.995)],
+        ids=["exact-0.995", "exact-0.9", "sat-0.995"],
+    )
+    def test_within_its_a_posteriori_bound_of_a_tight_solve(self, margin_fn, gamma):
+        tol, tight_tol = 1e-5, 1e-11
+        margin = margin_field(self.SPEC, margin_fn)
+        actions = equispaced_actions(9)
+        sol = value_iteration(margin, actions, gamma, 0.1, tol, 2000)
+        tight = value_iteration(margin, actions, gamma, 0.1, tight_tol, 20000)
+        assert sol.converged and tight.converged and sol.jumps
+        # Both solves are within gamma / (1 - gamma) * their tol of the fixed point.
+        bound = gamma / (1.0 - gamma) * (tol + tight_tol)
+        assert np.max(np.abs(sol.field.values - tight.field.values)) <= bound
+        nodes = self.SPEC.nodes()
+        best = np.max([q_from_value(sol.field, margin, nodes, a, gamma, 0.1) for a in actions], axis=0)
+        assert np.max(np.abs(best - sol.field.values.ravel())) <= tol
+
+    @pytest.mark.parametrize(
+        "spec, margin_fn, gamma, kept",
+        [(SPEC, _saturated_margin, 0.9, True), (GridSpec(25, 25, 13), signed_distance_margin, 0.995, False)],
+        ids=["kept", "rejected"],
+    )
+    def test_every_sweep_counts_against_the_cap(self, spec, margin_fn, gamma, kept):
+        # Both solves take two jumps within 30 sweeps, kept in the first and
+        # rejected in the second, so some caps fall on a jump's sweep.
+        margin = margin_field(spec, margin_fn)
+        actions = equispaced_actions(9)
+        full = value_iteration(margin, actions, gamma, 0.1, 1e-12, 30)
+        assert list(full.jumps.values()) == [kept, kept]
+        for cap in range(1, 31):
+            sol = value_iteration(margin, actions, gamma, 0.1, 1e-12, cap)
+            assert len(sol.residuals) == sol.sweeps == cap
+            assert sol.residuals == full.residuals[:cap]
+            assert sol.jumps == {k: kept for k, kept in full.jumps.items() if k <= cap}
+
+    def test_rejected_jump_returns_to_the_iterate_before_it(self):
+        margin = margin_field(self.SPEC, signed_distance_margin)
+        actions = equispaced_actions(9)
+        first = min(value_iteration(margin, actions, 1.0, 0.1, 1e-10, 60).jumps)
+        at_jump = value_iteration(margin, actions, 1.0, 0.1, 1e-10, first)
+        before = value_iteration(margin, actions, 1.0, 0.1, 1e-10, first - 1)
+        assert at_jump.jumps == {first: False}
+        assert at_jump.residuals[-1] >= at_jump.residuals[-2]
+        assert np.array_equal(at_jump.field.values, before.field.values)
+
+    def test_gamma_one_stops_flagged_at_its_cap(self):
+        margin = margin_field(self.SPEC, signed_distance_margin)
+        sol = value_iteration(margin, equispaced_actions(9), 1.0, 0.1, 1e-10, 300)
+        assert not sol.converged
+        assert sol.sweeps == len(sol.residuals) == 300
+        assert sol.jumps and not any(sol.jumps.values())
+
+    def test_default_solve_takes_at_most_60_sweeps(self):
+        # Counts sweeps, not time: plain Jacobi sweeps took 533 here.
+        cfg = default_config()
+        spec = GridSpec(cfg["grid_nx"], cfg["grid_ny"], cfg["grid_ntheta"])
+        sol = value_iteration(
+            margin_field(spec, signed_distance_margin),
+            equispaced_actions(cfg["n_action_samples"]),
+            cfg["gamma"],
+            cfg["dt"],
+            cfg["vi_tol"],
+            cfg["vi_max_sweeps"],
+        )
+        assert (spec.nx, spec.ny, spec.ntheta, cfg["gamma"], cfg["vi_tol"]) == (61, 61, 31, 0.995, 1e-6)
+        assert sol.converged and sol.sweeps <= 60
 
 
 class TestQFromValue:

@@ -42,6 +42,11 @@ their trilinear coefficients come from one loop-free broadcast over the 8
 cell corners, written straight into the (8, n) index and weight arrays.
 Empirical Lipschitz scans check the solved fields against the
 margin-to-value bound.
+
+`save_field` and `load_field` stream through cbfforge.codec: one block of
+lines of text at a time goes to or comes from the file, and the loader
+decodes into a field allocated from the header, so either holds about the
+field itself and nothing the size of its text.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import decode_floats, encode_floats
+from .codec import read_rows, write_rows
 from .dubins import XY_BOUND, dynamics_step_batch, wrap_angle
 
 FIELD_KINDS = ("margin", "value")
@@ -493,36 +498,39 @@ def save_field(field: GridField, path: str) -> None:
 
     Line 1 is ``grid-hex64 <kind> <nx> <ny> <ntheta>``; then one value per
     line, x-major, as the 16 hex digits of its float64 bit pattern (see
-    cbfforge.codec), so load(save(field)) is bit-exact.
+    cbfforge.codec), so load(save(field)) is bit-exact.  The values go to
+    the file one block of lines at a time, so saving holds one block's text
+    beyond the field.
     """
     spec = field.spec
     with open(path, "w") as fh:
         fh.write(f"{FIELD_FORMAT} {field.kind} {spec.nx} {spec.ny} {spec.ntheta}\n")
-        fh.write(encode_floats(field.values, sep="\n") + "\n")
+        write_rows(fh, [field.values.reshape(-1, 1)])
 
 
 def load_field(path: str, kind: str) -> GridField:
     """Read a field written by save_field.
 
-    Raises ValueError naming the path when the file records a kind other than
-    kind, on a bad header or value count, and on a file in the old decimal
-    format (header ``grid``), which must be regenerated.
+    The float64 values are allocated from the header and filled one block of
+    lines at a time, so loading holds about the field itself.  Raises
+    ValueError naming the path when the file records a kind other than kind,
+    on a bad header or value count, and on a file in the old decimal format
+    (header ``grid``), which must be regenerated.
     """
     with open(path) as fh:
         head = fh.readline().split()
-        tokens = fh.read().split()
-    if head[:1] == ["grid"]:
-        raise ValueError(f"{path}: grid file uses the old decimal format; regenerate it")
-    if len(head) != 5 or head[0] != FIELD_FORMAT or not all(p.isdigit() for p in head[2:]):
-        raise ValueError(f"{path}: bad grid header {' '.join(head)!r}")
-    if head[1] != kind:
-        raise ValueError(f"{path}: holds a {head[1]} grid, expected a {kind} grid")
-    nx, ny, ntheta = (int(p) for p in head[2:])
-    expected = nx * ny * ntheta
-    if len(tokens) != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {len(tokens)}")
-    try:
-        values = decode_floats("\n".join(tokens), expected)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return GridField(GridSpec(nx, ny, ntheta), values.reshape(nx, ny, ntheta), kind=kind)
+        if head[:1] == ["grid"]:
+            raise ValueError(f"{path}: grid file uses the old decimal format; regenerate it")
+        if len(head) != 5 or head[0] != FIELD_FORMAT or not all(p.isdigit() for p in head[2:]):
+            raise ValueError(f"{path}: bad grid header {' '.join(head)!r}")
+        if head[1] != kind:
+            raise ValueError(f"{path}: holds a {head[1]} grid, expected a {kind} grid")
+        nx, ny, ntheta = (int(p) for p in head[2:])
+        expected = nx * ny * ntheta
+        try:
+            arrays, found = read_rows(fh, [(expected, 1)], [""])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if found != expected:
+        raise ValueError(f"{path}: expected {expected} values, found {found}")
+    return GridField(GridSpec(nx, ny, ntheta), arrays[0].reshape(nx, ny, ntheta), kind=kind)

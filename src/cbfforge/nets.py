@@ -28,7 +28,10 @@ A net's weights and biases share one float dtype.  Both trainers (the
 margin nets and the safety actor-critic) train in TRAIN_DTYPE, float32,
 and return the exact float64 upcast, so every consumer sees float64 nets.
 Saved models are exact hex-float64 whatever the net's dtype, since float32
-upcasts exactly.
+upcasts exactly.  `save_model` and `load_model` stream through
+cbfforge.codec a block of weight rows or a bias line at a time, and the
+loader decodes into float64 arrays allocated from the header, so either
+holds about the net itself and nothing the size of its text.
 
 Memory: a pass writes only into arrays it allocated itself.  The forward
 pass adds the bias to the fresh product in place, and a ReLU or tanh layer
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import decode_floats, encode_floats
+from .codec import read_rows, write_rows
 
 HIDDEN_ACTIVATIONS = ("relu", "silu")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
@@ -502,63 +505,53 @@ def save_model(net: MlpNet, path: str) -> None:
     for each layer, one line per weight-matrix row followed by one bias line.
     Each value is the 16 hex digits of its float64 bit pattern (see
     cbfforge.codec), so load(save(net)) is bit-exact and two saves of one
-    network write identical bytes.
+    network write identical bytes.  Rows go to the file a block at a time,
+    so saving holds one block's text beyond the net.
     """
     dims = net.layer_dims
-    lines = [
-        "%s %d %s %s %s"
-        % (MODEL_FORMAT, len(net.weights), " ".join(str(d) for d in dims), net.hidden_activation, net.output_activation)
-    ]
-    for w, b in zip(net.weights, net.biases):
-        lines.extend(encode_floats(row) for row in w)
-        lines.append(encode_floats(b))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            "%s %d %s %s %s\n"
+            % (MODEL_FORMAT, len(net.weights), " ".join(str(d) for d in dims), net.hidden_activation, net.output_activation)
+        )
+        write_rows(fh, [a for w, b in zip(net.weights, net.biases) for a in (w, b.reshape(1, -1))])
 
 
 def load_model(path: str) -> MlpNet:
     """Read a network written by save_model.
 
-    Raises ValueError naming the path on a bad header, line count or row, and
-    on a file in the old decimal format (header ``mlp``), which must be
+    The float64 weights and biases are allocated from the header and filled
+    a block of lines at a time, so loading holds about the net itself.  Raises
+    ValueError naming the path on a bad header, line count or row, and on a
+    file in the old decimal format (header ``mlp``), which must be
     regenerated.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty model file")
-    head = lines[0].split()
-    if head[0] == "mlp":
-        raise ValueError(f"{path}: model file uses the old decimal format; regenerate it")
-    if len(head) < 5 or head[0] != MODEL_FORMAT:
-        raise ValueError(f"{path}: bad header {lines[0]!r}")
-    try:
-        n_layers = int(head[1])
-        dims = [int(tok) for tok in head[2 : 2 + n_layers + 1]]
-    except ValueError as exc:
-        raise ValueError(f"{path}: unparseable header {lines[0]!r}") from exc
-    if len(head) != 2 + n_layers + 1 + 2:
-        raise ValueError(f"{path}: header field count does not match layer count")
-    hidden_act, output_act = head[-2], head[-1]
-    expected_lines = 1 + sum(dims[k + 1] + 1 for k in range(n_layers))
-    if len(lines) != expected_lines:
-        raise ValueError(f"{path}: expected {expected_lines} lines, found {len(lines)}")
-    weights, biases = [], []
-    cursor = 1
-    for k in range(n_layers):
-        fan_in, fan_out = dims[k], dims[k + 1]
-        w = np.empty((fan_out, fan_in))
-        for r in range(fan_out):
-            w[r] = _decode_line(path, lines[cursor], fan_in, f"layer {k} row {r}")
-            cursor += 1
-        biases.append(_decode_line(path, lines[cursor], fan_out, f"layer {k} bias"))
-        cursor += 1
-        weights.append(w)
+        header = next((ln for ln in fh if not ln.isspace()), "").strip()
+        if not header:
+            raise ValueError(f"{path}: empty model file")
+        head = header.split()
+        if head[0] == "mlp":
+            raise ValueError(f"{path}: model file uses the old decimal format; regenerate it")
+        if len(head) < 5 or head[0] != MODEL_FORMAT:
+            raise ValueError(f"{path}: bad header {header!r}")
+        try:
+            n_layers = int(head[1])
+            dims = [int(tok) for tok in head[2 : 2 + n_layers + 1]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: unparseable header {header!r}") from exc
+        if len(head) != 2 + n_layers + 1 + 2:
+            raise ValueError(f"{path}: header field count does not match layer count")
+        hidden_act, output_act = head[-2], head[-1]
+        shapes = [shape for fan_in, fan_out in zip(dims[:-1], dims[1:]) for shape in ((fan_out, fan_in), (1, fan_out))]
+        labels = [lab for k in range(n_layers) for lab in (f"layer {k} row {{}}", f"layer {k} bias")]
+        try:
+            arrays, found = read_rows(fh, shapes, labels)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    expected_lines = 1 + sum(n_rows for n_rows, _ in shapes)
+    if 1 + found != expected_lines:
+        raise ValueError(f"{path}: expected {expected_lines} lines, found {1 + found}")
+    weights, biases = arrays[0::2], [b[0] for b in arrays[1::2]]
     return MlpNet(weights, biases, hidden_act, output_act)
 
-
-def _decode_line(path: str, line: str, count: int, what: str) -> np.ndarray:
-    try:
-        return decode_floats(line, count)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {what}: {exc}") from None

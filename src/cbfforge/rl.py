@@ -327,7 +327,7 @@ def train_safety_rl(
         (actor, critic, history).
 
     Raises:
-        RuntimeError: critic loss exceeded the divergence limit.
+        RuntimeError: critic loss exceeded the divergence limit or was not finite.
     """
     rng = np.random.default_rng(cfg.seed)
     actor = mlp_init([3, *cfg.actor_dims, 1], output_activation="tanh", seed=cfg.seed).astype(TRAIN_DTYPE)
@@ -352,7 +352,7 @@ def train_safety_rl(
             critic_loss = critic_update(critic, target_critic, target_actor, batch, cfg, critic_opt)
             actor_loss = actor_update(actor, critic, batch, actor_opt)
             soft_update(target_actor, actor, cfg.tau)
-            if critic_loss > DIVERGENCE_LIMIT:
+            if not critic_loss <= DIVERGENCE_LIMIT:  # NaN too
                 raise RuntimeError(
                     f"critic diverged at iteration {it}: loss {critic_loss:.3g} "
                     f"(buffer size {len(buffer)}, nominal fraction {buffer.nominal_fraction():.3f})"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cbfforge.codec import decode_floats, encode_floats
+from cbfforge.codec import ROW_BLOCK, decode_floats, encode_floats, read_rows, write_rows
 
 # -0.0, the smallest subnormal, the largest finite magnitudes and a few
 # values whose shortest decimal form has 17 significant digits.
@@ -11,13 +11,13 @@ SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.79769
 
 
 def test_encodes_the_big_endian_bit_pattern():
-    assert encode_floats([1.0]) == "3ff0000000000000"
-    assert encode_floats([-0.0, 5e-324]) == "8000000000000000 0000000000000001"
+    assert encode_floats([1.0], " ") == "3ff0000000000000"
+    assert encode_floats([-0.0, 5e-324], " ") == "8000000000000000 0000000000000001"
     assert encode_floats(np.array([[1.0], [2.0]]), sep="\n") == "3ff0000000000000\n4000000000000000"
 
 
 def test_special_values_round_trip_bit_for_bit():
-    decoded = decode_floats(encode_floats(SPECIAL), SPECIAL.size)
+    decoded = decode_floats(encode_floats(SPECIAL, " "), SPECIAL.size)
     assert decoded.dtype == np.float64
     assert decoded.tobytes() == SPECIAL.tobytes()
     assert np.signbit(decoded[0]) and not np.signbit(decoded[1])
@@ -35,7 +35,7 @@ def test_random_values_round_trip_bit_for_bit(sep):
 
 
 def test_wrong_count_rejected():
-    text = encode_floats([1.0, 2.0, 3.0])
+    text = encode_floats([1.0, 2.0, 3.0], " ")
     with pytest.raises(ValueError, match="expected 2"):
         decode_floats(text, 2)
     with pytest.raises(ValueError, match="expected 4"):
@@ -43,13 +43,13 @@ def test_wrong_count_rejected():
 
 
 def test_non_hex_and_misplaced_separators_rejected():
-    text = encode_floats([1.0, 2.0])
+    text = encode_floats([1.0, 2.0], " ")
     with pytest.raises(ValueError, match="not hex-float64"):
         decode_floats(text.replace("f", "g"), 2)
     with pytest.raises(ValueError, match="not hex-float64"):
         decode_floats(text[:15] + " " + text[15] + text[17:], 2)  # odd-length token
     with pytest.raises(ValueError, match="expected 3 hex-float64 values, found 3.125"):
-        decode_floats(encode_floats([1.0, 2.0, 3.0]).replace(" ", "0"), 3)  # digits in place of separators
+        decode_floats(encode_floats([1.0, 2.0, 3.0], " ").replace(" ", "0"), 3)  # digits in place of separators
 
 
 def test_decimal_tokens_rejected():
@@ -59,3 +59,79 @@ def test_decimal_tokens_rejected():
         decode_floats("%.17g" % 0.1, 1)
     with pytest.raises(ValueError):
         decode_floats("0.1000000000000000", 1)
+
+
+def _rows(*shapes):
+    rng = np.random.default_rng(11)
+    return [rng.normal(size=shape) for shape in shapes]
+
+
+# Rows of several values, a one-value row, and one-value rows spanning
+# several read blocks with a short last one.
+SHAPES = [(5, 3), (1, 3), (1, 1), (2 * ROW_BLOCK + 7, 1)]
+
+
+def _saved_lines(path, arrays):
+    with open(path, "w") as fh:
+        write_rows(fh, arrays)
+    return path.read_text().splitlines(keepends=True)
+
+
+def _read(path, text, shapes, labels):
+    path.write_text(text)
+    with open(path) as fh:
+        return read_rows(fh, shapes, labels)
+
+
+def test_rows_write_one_line_each_and_read_back_bit_for_bit(tmp_path):
+    arrays = _rows(*SHAPES)
+    lines = _saved_lines(tmp_path / "rows.txt", arrays)
+    assert lines == [encode_floats(row, " ") + "\n" for a in arrays for row in a]
+    outs, found = _read(tmp_path / "rows.txt", "".join(lines), SHAPES, ["a {}", "b {}", "c", ""])
+    assert found == len(lines)
+    for a, b in zip(arrays, outs):
+        assert b.dtype == np.float64 and b.tobytes() == a.tobytes()
+
+
+def test_read_rows_counts_a_short_or_long_file(tmp_path):
+    # The short files keep over 16 of every 17 characters, so they pass the
+    # size test and are read up to where they end.
+    boundary_shapes = [(2 * ROW_BLOCK, 1), (3, 2)]
+    long_shapes = [(20 * ROW_BLOCK, 1)]
+    lines = _saved_lines(tmp_path / "rows.txt", _rows(*SHAPES))
+    boundary = _saved_lines(tmp_path / "boundary.txt", _rows(*boundary_shapes))
+    long_lines = _saved_lines(tmp_path / "long.txt", _rows(*long_shapes))
+    n = len(lines)
+    cases = [
+        (SHAPES, lines[:-1], n - 1, 3),  # ends inside the last block
+        (boundary_shapes, boundary[: 2 * ROW_BLOCK], 2 * ROW_BLOCK, 1),  # ends where an array does
+        (long_shapes, long_lines[: 19 * ROW_BLOCK], 19 * ROW_BLOCK, 0),  # ends where a block does
+        (SHAPES, lines + lines[-2:], n + 2, 4),
+        (SHAPES, lines + ["\n", " \n"], n, 4),  # trailing blank lines are not rows
+    ]
+    for shapes, text, found, n_arrays in cases:
+        arrays, count = _read(tmp_path / "cut.txt", "".join(text), shapes, [""] * len(shapes))
+        assert (count, len(arrays)) == (found, n_arrays)
+
+
+def test_read_rows_only_counts_a_file_too_small_for_its_shapes(tmp_path):
+    arrays, found = _read(tmp_path / "rows.txt", "3ff0000000000000\n" * 3, [(10**12, 4)], [""])
+    assert (arrays, found) == ([], 3)
+
+
+def test_read_rows_names_the_bad_row(tmp_path):
+    shapes = [(4, 2), (3 * ROW_BLOCK, 1)]
+    lines = _saved_lines(tmp_path / "rows.txt", _rows(*shapes))
+    labels = ["w row {}", "v {}"]
+    bad = list(lines)
+    bad[2] = bad[2].replace(bad[2][3], "x", 1)
+    with pytest.raises(ValueError, match="^w row 2: not hex-float64"):
+        _read(tmp_path / "bad.txt", "".join(bad), shapes, labels)
+    bad = list(lines)
+    bad[4 + ROW_BLOCK + 5] = "0" * 15 + "\n"  # a short line in the second block
+    with pytest.raises(ValueError, match=r"^v 1029: expected 1 hex-float64 values \(16 characters\), found 15"):
+        _read(tmp_path / "bad.txt", "".join(bad), shapes, labels)
+    bad = list(lines)
+    bad[1] = bad[1][:16] + "\n"  # a row holding one of its two values
+    with pytest.raises(ValueError, match="^w row 1: expected 2 hex-float64 values"):
+        _read(tmp_path / "bad.txt", "".join(bad), shapes, labels)

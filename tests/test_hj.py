@@ -1,6 +1,7 @@
 """Grid solver checks: interpolation, fixed-point properties, the brute-force
 oracle crosscheck, Lipschitz scans, and field serialization."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from oracles import (
     gather_value_iteration,
     loop_interp_coeffs,
     recursive_avoid_value,
+    traced_peak_bytes,
 )
 
 
@@ -572,6 +574,67 @@ class TestFieldFiles:
             load_field(str(path), kind="value")
 
 
+class TestStreamedFieldFiles:
+    """Value-count edges, memory and the byte format of the streamed grid I/O."""
+
+    # sha256 of the file save_field writes for pinned_field(); another
+    # digest means the file format changed.
+    PINNED_SHA256 = "fb0584874bfc752b0f724e72ceab7f07df76b466c80760b3bfe2753b27fb587c"
+
+    @staticmethod
+    def pinned_field():
+        values = (np.arange(17 * 17 * 9) - 1300) / 7.0
+        values[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 0.1]
+        return GridField(GridSpec(17, 17, 9), values, kind="value")
+
+    @staticmethod
+    def _saved_lines(tmp_path, spec):
+        path = tmp_path / "value_grid.txt"
+        save_field(constant_field(spec, 0.25, kind="value"), str(path))
+        return path, path.read_text().splitlines()
+
+    # 36 values fit in one read block; 43 x 7 x 7 = 2107 span three.
+    @pytest.mark.parametrize("spec", [GridSpec(3, 3, 4), GridSpec(43, 7, 7)])
+    def test_one_value_short_names_the_path(self, tmp_path, spec):
+        path, lines = self._saved_lines(tmp_path, spec)
+        n = spec.nx * spec.ny * spec.ntheta
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match=f"value_grid.txt: expected {n} values, found {n - 1}$"):
+            load_field(str(path), kind="value")
+
+    @pytest.mark.parametrize("spec", [GridSpec(3, 3, 4), GridSpec(43, 7, 7)])
+    def test_one_extra_value_names_the_path(self, tmp_path, spec):
+        path, lines = self._saved_lines(tmp_path, spec)
+        n = spec.nx * spec.ny * spec.ntheta
+        path.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        with pytest.raises(ValueError, match=f"value_grid.txt: expected {n} values, found {n + 1}$"):
+            load_field(str(path), kind="value")
+
+    def test_round_trip_across_read_blocks(self, tmp_path):
+        spec = GridSpec(43, 7, 7)  # two full blocks and a short third
+        field = GridField(spec, np.random.default_rng(5).normal(size=(43, 7, 7)))
+        path = str(tmp_path / "value_grid.txt")
+        save_field(field, path)
+        assert load_field(path, kind="value").values.tobytes() == field.values.tobytes()
+
+    def test_save_stays_within_one_and_a_half_fields(self, tmp_path):
+        field = margin_field(GridSpec(61, 61, 31), signed_distance_margin)
+        path = str(tmp_path / "margin_grid.txt")
+        assert traced_peak_bytes(lambda: save_field(field, path)) <= 1.5 * field.values.nbytes
+
+    def test_load_holds_about_the_field(self, tmp_path):
+        field = margin_field(GridSpec(61, 61, 31), signed_distance_margin)
+        path = str(tmp_path / "margin_grid.txt")
+        save_field(field, path)
+        assert traced_peak_bytes(lambda: load_field(path, kind="margin")) <= 1.5 * field.values.nbytes
+
+    def test_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "value_grid.txt"
+        save_field(self.pinned_field(), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256
+        assert load_field(str(path), kind="value").values.tobytes() == self.pinned_field().values.tobytes()
+
+
 class TestDiscretizationStability:
     def test_zero_level_volume_stable_under_refinement(self):
         # Doubling the resolution must move the safe-volume fraction by < 5%.
@@ -583,3 +646,21 @@ class TestDiscretizationStability:
             assert sol.converged
             fractions.append(float(np.mean(sol.field.values >= 0.0)))
         assert abs(fractions[1] - fractions[0]) / fractions[0] < 0.05
+
+    def test_mean_error_falls_under_refinement(self):
+        # Self-convergence: the mean |V_h - V_ref| over fixed box states,
+        # against a 61x61x31 solve, falls strictly as the grid is refined
+        # (0.035, 0.016, 0.008 when written).
+        rng = np.random.default_rng(0)
+        states = np.column_stack(
+            [rng.uniform(-1.5, 1.5, 4000), rng.uniform(-1.5, 1.5, 4000), rng.uniform(-np.pi, np.pi, 4000)]
+        )
+
+        def solved(spec):
+            sol = value_iteration(margin_field(spec, signed_distance_margin), equispaced_actions(25), 0.995, 0.1, tol=1e-6)
+            assert sol.converged
+            return interpolate(sol.field, states)
+
+        reference = solved(GridSpec(61, 61, 31))
+        errors = [float(np.mean(np.abs(solved(GridSpec(n, n, (n + 1) // 2)) - reference))) for n in (11, 21, 31)]
+        assert errors[0] > errors[1] > errors[2]

@@ -4,6 +4,8 @@ All derivative claims are verified against the central finite-difference
 oracles in oracles.py, plus hand-derived closed forms where one exists.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -598,3 +600,57 @@ class TestHexModelFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="net.txt: layer 0 row 1: not hex-float64"):
             load_model(str(path))
+
+
+class TestStreamedModelFiles:
+    """Row-count edges, memory and the byte format of the streamed model I/O."""
+
+    # sha256 of the file save_model writes for mlp_init([4, 64, 64, 1], seed=0);
+    # another digest means the file format changed.
+    PINNED_SHA256 = "47a56dfd73b3eb8f565b2c6eacc3bcd0b3177f3932e771dd4e5666635711dc61"
+
+    @staticmethod
+    def _saved_lines(tmp_path, dims):
+        path = tmp_path / "net.txt"
+        save_model(mlp_init(dims, seed=0), str(path))
+        return path, path.read_text().splitlines()
+
+    # [3, 4, 1] ends in a one-value bias row, [3, 4, 2] in a two-value one.
+    @pytest.mark.parametrize("dims, n_lines", [([3, 4, 1], 8), ([3, 4, 2], 9)])
+    def test_missing_last_row_names_the_path(self, tmp_path, dims, n_lines):
+        path, lines = self._saved_lines(tmp_path, dims)
+        assert len(lines) == n_lines
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match=f"net.txt: expected {n_lines} lines, found {n_lines - 1}$"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("dims, n_lines", [([3, 4, 1], 8), ([3, 4, 2], 9)])
+    def test_extra_row_names_the_path(self, tmp_path, dims, n_lines):
+        path, lines = self._saved_lines(tmp_path, dims)
+        path.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        with pytest.raises(ValueError, match=f"net.txt: expected {n_lines} lines, found {n_lines + 1}$"):
+            load_model(str(path))
+
+    def test_header_larger_than_the_file_is_refused_by_count(self, tmp_path):
+        # 10^12 weights would not fit in memory; the file is only counted.
+        path = tmp_path / "net.txt"
+        path.write_text("mlp-hex64 1 1000000 1000000 relu identity\n" + "3ff0000000000000\n" * 3)
+        with pytest.raises(ValueError, match="net.txt: expected 1000002 lines, found 4$"):
+            load_model(str(path))
+
+    def test_save_holds_one_row_beyond_the_net(self, tmp_path):
+        net = mlp_init([4, 256, 256, 256, 1], seed=2)
+        path = str(tmp_path / "net.txt")
+        assert traced_peak_bytes(lambda: save_model(net, path)) <= 64 * 1024
+
+    def test_load_holds_about_the_net(self, tmp_path):
+        net = mlp_init([4, 256, 256, 256, 1], seed=2)
+        path = str(tmp_path / "net.txt")
+        save_model(net, path)
+        net_bytes = sum(p.nbytes for p in _params(net))
+        assert traced_peak_bytes(lambda: load_model(path)) <= 1.1 * net_bytes + 64 * 1024
+
+    def test_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "net.txt"
+        save_model(mlp_init([4, 64, 64, 1], seed=0), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256

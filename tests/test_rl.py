@@ -397,6 +397,18 @@ def test_train_divergence_aborts():
         train_safety_rl(signed_distance_margin, NOM_CFG, cfg)
 
 
+@pytest.mark.parametrize("loss", [float("nan"), float("inf")])
+def test_train_non_finite_critic_loss_aborts(monkeypatch, tmp_path, loss):
+    # A NaN loss fails `loss > limit`; it must still stop the run before
+    # any net is saved.
+    monkeypatch.setattr(rl_module, "critic_update", lambda *args, **kwargs: loss)
+    cfg = _tiny_cfg(iterations=6, batch_size=8, episode_len=4)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match=r"critic diverged at iteration \d+: loss (nan|inf)"):
+        train_safety_rl(signed_distance_margin, NOM_CFG, cfg, out_dir=str(out))
+    assert not (out / "critic.txt").exists()
+
+
 # ------------------------------------------------------------ oracle error
 
 

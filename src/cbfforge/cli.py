@@ -18,10 +18,11 @@ from .dubins import OVERRIDE_THRESHOLD, save_trajectory_csv
 from .experiments import (
     action_filter,
     build_backend,
-    grid_fields,
+    field_margin,
     resolve_margin,
     run_experiment,
     run_rollouts,
+    solve_grid,
     train_actor_critic,
     train_margin_net,
 )
@@ -49,7 +50,7 @@ def _cmd_train_margin(cfg: dict) -> int:
 def _cmd_solve_grid(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    grid_fields(dict(cfg, value_grid="", margin_grid=""), out_dir)  # always solve fresh
+    solve_grid(cfg, out_dir, field_margin(cfg, out_dir))
     print(f"solved {cfg['grid_nx']}x{cfg['grid_ny']}x{cfg['grid_ntheta']} grid -> {out_dir}/value_grid.txt")
     return 0
 

@@ -16,6 +16,9 @@ once is one row or one block, so saving holds about nothing beyond the
 arrays and loading about the arrays alone, which the reader allocates
 before it decodes into them.  Every value sits at a fixed offset, so a
 block is read as a fixed number of characters.
+
+Report tables (metrics, residual traces, trajectories) are CSV files, and
+``write_csv`` is the one writer every one of them goes through.
 """
 
 from __future__ import annotations
@@ -111,3 +114,13 @@ def read_rows(fh, shapes, labels) -> tuple[list[np.ndarray], int]:
             arrays.append(out)
     return arrays, sum(len(a) for a in arrays) + sum(1 for ln in fh if not ln.isspace())
 
+
+def write_csv(path: str, header: str, rows) -> None:
+    """Write header, then each row's cells joined by ",", every line ending in
+    "\n".  A str cell is written as it is, any other cell as %.17g, which
+    reads back as the same float64 and writes an int as its digits.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(cell if isinstance(cell, str) else "%.17g" % cell for cell in row) + "\n")

@@ -8,10 +8,11 @@ after every step and theta is wrapped to [-pi, pi).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .codec import write_csv
 
 XY_BOUND = 1.5
 ACTION_BOUND = 2.0
@@ -294,24 +295,11 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
     state's margin lives only in the record.
     """
     extra = [k for k in ("feasible_count", "q_nominal", "q_fallback") if k in record.diagnostics]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "theta", "a_nom", "a_exec", "margin", "overridden"] + extra)
-        for t in range(record.n_steps):
-            x, y, theta = record.states[t]
-            overridden = int(record.override_magnitudes[t] >= OVERRIDE_THRESHOLD)
-            row = [
-                t,
-                "%.17g" % x,
-                "%.17g" % y,
-                "%.17g" % theta,
-                "%.17g" % record.actions_nominal[t],
-                "%.17g" % record.actions_executed[t],
-                "%.17g" % record.margin_values[t],
-                overridden,
-            ]
-            row += ["%.17g" % record.diagnostics[k][t] for k in extra]
-            writer.writerow(row)
+    overridden = (record.override_magnitudes >= OVERRIDE_THRESHOLD).astype(int)
+    columns = [*record.states.T, record.actions_nominal, record.actions_executed, record.margin_values, overridden]
+    columns += [record.diagnostics[k] for k in extra]
+    header = ",".join(["t", "x", "y", "theta", "a_nom", "a_exec", "margin", "overridden"] + extra)
+    write_csv(path, header, zip(range(record.n_steps), *columns))  # stops before the terminal state
 
 
 def estimate_dynamics_lipschitz(dt: float, n_samples: int, seed: int) -> float:

@@ -9,10 +9,11 @@ vi_max_sweeps raises.
 
 The pipeline stages are public and the CLI calls them directly:
 train_margin_net, resolve_margin and field_margin (margin), grid_fields,
-actor_critic and train_actor_critic (value source), build_backend and
-action_filter (filter), and run_rollouts (evaluation).  Each stage loads a
-saved artifact or trains and saves one only when it is about to use it;
-train_actor_critic always trains.
+solve_grid, actor_critic and train_actor_critic (value source),
+build_backend and action_filter (filter), and run_rollouts (evaluation).
+Each stage loads a saved artifact or trains and saves one only when it is
+about to use it; solve_grid always solves and train_actor_critic always
+trains.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from .codec import write_csv
 from .config import ConfigError, format_config
 from .dubins import (
     OVERRIDE_THRESHOLD,
@@ -42,7 +44,6 @@ from .margin import (
     build_margin_dataset,
     evaluate_margin,
     net_margin_fn,
-    save_metrics_csv,
     train_margin,
 )
 from .nets import load_model, save_model
@@ -69,9 +70,6 @@ class MetricsRow:
     max_step_delta_mean: object = NA
     max_step_delta_std: object = NA
 
-    def cells(self):
-        return astuple(self)
-
 
 @dataclass
 class MetricsTable:
@@ -80,22 +78,13 @@ class MetricsTable:
     rows: list
 
     def save_csv(self, path: str) -> None:
-        lines = [METRICS_HEADER]
-        for row in self.rows:
-            rendered = []
-            for cell in row.cells():
-                if isinstance(cell, str):
-                    if not cell:
-                        raise ValueError("blank cell in metrics table")
-                    rendered.append(cell)
-                else:
-                    value = float(cell)
-                    if not np.isfinite(value):
-                        raise ValueError("non-finite cell in metrics table")
-                    rendered.append("%.17g" % value)
-            lines.append(",".join(rendered))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = [astuple(row) for row in self.rows]
+        for cell in (cell for cells in rows for cell in cells):
+            if isinstance(cell, str) and not cell:
+                raise ValueError("blank cell in metrics table")
+            if not isinstance(cell, str) and not np.isfinite(cell):
+                raise ValueError("non-finite cell in metrics table")
+        write_csv(path, METRICS_HEADER, rows)
 
 
 def nominal_config(cfg: dict) -> NominalPolicyConfig:
@@ -175,24 +164,21 @@ def _save_vi_residuals(sol, gamma: float, path: str) -> None:
     field from the fixed point, where r is the residual of the sweep that
     produced it (the last one that was not a rejected jump); inf at gamma 1.
     """
-    lines = ["sweep,residual,jump"]
-    for k, r in enumerate(sol.residuals, 1):
-        jump = "no" if k not in sol.jumps else "kept" if sol.jumps[k] else "rejected"
-        lines.append(f"{k},{r:.17g},{jump}")
+    rows = [
+        (k, r, "no" if k not in sol.jumps else "kept" if sol.jumps[k] else "rejected")
+        for k, r in enumerate(sol.residuals, 1)
+    ]
     final = [r for k, r in enumerate(sol.residuals, 1) if sol.jumps.get(k, True)][-1]
     bound = gamma / (1.0 - gamma) * final if gamma < 1.0 else float("inf")
-    lines.append(f"bound,{bound:.17g},{'converged' if sol.converged else 'not_converged'}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows.append(("bound", bound, "converged" if sol.converged else "not_converged"))
+    write_csv(path, "sweep,residual,jump", rows)
 
 
-def grid_fields(cfg: dict, out_dir: str, margin_fn=None):
+def grid_fields(cfg: dict, out_dir: str):
     """Load the saved (margin, value) field pair, or solve and save it.
 
-    Only a solve resolves a margin: margin_fn labels the grid cells, and
-    defaults to field_margin(cfg, out_dir).  A solve writes vi_residuals.csv
-    first, then raises RuntimeError when it stopped at vi_max_sweeps
-    unconverged.
+    Only a solve resolves a margin: the cells are labelled by
+    field_margin(cfg, out_dir).
     """
     if _saved_pair(cfg, "value_grid", "margin_grid"):
         value = load_field(cfg["value_grid"], kind="value")
@@ -200,8 +186,16 @@ def grid_fields(cfg: dict, out_dir: str, margin_fn=None):
         if value.spec != margin.spec:
             raise ConfigError("value_grid and margin_grid disagree on the grid shape")
         return margin, value
-    if margin_fn is None:
-        margin_fn = field_margin(cfg, out_dir)
+    return solve_grid(cfg, out_dir, field_margin(cfg, out_dir))
+
+
+def solve_grid(cfg: dict, out_dir: str, margin_fn):
+    """Solve the value field on the cells labelled by margin_fn and save the pair.
+
+    Saved grids are not consulted.  The solve writes vi_residuals.csv first,
+    then raises RuntimeError when it stopped at vi_max_sweeps unconverged;
+    only a converged pair is saved, as value_grid.txt and margin_grid.txt.
+    """
     spec = GridSpec(nx=cfg["grid_nx"], ny=cfg["grid_ny"], ntheta=cfg["grid_ntheta"])
     margin = margin_field(spec, margin_fn)
     sol = value_iteration(
@@ -232,12 +226,11 @@ def actor_critic(cfg: dict, out_dir: str):
     return train_actor_critic(cfg, out_dir, resolve_margin(cfg, out_dir))
 
 
-def train_actor_critic(cfg: dict, out_dir: str, margin_fn, mix_nominal: bool | None = None, tag: str = "rl"):
+def train_actor_critic(cfg: dict, out_dir: str, margin_fn, tag: str = "rl"):
     """Train the fallback actor and safety critic and save them under out_dir/tag.
 
-    margin_fn labels the replay buffer; mix_nominal overrides rl_mix_nominal.
-    Saved models and train_missing are not consulted: callers that always
-    train call this directly.
+    margin_fn labels the replay buffer.  Saved models and train_missing are
+    not consulted: callers that always train call this directly.
     """
     rl_cfg = RlConfig(
         gamma=cfg["gamma"],
@@ -252,7 +245,7 @@ def train_actor_critic(cfg: dict, out_dir: str, margin_fn, mix_nominal: bool | N
         tau=cfg["rl_tau"],
         exploration_std=cfg["rl_exploration_std"],
         exploration_std_final=cfg["rl_exploration_std_final"],
-        mix_nominal=cfg["rl_mix_nominal"] if mix_nominal is None else mix_nominal,
+        mix_nominal=cfg["rl_mix_nominal"],
         seed=cfg["seed"],
         dt=cfg["dt"],
     )
@@ -348,7 +341,7 @@ def _experiment_margin_quality(cfg: dict, out_dir: str) -> MetricsTable:
     for mode, use_gp in (("gp", True), ("nogp", False)):
         net = train_margin_net(cfg, use_gp, out_dir)
         metrics = evaluate_margin(net_margin_fn(net), records)
-        save_metrics_csv(metrics, os.path.join(out_dir, f"margin_metrics_{mode}.csv"))
+        write_csv(os.path.join(out_dir, f"margin_metrics_{mode}.csv"), "metric,value", metrics.items())
         rows.append(
             MetricsRow(
                 method="margin",
@@ -405,7 +398,7 @@ def _experiment_lipschitz_bound(cfg: dict, out_dir: str) -> MetricsTable:
         )
     spec = GridSpec(nx=cfg["grid_nx"], ny=cfg["grid_ny"], ntheta=cfg["grid_ntheta"])
     actions = equispaced_actions(cfg["n_action_samples"])
-    rows, report_lines = [], ["margin_mode,L_ell,L_f,L_V,bound,holds"]
+    rows, report = [], []
     for mode in cfg["lip_margin_modes"]:
         if mode == "exact":
             fn = signed_distance_margin
@@ -413,7 +406,7 @@ def _experiment_lipschitz_bound(cfg: dict, out_dir: str) -> MetricsTable:
             fn = _saturated_margin(cfg)
         else:
             fn = field_margin(dict(cfg, margin_mode="gp"), out_dir)
-        report = verify_margin_value_bound(
+        res = verify_margin_value_bound(
             margin_field(spec, fn),
             gamma=gamma,
             dt=cfg["dt"],
@@ -422,13 +415,9 @@ def _experiment_lipschitz_bound(cfg: dict, out_dir: str) -> MetricsTable:
             vi_tol=cfg["vi_tol"],
             max_iters=cfg["vi_max_sweeps"],
         )
-        report_lines.append(
-            f"{mode},{report.L_ell:.17g},{report.L_f:.17g},{report.L_V:.17g},"
-            f"{report.bound:.17g},{str(report.holds).lower()}"
-        )
+        report.append((mode, res.L_ell, res.L_f, res.L_V, res.bound, str(res.holds).lower()))
         rows.append(MetricsRow(method="lipschitz_bound", margin_mode=mode))
-    with open(os.path.join(out_dir, "bound_report.csv"), "w") as fh:
-        fh.write("\n".join(report_lines) + "\n")
+    write_csv(os.path.join(out_dir, "bound_report.csv"), "margin_mode,L_ell,L_f,L_V,bound,holds", report)
     return MetricsTable(rows)
 
 
@@ -442,11 +431,11 @@ def _experiment_mix_ablation(cfg: dict, out_dir: str) -> MetricsTable:
     """
     margin_fn = resolve_margin(cfg, out_dir)
     tanh_fn = lambda pts: np.tanh(margin_fn(np.atleast_2d(pts)))
-    margin_f, value_f = grid_fields(dict(cfg, value_grid="", margin_grid=""), out_dir, tanh_fn)
+    margin_f, value_f = solve_grid(cfg, out_dir, tanh_fn)
     nom = nominal_config(cfg)
-    rows, lines = [], ["variant,eval_source,mae"]
+    rows, report = [], []
     for variant, mixed in (("critic_mixed", True), ("critic_fallback_only", False)):
-        actor, critic = train_actor_critic(cfg, out_dir, margin_fn, mix_nominal=mixed, tag=variant)
+        actor, critic = train_actor_critic(dict(cfg, rl_mix_nominal=mixed), out_dir, margin_fn, tag=variant)
         for source in ("nominal_policy", "fallback_policy"):
             mae = critic_error_vs_oracle(
                 critic,
@@ -459,10 +448,9 @@ def _experiment_mix_ablation(cfg: dict, out_dir: str) -> MetricsTable:
                 dt=cfg["dt"],
                 seed=cfg["seed"],
             )
-            lines.append(f"{variant},{source},{mae:.17g}")
+            report.append((variant, source, mae))
         rows.append(MetricsRow(method=variant, margin_mode=cfg["margin_mode"]))
-    with open(os.path.join(out_dir, "mix_report.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(out_dir, "mix_report.csv"), "variant,eval_source,mae", report)
     return MetricsTable(rows)
 
 
@@ -507,16 +495,13 @@ def throughput_benchmark(backend, sizes, query_mode: str, reps: int) -> list:
 def _experiment_throughput(cfg: dict, out_dir: str) -> MetricsTable:
     actor, critic = actor_critic(cfg, out_dir)
     backend = CriticBackend(critic, actor, dt=cfg["dt"])
-    rows, lines = [], ["query_mode,n_samples,reps,mean_ms,std_ms,per_sample_us"]
+    rows, report = [], []
     for mode in cfg["bench_modes"]:
         for res in throughput_benchmark(backend, cfg["bench_sizes"], mode, cfg["bench_reps"]):
-            lines.append(
-                f"{res['query_mode']},{res['n_samples']},{res['reps']},"
-                f"{res['mean_ms']:.6f},{res['std_ms']:.6f},{res['per_sample_us']:.6f}"
-            )
+            timings = ["%.6f" % res[key] for key in ("mean_ms", "std_ms", "per_sample_us")]
+            report.append((res["query_mode"], res["n_samples"], res["reps"], *timings))
         rows.append(MetricsRow(method=f"throughput_{mode}"))
-    with open(os.path.join(out_dir, "bench.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(out_dir, "bench.csv"), "query_mode,n_samples,reps,mean_ms,std_ms,per_sample_us", report)
     return MetricsTable(rows)
 
 

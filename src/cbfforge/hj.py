@@ -512,25 +512,25 @@ def load_field(path: str, kind: str) -> GridField:
     """Read a field written by save_field.
 
     The float64 values are allocated from the header and filled one block of
-    lines at a time, so loading holds about the field itself.  Raises
-    ValueError naming the path when the file records a kind other than kind,
-    on a bad header or value count, and on a file in the old decimal format
+    lines at a time, so loading holds about the field itself.  Every error is
+    a ValueError naming the path: a recorded kind other than kind, a bad
+    header or grid shape, a bad value count, and the old decimal format
     (header ``grid``), which must be regenerated.
     """
-    with open(path) as fh:
-        head = fh.readline().split()
-        if head[:1] == ["grid"]:
-            raise ValueError(f"{path}: grid file uses the old decimal format; regenerate it")
-        if len(head) != 5 or head[0] != FIELD_FORMAT or not all(p.isdigit() for p in head[2:]):
-            raise ValueError(f"{path}: bad grid header {' '.join(head)!r}")
-        if head[1] != kind:
-            raise ValueError(f"{path}: holds a {head[1]} grid, expected a {kind} grid")
-        nx, ny, ntheta = (int(p) for p in head[2:])
-        expected = nx * ny * ntheta
-        try:
+    try:
+        with open(path) as fh:
+            head = fh.readline().split()
+            if head[:1] == ["grid"]:
+                raise ValueError("grid file uses the old decimal format; regenerate it")
+            if len(head) != 5 or head[0] != FIELD_FORMAT or not all(p.isdigit() for p in head[2:]):
+                raise ValueError(f"bad grid header {' '.join(head)!r}")
+            if head[1] != kind:
+                raise ValueError(f"holds a {head[1]} grid, expected a {kind} grid")
+            nx, ny, ntheta = (int(p) for p in head[2:])
+            spec, expected = GridSpec(nx, ny, ntheta), nx * ny * ntheta
             arrays, found = read_rows(fh, [(expected, 1)], [""])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if found != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {found}")
-    return GridField(GridSpec(nx, ny, ntheta), arrays[0].reshape(nx, ny, ntheta), kind=kind)
+        if found != expected:
+            raise ValueError(f"expected {expected} values, found {found}")
+        return GridField(spec, arrays[0].reshape(nx, ny, ntheta), kind=kind)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -15,7 +15,6 @@ labelling, saved margin files and every other consumer see float64 nets.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,12 +249,3 @@ def evaluate_margin(margin_fn, trajectories) -> dict[str, float]:
         "max_step_delta_mean": float(deltas.mean()),
         "max_step_delta_std": float(deltas.std()),
     }
-
-
-def save_metrics_csv(metrics: dict[str, float], path: str) -> None:
-    """Write a flat metric,value CSV (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for key, value in metrics.items():
-            writer.writerow([key, "%.17g" % value])

@@ -521,37 +521,37 @@ def load_model(path: str) -> MlpNet:
     """Read a network written by save_model.
 
     The float64 weights and biases are allocated from the header and filled
-    a block of lines at a time, so loading holds about the net itself.  Raises
-    ValueError naming the path on a bad header, line count or row, and on a
-    file in the old decimal format (header ``mlp``), which must be
-    regenerated.
+    a block of lines at a time, so loading holds about the net itself.  Every
+    error is a ValueError naming the path: a bad header (a non-positive
+    dimension or an unknown activation included), line count or row, and
+    the old decimal format (header ``mlp``), which must be regenerated.
     """
-    with open(path) as fh:
-        header = next((ln for ln in fh if not ln.isspace()), "").strip()
-        if not header:
-            raise ValueError(f"{path}: empty model file")
-        head = header.split()
-        if head[0] == "mlp":
-            raise ValueError(f"{path}: model file uses the old decimal format; regenerate it")
-        if len(head) < 5 or head[0] != MODEL_FORMAT:
-            raise ValueError(f"{path}: bad header {header!r}")
-        try:
-            n_layers = int(head[1])
-            dims = [int(tok) for tok in head[2 : 2 + n_layers + 1]]
-        except ValueError as exc:
-            raise ValueError(f"{path}: unparseable header {header!r}") from exc
-        if len(head) != 2 + n_layers + 1 + 2:
-            raise ValueError(f"{path}: header field count does not match layer count")
-        hidden_act, output_act = head[-2], head[-1]
-        shapes = [shape for fan_in, fan_out in zip(dims[:-1], dims[1:]) for shape in ((fan_out, fan_in), (1, fan_out))]
-        labels = [lab for k in range(n_layers) for lab in (f"layer {k} row {{}}", f"layer {k} bias")]
-        try:
+    try:
+        with open(path) as fh:
+            header = next((ln for ln in fh if not ln.isspace()), "").strip()
+            if not header:
+                raise ValueError("empty model file")
+            head = header.split()
+            if head[0] == "mlp":
+                raise ValueError("model file uses the old decimal format; regenerate it")
+            if len(head) < 5 or head[0] != MODEL_FORMAT:
+                raise ValueError(f"bad header {header!r}")
+            try:
+                n_layers = int(head[1])
+                dims = [int(tok) for tok in head[2 : 2 + n_layers + 1]]
+            except ValueError:
+                raise ValueError(f"unparseable header {header!r}") from None
+            if len(head) != 2 + n_layers + 1 + 2:
+                raise ValueError("header field count does not match layer count")
+            if n_layers < 1 or min(dims) < 1:
+                raise ValueError(f"non-positive dimension in header {header!r}")
+            shapes = [shape for n_in, n_out in zip(dims[:-1], dims[1:]) for shape in ((n_out, n_in), (1, n_out))]
+            labels = [lab for k in range(n_layers) for lab in (f"layer {k} row {{}}", f"layer {k} bias")]
             arrays, found = read_rows(fh, shapes, labels)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    expected_lines = 1 + sum(n_rows for n_rows, _ in shapes)
-    if 1 + found != expected_lines:
-        raise ValueError(f"{path}: expected {expected_lines} lines, found {1 + found}")
-    weights, biases = arrays[0::2], [b[0] for b in arrays[1::2]]
-    return MlpNet(weights, biases, hidden_act, output_act)
+        expected_lines = 1 + sum(n_rows for n_rows, _ in shapes)
+        if 1 + found != expected_lines:
+            raise ValueError(f"expected {expected_lines} lines, found {1 + found}")
+        return MlpNet(arrays[0::2], [b[0] for b in arrays[1::2]], head[-2], head[-1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 

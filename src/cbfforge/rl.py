@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import write_csv
 from .dubins import (
     ACTION_BOUND,
     DEFAULT_DT,
@@ -294,12 +295,8 @@ class TrainingHistory:
     buffer_nominal_fracs: list = field(default_factory=list)
 
     def save_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,critic_loss,actor_loss,buffer_nominal_frac\n")
-            for it, cl, al, bf in zip(
-                self.iterations, self.critic_losses, self.actor_losses, self.buffer_nominal_fracs
-            ):
-                fh.write(f"{it},{cl:.17g},{al:.17g},{bf:.17g}\n")
+        rows = zip(self.iterations, self.critic_losses, self.actor_losses, self.buffer_nominal_fracs)
+        write_csv(path, "iter,critic_loss,actor_loss,buffer_nominal_frac", rows)
 
 
 def train_safety_rl(

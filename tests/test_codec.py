@@ -1,9 +1,14 @@
-"""Tests for the hex-float64 text codec of saved artifacts."""
+"""Tests for the hex-float64 text codec of saved artifacts and the CSV writer
+of report artifacts."""
+
+import struct
 
 import numpy as np
 import pytest
 
-from cbfforge.codec import ROW_BLOCK, decode_floats, encode_floats, read_rows, write_rows
+from cbfforge.codec import ROW_BLOCK, decode_floats, encode_floats, read_rows, write_csv, write_rows
+from cbfforge.dubins import TrajectoryRecord, save_trajectory_csv
+from cbfforge.experiments import MetricsRow, MetricsTable
 
 # -0.0, the smallest subnormal, the largest finite magnitudes and a few
 # values whose shortest decimal form has 17 significant digits.
@@ -135,3 +140,89 @@ def test_read_rows_names_the_bad_row(tmp_path):
     bad[1] = bad[1][:16] + "\n"  # a row holding one of its two values
     with pytest.raises(ValueError, match="^w row 1: expected 2 hex-float64 values"):
         _read(tmp_path / "bad.txt", "".join(bad), shapes, labels)
+
+
+# ------------------------------------------------------------------- CSV
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack(">d", x)
+
+
+def test_csv_float_cells_read_back_bit_for_bit(tmp_path):
+    # nan is what training_curve.csv holds for the losses before the first update.
+    values = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, float("nan"), float("inf"), -float("inf")]
+    values += list(SPECIAL) + list(np.random.default_rng(4).normal(size=50) * 10.0 ** np.arange(-25, 25))
+    path = tmp_path / "values.csv"
+    write_csv(str(path), "k,value", enumerate(values))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "k,value"
+    for k, (line, value) in enumerate(zip(lines[1:], values, strict=True)):
+        index, cell = line.split(",")
+        assert index == str(k)
+        assert _bits(float(cell)) == _bits(value), line
+
+
+def test_csv_cells_and_line_endings(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), "a,b,c,d", [("n/a", 3, np.int64(-12), True), ("x", 0.5, np.float64(2.0), 1e17)])
+    assert path.read_bytes() == b"a,b,c,d\nn/a,3,-12,1\nx,0.5,2,1e+17\n"
+
+
+def test_csv_with_no_rows_is_the_header_alone(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(str(path), "metric,value", [])
+    assert path.read_bytes() == b"metric,value\n"
+
+
+def test_metrics_csv(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_csv(str(path), "metric,value", {"f1": 0.5, "tp": 0.25}.items())
+    lines = path.read_text().splitlines()
+    assert lines[0] == "metric,value"
+    assert lines[1].startswith("f1,")
+    assert len(lines) == 3
+
+
+# Bytes of two report files as the CSV writer renders them; other bytes mean
+# the artifact format changed.
+PINNED_TRAJECTORY = (
+    b"t,x,y,theta,a_nom,a_exec,margin,overridden,feasible_count,q_nominal,q_fallback\n"
+    b"0,-1,0.5,0.25,0.5,0.5,0.10000000000000001,0,25,0.10000000000000001,0.20000000000000001\n"
+    b"1,-0.90000000000000002,0.5,0.29999999999999999,-0,2,0.20000000000000001,1,3,-1e-300,4.9406564584124654e-324\n"
+)
+PINNED_METRICS = (
+    b"method,margin_mode,alpha,safety_rate,avg_override,override_std,f1,max_step_delta_mean,max_step_delta_std\n"
+    b"cbf,exact,0.84999999999999998,1,0.25,0.10000000000000001,n/a,n/a,n/a\n"
+    b"margin,gp,n/a,n/a,n/a,n/a,0.90000000000000002,0.02,0.01\n"
+)
+
+
+def test_trajectory_csv_bytes_are_pinned(tmp_path):
+    nominal, executed = np.array([0.5, -0.0]), np.array([0.5, 2.0])
+    record = TrajectoryRecord(
+        states=np.array([[-1.0, 0.5, 0.25], [-0.9, 0.5, 0.3], [-0.8, 0.51, 1.0 / 3.0]]),
+        actions_nominal=nominal,
+        actions_executed=executed,
+        margin_values=np.array([0.1, 0.2, 0.3]),
+        collided=False,
+        override_magnitudes=np.abs(executed - nominal),
+        diagnostics={
+            "feasible_count": np.array([25.0, 3.0]),
+            "q_nominal": np.array([0.1, -1e-300]),
+            "q_fallback": np.array([0.2, 5e-324]),
+        },
+    )
+    path = tmp_path / "trajectory.csv"
+    save_trajectory_csv(record, str(path))
+    assert path.read_bytes() == PINNED_TRAJECTORY
+
+
+def test_metrics_table_csv_bytes_are_pinned(tmp_path):
+    rows = [
+        MetricsRow(method="cbf", margin_mode="exact", alpha=0.85, safety_rate=1.0, avg_override=0.25, override_std=0.1),
+        MetricsRow(method="margin", margin_mode="gp", f1=0.9, max_step_delta_mean=0.02, max_step_delta_std=0.01),
+    ]
+    path = tmp_path / "metrics.csv"
+    MetricsTable(rows).save_csv(str(path))
+    assert path.read_bytes() == PINNED_METRICS

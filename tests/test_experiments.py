@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,7 +65,7 @@ def filter_run(tmp_path_factory):
 
 def test_metrics_row_defaults_to_na():
     row = MetricsRow(method="none")
-    assert row.cells() == ("none", NA, NA, NA, NA, NA, NA, NA, NA)
+    assert astuple(row) == ("none", NA, NA, NA, NA, NA, NA, NA, NA)
 
 
 def test_metrics_table_csv_format(tmp_path):

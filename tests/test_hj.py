@@ -561,6 +561,20 @@ class TestFieldFiles:
         with pytest.raises(ValueError, match="field.txt: bad grid header"):
             load_field(str(path), kind="value")
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("grid-hex64 value 0 5 5", "nx, ny must be >= 3"),
+            ("grid-hex64 value 5 2 5", "nx, ny must be >= 3"),
+            ("grid-hex64 value 5 5 0", "ntheta must be >= 4"),
+        ],
+    )
+    def test_grid_shape_refused_by_name(self, tmp_path, header, message):
+        path = tmp_path / "field.txt"
+        path.write_text(header + "\n" + "0000000000000000\n" * 36)
+        with pytest.raises(ValueError, match=f"field.txt: {message}"):
+            load_field(str(path), kind="value")
+
     def test_bad_count_and_corrupt_value_refused(self, tmp_path):
         path = tmp_path / "field.txt"
         save_field(constant_field(GridSpec(nx=3, ny=3, ntheta=4), 0.5, kind="value"), str(path))

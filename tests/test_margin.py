@@ -22,7 +22,6 @@ from cbfforge.margin import (
     interpolate_pair,
     margin_loss,
     net_margin_fn,
-    save_metrics_csv,
     sign_loss,
     train_margin,
 )
@@ -379,14 +378,6 @@ class TestEvaluateMargin:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             evaluate_margin(net_margin_fn(constant_net(1.0)), [])
-
-    def test_metrics_csv(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        save_metrics_csv({"f1": 0.5, "tp": 0.25}, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "metric,value"
-        assert lines[1].startswith("f1,")
-        assert len(lines) == 3
 
     def test_clip_applies_only_when_requested(self, tmp_path):
         # Only the unbounded GP net is clipped, and only where it labels grid

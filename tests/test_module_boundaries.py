@@ -3,7 +3,7 @@
 No module imports another module's _private names.  Every public top-level
 function or class, and every public method of a public class, has a caller
 outside the test suite, and every parameter default is left out by at
-least one production call.
+least one production call.  CSV rendering has one owner: codec.write_csv.
 """
 
 import ast
@@ -23,6 +23,21 @@ def test_no_relative_import_of_private_names():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 offenders += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_csv_is_rendered_only_by_the_codec():
+    importers, formatters = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names):
+                importers.append(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                importers.append(path.name)
+        if ".17g" in text and path.name != "codec.py":
+            formatters.append(path.name)
+    assert importers == []
+    assert formatters == []
 
 
 def _referenced_names(paths) -> set:

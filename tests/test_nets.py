@@ -592,6 +592,24 @@ class TestHexModelFiles:
         with pytest.raises(ValueError, match="net.txt: model file uses the old decimal format; regenerate it"):
             load_model(str(path))
 
+    ONE = "3ff0000000000000"
+
+    @pytest.mark.parametrize(
+        "header, rows, message",
+        [
+            ("mlp-hex64 1 0 1 relu identity", [ONE], "non-positive dimension"),
+            ("mlp-hex64 1 2 -1 relu identity", [ONE], "non-positive dimension"),
+            ("mlp-hex64 0 2 relu identity", [ONE], "non-positive dimension"),
+            ("mlp-hex64 1 2 1 gelu identity", [f"{ONE} {ONE}", ONE], "unknown hidden activation 'gelu'"),
+            ("mlp-hex64 1 2 1 relu softmax", [f"{ONE} {ONE}", ONE], "unknown output activation 'softmax'"),
+        ],
+    )
+    def test_malformed_header_names_the_path(self, tmp_path, header, rows, message):
+        path = tmp_path / "net.txt"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"net.txt: {message}"):
+            load_model(str(path))
+
     def test_corrupt_hex_row_refused(self, tmp_path):
         path = tmp_path / "net.txt"
         save_model(mlp_init([3, 4, 1], seed=0), str(path))

@@ -19,9 +19,10 @@ actions), which returns the fallback action at each state with the scores of
 call at one state; a model-based step scores its successors with one
 anchored_q call.  On a grid each call is one q_from_value query over the
 action set and `actions`; on the critic it is one actor pass and one critic
-pass.  q_values (one state, candidate scores only) and fallback_action (one
-state) remain for callers that need just one of the two; step is the
-world-model seam a model-based query steps through.
+pass.  The sampler points are built once per SamplerSpec, so a filter step
+only appends its anchors to them.  q_values (one state, candidate scores
+only) and fallback_action (one state) remain for callers that need just one
+of the two; step is the world-model seam a model-based query steps through.
 """
 
 from __future__ import annotations
@@ -42,20 +43,23 @@ _SAMPLER_KINDS = ("equispaced_1d",)
 class SamplerSpec:
     """Candidate-action sampling scheme for the control-barrier filter.
 
-    kind "equispaced_1d", the only kind, draws n equally spaced scalar
+    kind "equispaced_1d", the only kind, draws n >= 2 equally spaced scalar
     actions spanning the full action interval, endpoints included.  The
     nominal and fallback actions are always appended after the n sampled
-    points; duplicates are retained.
+    points; duplicates are retained.  The points are built once, with the
+    spec, as the read-only array `points`.
     """
 
     kind: str = "equispaced_1d"
     n: int = 25
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        points = equispaced_actions(self.n)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
@@ -257,7 +261,7 @@ def sample_actions(spec: SamplerSpec, a_nominal, a_fallback) -> np.ndarray:
     anchors = [np.asarray(a, dtype=float) for a in (a_nominal, a_fallback)]
     if any(a.size != 1 for a in anchors):
         raise ValueError("equispaced_1d requires a scalar action space")
-    return np.concatenate([equispaced_actions(spec.n)] + [a.ravel() for a in anchors])
+    return np.concatenate([spec.points] + [a.ravel() for a in anchors])
 
 
 def cbf_constraint_check(q_of_a, q_of_fallback: float, cfg: FilterConfig) -> np.ndarray:
@@ -325,7 +329,7 @@ def cbf_filter(state: np.ndarray, a_nominal: float, backend, cfg: FilterConfig) 
     """
     a_nom = float(a_nominal)
     if cfg.query_mode == "model_free":
-        heads = np.append(equispaced_actions(cfg.sampler.n), a_nom)
+        heads = np.append(cfg.sampler.points, a_nom)
         a_fb, q_heads, q_fb = backend.anchored_q(state, heads)
         samples = np.append(heads, a_fb)
         q = np.append(q_heads, q_fb)

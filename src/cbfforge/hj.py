@@ -37,9 +37,13 @@ BLAS thread (2-core x86 host, numpy on OpenBLAS), against plain sweeps:
                                       rejected, and the back-off keeps the
                                       waste to 8 sweeps
 
-`interpolate` and `q_from_value` are the query path for arbitrary states;
-their trilinear coefficients come from one loop-free broadcast over the 8
+`interpolate` and `q_from_value` are the query path for arbitrary states.
+Their trilinear coefficients come from one loop-free broadcast over the 8
 cell corners, written straight into the (8, n) index and weight arrays.
+`q_from_value` makes one such pass per block of QUERY_BLOCK rows over the
+states stacked on their successors, so the margin at the states and the
+value at the successors share it, and a whole-grid query holds a few arrays
+of the block's size, not of the grid's.
 Empirical Lipschitz scans check the solved fields against the
 margin-to-value bound.
 
@@ -68,6 +72,14 @@ RATIO_AGREEMENT = 1e-3
 MIN_CHAIN = 3
 # Factor on the plain sweeps required before the next jump after a rejected one.
 BACKOFF = 2
+# Rows per block of a q_from_value query.  25 queries over the 35,301 nodes
+# of the 41x41x21 grid, one BLAS thread, 2-vCPU x86 host, numpy 2.4 (time of
+# the 25, tracemalloc peak of one): 512 rows 919 ms, 0.88 MB; 1,024 478-688
+# ms, 1.34 MB; 2,048 434-522 ms, 2.19 MB; 4,096 389-494 ms, 3.96 MB; 8,192
+# 605 ms, 7.63 MB; one unblocked pass 678 ms, 18.4 MB; the earlier two-pass
+# query 533-687 ms, 9.04 MB.  Past 2,048 rows the time stops falling and the
+# peak keeps growing.
+QUERY_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ class GridField:
 
     def __post_init__(self) -> None:
         expected = (self.spec.nx, self.spec.ny, self.spec.ntheta)
-        # C order keeps values.ravel() in interpolate a view, not a copy.
+        # C order keeps values.ravel() in the queries a view, not a copy.
         self.values = np.ascontiguousarray(self.values, dtype=float).reshape(expected)
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
@@ -420,12 +432,39 @@ def q_from_value(
     Accepts a single state (3,) with scalar action, or batches: states (n, 3)
     with actions scalar or (n,).  The margin l(z) is interpolated from the
     margin field, so the two fields must share a GridSpec.
+
+    The rows go in blocks of QUERY_BLOCK.  A block of b states and their b
+    successors is one (2b, 3) stack and one `_interp_coeffs` pass: the
+    margin is gathered through the first b index columns, the value through
+    the last b, and one einsum reduces all 2b columns.  A query therefore
+    holds a few arrays of 2 * QUERY_BLOCK columns whatever n is; over the
+    35,301 nodes of a 41x41x21 grid it peaks at 2.2 MB in tracemalloc,
+    against 9.0 MB for two whole-batch `interpolate` calls.  A single state
+    is a block of 2 columns, so its Q equals its row in any batch, bit for
+    bit (einsum over one column rounds differently from the n >= 2 columns).
     """
     if value.spec != margin.spec:
         raise ValueError("value and margin fields must share a GridSpec")
-    ell = interpolate(margin, states)
-    nxt = interpolate(value, dynamics_step_batch(states, actions, dt))
-    return (1.0 - gamma) * ell + gamma * np.minimum(ell, nxt)
+    states = np.asarray(states, dtype=float)
+    single = states.ndim == 1
+    batch = states[None, :] if single else states
+    n = batch.shape[0]
+    actions = np.broadcast_to(np.asarray(actions, dtype=float), (n,))
+    margin_flat, value_flat = margin.values.ravel(), value.values.ravel()
+    q = np.empty(n)
+    for lo in range(0, n, QUERY_BLOCK):
+        hi = min(lo + QUERY_BLOCK, n)
+        b = hi - lo
+        idx, w = _interp_coeffs(
+            value.spec, np.concatenate([batch[lo:hi], dynamics_step_batch(batch[lo:hi], actions[lo:hi], dt)])
+        )
+        corners = np.empty((8, 2 * b))
+        np.take(margin_flat, idx[:, :b], out=corners[:, :b])
+        np.take(value_flat, idx[:, b:], out=corners[:, b:])
+        interp = np.einsum("cn,cn->n", w, corners)
+        ell, nxt = interp[:b], interp[b:]
+        q[lo:hi] = (1.0 - gamma) * ell + gamma * np.minimum(ell, nxt)
+    return q[0] if single else q
 
 
 def empirical_lipschitz(field: GridField) -> float:

@@ -7,14 +7,18 @@ finite-horizon avoid value, value iteration by gathering through the
 public query path, the earlier multi-pass forms of the net math (every
 derivative from the pre-activation, a separate critic forward for Q, three
 parameter passes per GP margin step) that the fused passes must reproduce,
-the per-corner loop for trilinear coefficients, the two-query filters
-(fallback_action, then the candidates' scores) that anchored_q replaced,
-and the 17-significant-digit decimal model and grid files that the
-hex-float64 codec replaced.
+the per-corner loop for trilinear coefficients, the two-pass grid Q query
+(one whole-batch interpolation of the margin at the states, then one of
+the value at the successors) that the blocked single-pass query replaced,
+the two-query filters (fallback_action, then the candidates' scores) that
+anchored_q replaced, and the 17-significant-digit decimal model and grid
+files that the hex-float64 codec replaced.
 None of it shares code with the package implementations it checks, with
-one exception: the gather value iteration runs its sweeps through the
+two exceptions.  The gather value iteration runs its sweeps through the
 solver's own `hj.accelerated_fixed_point`, which `test_hj` tests on its own,
-so the oracle checks the sweep operator at the solver's sweep count.
+so the oracle checks the sweep operator at the solver's sweep count.  The
+two-pass Q query interpolates through the public `hj.interpolate`, which
+`q_from_value` no longer calls.
 ``traced_peak_bytes`` is the one measuring helper: the memory budgets of
 the net passes are read from tracemalloc through it.
 """
@@ -28,7 +32,7 @@ import numpy as np
 
 from cbfforge.dubins import ACTION_BOUND, DEFAULT_DT, OVERRIDE_THRESHOLD, XY_BOUND, dynamics_step_batch
 from cbfforge.filters import FeasibleSet, FilterDecision, cbf_constraint_check, q_query, sample_actions
-from cbfforge.hj import GridField, GridSpec, ValueSolution, accelerated_fixed_point, q_from_value
+from cbfforge.hj import GridField, GridSpec, ValueSolution, accelerated_fixed_point, interpolate
 from cbfforge.margin import interpolate_pair
 from cbfforge.nets import MlpGrads, MlpNet, input_gradient, penalty_param_gradient
 
@@ -145,8 +149,19 @@ def recursive_avoid_value(state, margin_fn, step_fn, actions, horizon: int) -> f
     return min(m, best)
 
 
+def two_pass_q_from_value(value: GridField, margin: GridField, states, actions, gamma: float, dt: float):
+    """Q(z, a) = (1-g) l(z) + g min(l(z), V(f(z, a))) by two whole-batch
+    interpolations: the margin at the states, then the value at the successors."""
+    if value.spec != margin.spec:
+        raise ValueError("value and margin fields must share a GridSpec")
+    ell = interpolate(margin, states)
+    nxt = interpolate(value, dynamics_step_batch(states, actions, dt))
+    return (1.0 - gamma) * ell + gamma * np.minimum(ell, nxt)
+
+
 def gather_value_iteration(margin: GridField, actions, gamma: float, dt: float, tol: float, max_iters: int) -> ValueSolution:
-    """Value iteration with each sweep V <- max_a q_from_value(V, margin, nodes, a).
+    """Value iteration with each sweep V <- max_a Q(V, margin, nodes, a), Q
+    from `two_pass_q_from_value`.
 
     At a node the interpolated margin is the node value, so this is the
     solver's backup evaluated by trilinear gathers at every successor state.
@@ -159,7 +174,7 @@ def gather_value_iteration(margin: GridField, actions, gamma: float, dt: float, 
 
     def sweep(v, out):
         field = GridField(spec, v, kind="value")
-        out[:] = np.max([q_from_value(field, margin, nodes, a, gamma, dt) for a in actions], axis=0)
+        out[:] = np.max([two_pass_q_from_value(field, margin, nodes, a, gamma, dt) for a in actions], axis=0)
 
     v, converged, residuals, jumps = accelerated_fixed_point(sweep, margin.values.ravel(), tol, max_iters)
     return ValueSolution(GridField(spec, v, kind="value"), converged, len(residuals), residuals, jumps)

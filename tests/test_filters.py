@@ -112,6 +112,29 @@ def test_sampler_validation():
         sample_actions(SamplerSpec(kind="equispaced_1d", n=5), np.array([1.0, 2.0]), np.array([0.0, 0.0]))
 
 
+def test_sampler_refuses_fewer_than_two_points():
+    # One point cannot span the action interval; the spec refuses it when
+    # built, not at the first filter step.
+    with pytest.raises(ValueError, match="at least two actions"):
+        SamplerSpec(kind="equispaced_1d", n=1)
+
+
+def test_sampler_points_are_built_once(grid_backend, monkeypatch):
+    spec = SamplerSpec(kind="equispaced_1d", n=25)
+    assert np.array_equal(spec.points, equispaced_actions(25))
+    assert not spec.points.flags.writeable
+    assert spec == SamplerSpec(kind="equispaced_1d", n=25)
+
+    def refuse(n):
+        raise AssertionError("sampler points rebuilt during a filter step")
+
+    monkeypatch.setattr(filters, "equispaced_actions", refuse)
+    state = np.array([-0.7, -0.2, 0.4])
+    for mode in ("model_free", "model_based"):
+        cbf_filter(state, 0.3, grid_backend, FilterConfig(query_mode=mode, sampler=spec))
+    assert sample_actions(spec, 0.3, -1.1).shape == (27,)
+
+
 # ---------------------------------------------------------- constraint check
 
 

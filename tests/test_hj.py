@@ -31,6 +31,7 @@ from oracles import (
     loop_interp_coeffs,
     recursive_avoid_value,
     traced_peak_bytes,
+    two_pass_q_from_value,
 )
 
 
@@ -418,6 +419,52 @@ class TestQFromValue:
         broadcast = peak()
         monkeypatch.setattr(hj, "_interp_coeffs", loop_interp_coeffs)
         assert broadcast <= peak()
+
+    @staticmethod
+    def query_fields():
+        spec = GridSpec(nx=41, ny=41, ntheta=21)
+        value = np.random.default_rng(3).normal(0.2, 0.5, (spec.nx, spec.ny, spec.ntheta))
+        return GridField(spec, value, kind="value"), margin_field(spec, signed_distance_margin)
+
+    @staticmethod
+    def query_states(n):
+        # Inside and outside the box, on its edges and corners, and with
+        # |theta| beyond pi.
+        rng = np.random.default_rng(n)
+        states = rng.uniform([-2.5, -2.5, -4.0 * np.pi], [2.5, 2.5, 4.0 * np.pi], (n, 3))
+        edges = np.array([[1.5, -1.5, np.pi], [-1.5, 1.5, -np.pi], [0.0, 0.0, 3.0 * np.pi], [1.4999, 2.0, -7.0]])
+        states[: len(edges)] = edges[:n]
+        return states, rng.uniform(-2.0, 2.0, n)
+
+    # One block, one short of it, one over it, three blocks and a one-row
+    # tail (2,047, 2,048, 2,049 and 6,145 at 2,048-row blocks), and as many
+    # rows as the 41x41x21 grid has nodes.
+    B = hj.QUERY_BLOCK
+
+    @pytest.mark.parametrize("n", [2, 51, B - 1, B, B + 1, 3 * B + 1, 35301])
+    def test_matches_two_pass_oracle(self, n):
+        value, margin = self.query_fields()
+        states, actions = self.query_states(n)
+        for a in (actions, 1.3):
+            q = q_from_value(value, margin, states, a, 0.995, 0.1)
+            assert q.shape == (n,)
+            assert np.array_equal(q, two_pass_q_from_value(value, margin, states, a, 0.995, 0.1))
+
+    def test_single_state_equals_its_batch_row(self):
+        value, margin = self.query_fields()
+        states, actions = self.query_states(300)
+        batch = q_from_value(value, margin, states, actions, 0.995, 0.1)
+        single = [q_from_value(value, margin, s, a, 0.995, 0.1) for s, a in zip(states, actions)]
+        assert np.array_equal(single, batch)
+
+    def test_whole_grid_query_stays_in_blocks(self):
+        # Over the 35,301 nodes of the acceptance grid one query holds
+        # 2.2 MB; two whole-batch interpolations held 9.0 MB.
+        spec = GridSpec(nx=41, ny=41, ntheta=21)
+        margin = margin_field(spec, signed_distance_margin)
+        nodes = spec.nodes()
+        actions = np.resize(equispaced_actions(25), nodes.shape[0])
+        assert traced_peak_bytes(lambda: q_from_value(margin, margin, nodes, actions, 0.995, 0.1)) < 3e6
 
     def test_mismatched_specs_rejected(self):
         margin = constant_field(GridSpec(5, 5, 4), 0.5)

@@ -56,14 +56,17 @@ def state_distance(a: np.ndarray, b: np.ndarray):
 
 
 def _validate_actions(actions: np.ndarray) -> None:
-    if not np.all(np.isfinite(actions)):
+    if not np.isfinite(actions).all():
         raise ValueError("non-finite action")
-    if np.any(np.abs(actions) > ACTION_BOUND + 1e-12):
+    if (np.abs(actions) > ACTION_BOUND + 1e-12).any():
         raise ValueError(f"turn rate outside [-{ACTION_BOUND}, {ACTION_BOUND}]")
 
 
 def dynamics_step_batch(states: np.ndarray, actions, dt: float) -> np.ndarray:
     """RK4 step of (cos theta, sin theta, a) for a batch of states.
+
+    One np.cos and one np.sin call serve the three stage angles, and np.minimum
+    and np.maximum clamp the checked positions: np.clip's bits, fewer calls.
 
     Args:
         states: (n, 3) array of [x, y, theta].
@@ -77,23 +80,27 @@ def dynamics_step_batch(states: np.ndarray, actions, dt: float) -> np.ndarray:
     actions = np.broadcast_to(np.asarray(actions, dtype=float), states.shape[:-1])
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if not np.all(np.isfinite(states)):
+    if not np.isfinite(states).all():
         raise ValueError("non-finite state")
     _validate_actions(actions)
 
-    theta = states[..., 2]
+    rows, rates = states.reshape(actions.size, 3), actions.reshape(-1)
+    theta = rows[:, 2]
     # theta evolves linearly (theta_dot = a), so the RK4 stage angles are exact.
-    t1 = theta
-    t2 = theta + 0.5 * dt * actions
-    t4 = theta + dt * actions
-    dx = (np.cos(t1) + 4.0 * np.cos(t2) + np.cos(t4)) / 6.0
-    dy = (np.sin(t1) + 4.0 * np.sin(t2) + np.sin(t4)) / 6.0
-
-    out = np.empty_like(states)
-    out[..., 0] = np.clip(states[..., 0] + dt * dx, -XY_BOUND, XY_BOUND)
-    out[..., 1] = np.clip(states[..., 1] + dt * dy, -XY_BOUND, XY_BOUND)
-    out[..., 2] = wrap_angle(theta + dt * actions)
-    return out
+    stages = np.empty((3, theta.size))
+    stages[0] = theta
+    np.add(theta, 0.5 * dt * rates, out=stages[1])
+    np.add(theta, dt * rates, out=stages[2])
+    trig = np.empty((2, *stages.shape))  # [cos/sin, stage, state]
+    np.cos(stages, out=trig[0])
+    np.sin(stages, out=trig[1])
+    xy = rows[:, :2].T + dt * ((trig[:, 0] + 4.0 * trig[:, 1] + trig[:, 2]) / 6.0)
+    np.minimum(xy, XY_BOUND, out=xy)
+    np.maximum(xy, -XY_BOUND, out=xy)
+    out = np.empty_like(rows)
+    out[:, :2] = xy.T
+    out[:, 2] = wrap_angle(stages[2])
+    return out.reshape(states.shape)
 
 
 def dynamics_step(state: np.ndarray, action: float, dt: float) -> np.ndarray:

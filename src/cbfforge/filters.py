@@ -19,10 +19,11 @@ actions), which returns the fallback action at each state with the scores of
 call at one state; a model-based step scores its successors with one
 anchored_q call.  On a grid each call is one q_from_value query over the
 action set and `actions`; on the critic it is one actor pass and one critic
-pass.  The sampler points are built once per SamplerSpec, so a filter step
-only appends its anchors to them.  q_values (one state, candidate scores
-only) and fallback_action (one state) remain for callers that need just one
-of the two; step is the world-model seam a model-based query steps through.
+pass.  The sampler points are built once per SamplerSpec; a model-free step
+copies them and its anchors into preallocated sample and Q arrays.  q_values
+(one state, candidate scores only) and fallback_action (one state) remain for
+callers that need just one of the two; step is the world-model seam a
+model-based query steps through.  Backends refuse bad parameters when built.
 """
 
 from __future__ import annotations
@@ -150,11 +151,19 @@ class GridBackend:
     def __init__(self, value: GridField, margin: GridField, actions: np.ndarray, gamma: float, dt: float):
         if value.kind != "value" or margin.kind != "margin":
             raise ValueError("expected a value field and a margin field")
+        if value.spec != margin.spec:
+            raise ValueError(f"value and margin fields must share a GridSpec, got {value.spec} and {margin.spec}")
         self.value = value
         self.margin = margin
         self.actions = np.asarray(actions, dtype=float)
-        if self.actions.size == 0:
-            raise ValueError("action set must be non-empty")
+        if self.actions.ndim != 1 or self.actions.size == 0:
+            raise ValueError("actions must be a non-empty 1-D action set")
+        if not (np.abs(self.actions) <= ACTION_BOUND).all():
+            raise ValueError(f"actions must be finite turn rates in [-{ACTION_BOUND}, {ACTION_BOUND}]")
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+        if not 0.0 < dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         self.gamma = float(gamma)
         self.dt = float(dt)
 
@@ -176,17 +185,14 @@ class GridBackend:
         greedy action is the first maximizer over the action-set columns.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        acts = np.concatenate([self.actions, np.asarray(actions, dtype=float)])
-        q = q_from_value(
-            self.value,
-            self.margin,
-            np.repeat(states, acts.size, axis=0),
-            np.tile(acts, states.shape[0]),
-            self.gamma,
-            self.dt,
-        ).reshape(states.shape[0], acts.size)
+        n, k = states.shape[0], self.actions.size + np.size(actions)
+        rows, acts = np.empty((n, k, 3)), np.empty((n, k))
+        rows[:] = states[:, None]
+        acts[:, : self.actions.size] = self.actions
+        acts[:, self.actions.size :] = actions
+        q = q_from_value(self.value, self.margin, rows.reshape(-1, 3), acts.ravel(), self.gamma, self.dt).reshape(n, k)
         table = q[:, : self.actions.size]
-        return self.actions[table.argmax(axis=1)], q[:, self.actions.size :], table.max(axis=1)
+        return self.actions[table.argmax(axis=1)], q[:, self.actions.size :], np.maximum.reduce(table, axis=1)
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
         return dynamics_step(state, action, self.dt)
@@ -216,6 +222,8 @@ class CriticBackend:
             raise ValueError("actor must have a single tanh output")
         if critic.input_dim != actor.input_dim + 1:
             raise ValueError("critic input must be the state plus one action")
+        if not 0.0 < dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         self.critic = critic
         self.actor = actor
         self.dt = float(dt)
@@ -276,7 +284,7 @@ def cbf_constraint_check(q_of_a, q_of_fallback: float, cfg: FilterConfig) -> np.
         Boolean array, one entry per candidate.
     """
     q_of_a = np.asarray(q_of_a, dtype=float)
-    if not np.all(np.isfinite(q_of_a)) or not np.isfinite(q_of_fallback):
+    if not (np.isfinite(q_of_a).all() and np.isfinite(q_of_fallback)):
         raise ValueError("Q-values must be finite")
     return (q_of_a - cfg.epsilon) >= cfg.alpha * (q_of_fallback - cfg.epsilon)
 
@@ -329,10 +337,9 @@ def cbf_filter(state: np.ndarray, a_nominal: float, backend, cfg: FilterConfig) 
     """
     a_nom = float(a_nominal)
     if cfg.query_mode == "model_free":
-        heads = np.append(cfg.sampler.points, a_nom)
-        a_fb, q_heads, q_fb = backend.anchored_q(state, heads)
-        samples = np.append(heads, a_fb)
-        q = np.append(q_heads, q_fb)
+        samples, q = np.empty(cfg.sampler.n + 2), np.empty(cfg.sampler.n + 2)
+        samples[:-2], samples[-2] = cfg.sampler.points, a_nom
+        samples[-1:], q[:-1], q[-1:] = backend.anchored_q(state, samples[:-1])
     else:
         samples = sample_actions(cfg.sampler, a_nom, backend.fallback_action(state))
         q = q_query(backend, state, samples, cfg)
@@ -340,7 +347,7 @@ def cbf_filter(state: np.ndarray, a_nominal: float, backend, cfg: FilterConfig) 
 
     mask = cbf_constraint_check(q, q_fallback, cfg)
     feasible = FeasibleSet(actions=samples[mask], q_values=q[mask])
-    count = int(mask.sum())
+    count = int(np.count_nonzero(mask))
 
     if count == 0:
         chosen = float(samples[-1])
@@ -376,16 +383,15 @@ def lr_filter(state: np.ndarray, a_nominal: float, backend, epsilon: float = 0.2
         raise ValueError("epsilon must be positive")
     a_nom = float(a_nominal)
     a_fb, q_nom, q_fb = backend.anchored_q(state, [a_nom])
-    samples = np.append(a_nom, a_fb)
-    q = np.append(q_nom, q_fb)
-    keep = q[0] >= epsilon
-    chosen = a_nom if keep else float(samples[1])
+    q_nominal = float(q_nom[0, 0])
+    keep = q_nominal >= epsilon
+    chosen = a_nom if keep else float(a_fb[0])
     delta = abs(chosen - a_nom)
     return FilterDecision(
         action=chosen,
         overridden=delta >= OVERRIDE_THRESHOLD,
         delta_a=delta,
         feasible_count=int(keep),
-        q_nominal=float(q[0]),
-        q_fallback=float(q[1]),
+        q_nominal=q_nominal,
+        q_fallback=float(q_fb[0]),
     )

@@ -38,12 +38,13 @@ BLAS thread (2-core x86 host, numpy on OpenBLAS), against plain sweeps:
                                       waste to 8 sweeps
 
 `interpolate` and `q_from_value` are the query path for arbitrary states.
-Their trilinear coefficients come from one loop-free broadcast over the 8
-cell corners, written straight into the (8, n) index and weight arrays.
-`q_from_value` makes one such pass per block of QUERY_BLOCK rows over the
-states stacked on their successors, so the margin at the states and the
-value at the successors share it, and a whole-grid query holds a few arrays
-of the block's size, not of the grid's.
+Their trilinear coefficients come from one loop-free pass over the three axes
+as rows of one table, broadcast over the 8 cell corners into the (8, n) index
+and weight arrays.  `q_from_value` makes one such pass per QUERY_BLOCK rows of
+states stacked on their successors, for the margin at the states and the value
+at the successors, so a whole-grid query holds arrays of the block's size, not
+the grid's.  A filter step's few dozen rows cost numpy calls, not arithmetic,
+so the path makes few, with the per-axis form's arithmetic, order and bits.
 Empirical Lipschitz scans check the solved fields against the
 margin-to-value bound.
 
@@ -56,6 +57,7 @@ field itself and nothing the size of its text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +76,10 @@ MIN_CHAIN = 3
 BACKOFF = 2
 # Rows per block of a q_from_value query.  25 queries over the 35,301 nodes
 # of the 41x41x21 grid, one BLAS thread, 2-vCPU x86 host, numpy 2.4 (time of
-# the 25, tracemalloc peak of one): 512 rows 919 ms, 0.88 MB; 1,024 478-688
-# ms, 1.34 MB; 2,048 434-522 ms, 2.19 MB; 4,096 389-494 ms, 3.96 MB; 8,192
-# 605 ms, 7.63 MB; one unblocked pass 678 ms, 18.4 MB; the earlier two-pass
-# query 533-687 ms, 9.04 MB.  Past 2,048 rows the time stops falling and the
-# peak keeps growing.
+# the 25 in two processes, tracemalloc peak of one): 1,024 rows 318-529 ms,
+# 1.36 MB; 2,048 287-429 ms, 2.24 MB; 4,096 301-469 ms, 4.06 MB.  Earlier
+# code: 512 rows 919 ms, 0.88 MB; 8,192 605 ms, 7.63 MB; unblocked 678 ms,
+# 18.4 MB.  Past 2,048 rows the time stops falling and the peak keeps growing.
 QUERY_BLOCK = 2048
 
 
@@ -124,6 +125,14 @@ class GridSpec:
     def dtheta(self) -> float:
         return 2.0 * np.pi / self.ntheta
 
+    @cached_property
+    def _axis_columns(self):
+        """Read-only (3, 1) x/y/theta columns for _interp_coeffs: (shift, cell size), (top lower node, stride)."""
+        floats = np.array([[XY_BOUND, XY_BOUND, np.pi], [self.dx, self.dy, self.dtheta]])[..., None]
+        ints = np.array([[self.nx - 2, self.ny - 2, self.ntheta - 1], [self.ny * self.ntheta, self.ntheta, 1]])[..., None]
+        floats.flags.writeable = ints.flags.writeable = False
+        return floats, ints
+
     def nodes(self) -> np.ndarray:
         """All grid nodes as an (nx * ny * ntheta, 3) array in x-major order."""
         gx, gy, gt = np.meshgrid(self.xs, self.ys, self.thetas, indexing="ij")
@@ -154,13 +163,6 @@ def margin_field(spec: GridSpec, margin_fn) -> GridField:
     return GridField(spec, values.reshape(spec.nx, spec.ny, spec.ntheta), kind="margin")
 
 
-def _theta_corners(spec: GridSpec, theta: np.ndarray):
-    """Lower and upper theta node indices of each heading, and the upper weight."""
-    ft = (wrap_angle(theta) + np.pi) / spec.dtheta
-    it0 = np.minimum(ft.astype(np.int64), spec.ntheta - 1)
-    return it0, (it0 + 1) % spec.ntheta, ft - it0
-
-
 def _interp_coeffs(spec: GridSpec, states: np.ndarray):
     """Trilinear corner indices and weights for a batch of query states.
 
@@ -170,27 +172,31 @@ def _interp_coeffs(spec: GridSpec, states: np.ndarray):
     (b = 0) or upper (b = 1) node on each axis, and its weight is
     (wx * wy) * wt.
 
-    The pass is loop-free: it fills (2, 3, n) tables of the lower and upper
-    node offsets and weights of each axis, then broadcasts the three axes
-    over (2, 2, 2, n) straight into the outputs, so only those two tables
-    live beside them.
+    The pass is loop-free.  The axes are rows of (2, 3, n) tables of lower
+    and upper node offsets and weights: x and y are clamped by np.minimum and
+    np.maximum, theta is wrapped, all rows are shifted, scaled and floored at
+    once, and the tables are broadcast over (2, 2, 2, n) straight into the
+    outputs, so only those two tables live beside them.
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[0]
     # [lower/upper, axis x/y/theta, state]: flat-index offsets and weights.
     off = np.empty((2, 3, n), dtype=np.int64)
     wts = np.empty((2, 3, n))
-    off[0, 2], off[1, 2], wts[1, 2] = _theta_corners(spec, states[:, 2])
-    # x and y positions in cells; less their lower node, the upper weights.
-    pos = wts[1, :2]
-    np.clip(states[:, :2].T, -XY_BOUND, XY_BOUND, out=pos)
-    pos += XY_BOUND
-    pos /= ((spec.dx,), (spec.dy,))
-    np.minimum(pos.astype(np.int64), ((spec.nx - 2,), (spec.ny - 2,)), out=off[0, :2])
-    np.add(off[0, :2], 1, out=off[1, :2])
-    pos -= off[0, :2]
-    np.subtract(1.0, wts[1], out=wts[0])
-    off *= ((spec.ny * spec.ntheta,), (spec.ntheta,), (1,))
+    # Positions in cells; less their lower node, the upper weights.
+    pos = wts[1]
+    np.minimum(states[:, :2].T, XY_BOUND, out=pos[:2])
+    np.maximum(pos[:2], -XY_BOUND, out=pos[:2])
+    pos[2] = wrap_angle(states[:, 2])
+    (shift, cell), (top, stride) = spec._axis_columns
+    pos += shift
+    pos /= cell
+    np.minimum(pos.astype(np.int64), top, out=off[0])
+    np.add(off[0], 1, out=off[1])
+    off[1, 2] %= spec.ntheta
+    pos -= off[0]
+    np.subtract(1.0, pos, out=wts[0])
+    off *= stride
 
     idx = np.empty((8, n), dtype=np.int64)
     w = np.empty((8, n))
@@ -362,7 +368,9 @@ def value_iteration(
     ks = np.arange(nt)
     taps = []
     for succ, shift in zip(succs, shifts):
-        it0, it1, wt = _theta_corners(spec, succ[:nt, 2])
+        ft = (wrap_angle(succ[:nt, 2]) + np.pi) / spec.dtheta  # successor headings, in theta cells
+        it0 = np.minimum(ft.astype(np.int64), nt - 1)
+        it1, wt = (it0 + 1) % nt, ft - it0
         base = np.floor(shift)
         fx, fy = (shift - base).T[:, :, None, None]
         ux, uy = (pad + base.astype(np.int64)).T
@@ -449,21 +457,20 @@ def q_from_value(
     single = states.ndim == 1
     batch = states[None, :] if single else states
     n = batch.shape[0]
-    actions = np.broadcast_to(np.asarray(actions, dtype=float), (n,))
+    actions = np.ravel(actions)  # one action goes to every block whole
     margin_flat, value_flat = margin.values.ravel(), value.values.ravel()
     q = np.empty(n)
     for lo in range(0, n, QUERY_BLOCK):
         hi = min(lo + QUERY_BLOCK, n)
         b = hi - lo
-        idx, w = _interp_coeffs(
-            value.spec, np.concatenate([batch[lo:hi], dynamics_step_batch(batch[lo:hi], actions[lo:hi], dt)])
-        )
+        succ = dynamics_step_batch(batch[lo:hi], actions if actions.size == 1 else actions[lo:hi], dt)
+        idx, w = _interp_coeffs(value.spec, np.concatenate([batch[lo:hi], succ]))
         corners = np.empty((8, 2 * b))
         np.take(margin_flat, idx[:, :b], out=corners[:, :b])
         np.take(value_flat, idx[:, b:], out=corners[:, b:])
         interp = np.einsum("cn,cn->n", w, corners)
         ell, nxt = interp[:b], interp[b:]
-        q[lo:hi] = (1.0 - gamma) * ell + gamma * np.minimum(ell, nxt)
+        np.add((1.0 - gamma) * ell, gamma * np.minimum(ell, nxt, out=nxt), out=q[lo:hi])
     return q[0] if single else q
 
 

@@ -7,18 +7,18 @@ finite-horizon avoid value, value iteration by gathering through the
 public query path, the earlier multi-pass forms of the net math (every
 derivative from the pre-activation, a separate critic forward for Q, three
 parameter passes per GP margin step) that the fused passes must reproduce,
-the per-corner loop for trilinear coefficients, the two-pass grid Q query
-(one whole-batch interpolation of the margin at the states, then one of
-the value at the successors) that the blocked single-pass query replaced,
-the two-query filters (fallback_action, then the candidates' scores) that
+the per-corner loop for trilinear coefficients, the RK4 step with a cos
+and a sin call per stage and np.clip that the one-call step replaced, the
+two-pass grid Q query (one whole-batch interpolation of the margin at the
+states, then one of the value at the successors, with those coefficients
+and that step) that the blocked single-pass query replaced, the
+two-query filters (fallback_action, then the candidates' scores) that
 anchored_q replaced, and the 17-significant-digit decimal model and grid
 files that the hex-float64 codec replaced.
 None of it shares code with the package implementations it checks, with
-two exceptions.  The gather value iteration runs its sweeps through the
+one exception.  The gather value iteration runs its sweeps through the
 solver's own `hj.accelerated_fixed_point`, which `test_hj` tests on its own,
-so the oracle checks the sweep operator at the solver's sweep count.  The
-two-pass Q query interpolates through the public `hj.interpolate`, which
-`q_from_value` no longer calls.
+so the oracle checks the sweep operator at the solver's sweep count.
 ``traced_peak_bytes`` is the one measuring helper: the memory budgets of
 the net passes are read from tracemalloc through it.
 """
@@ -30,9 +30,9 @@ import tracemalloc
 
 import numpy as np
 
-from cbfforge.dubins import ACTION_BOUND, DEFAULT_DT, OVERRIDE_THRESHOLD, XY_BOUND, dynamics_step_batch
+from cbfforge.dubins import ACTION_BOUND, DEFAULT_DT, OVERRIDE_THRESHOLD, XY_BOUND
 from cbfforge.filters import FeasibleSet, FilterDecision, cbf_constraint_check, q_query, sample_actions
-from cbfforge.hj import GridField, GridSpec, ValueSolution, accelerated_fixed_point, interpolate
+from cbfforge.hj import GridField, GridSpec, ValueSolution, accelerated_fixed_point
 from cbfforge.margin import interpolate_pair
 from cbfforge.nets import MlpGrads, MlpNet, input_gradient, penalty_param_gradient
 
@@ -131,7 +131,7 @@ def brute_force_avoid_oracle(
     cur = np.broadcast_to(np.asarray(state, dtype=float), (n_seq, 3)).copy()
     worst = np.full(n_seq, start)
     for t in range(horizon):
-        cur = dynamics_step_batch(cur, seqs[:, t], dt)
+        cur = reference_dynamics_step_batch(cur, seqs[:, t], dt)
         worst = np.minimum(worst, margin_fn(cur))
     return float(worst.max())
 
@@ -149,13 +149,50 @@ def recursive_avoid_value(state, margin_fn, step_fn, actions, horizon: int) -> f
     return min(m, best)
 
 
+def reference_dynamics_step_batch(states: np.ndarray, actions, dt: float) -> np.ndarray:
+    """RK4 step of (cos theta, sin theta, a) with a cos and a sin call per
+    stage and np.clip on the positions: `dubins.dynamics_step_batch` as it
+    was before its one-call form, with its action checks and angle wrap
+    inlined.  Same contract, checks and messages."""
+    states = np.asarray(states, dtype=float)
+    actions = np.broadcast_to(np.asarray(actions, dtype=float), states.shape[:-1])
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if not np.all(np.isfinite(states)):
+        raise ValueError("non-finite state")
+    if not np.all(np.isfinite(actions)):
+        raise ValueError("non-finite action")
+    if np.any(np.abs(actions) > ACTION_BOUND + 1e-12):
+        raise ValueError(f"turn rate outside [-{ACTION_BOUND}, {ACTION_BOUND}]")
+
+    theta = states[..., 2]
+    t1 = theta
+    t2 = theta + 0.5 * dt * actions
+    t4 = theta + dt * actions
+    dx = (np.cos(t1) + 4.0 * np.cos(t2) + np.cos(t4)) / 6.0
+    dy = (np.sin(t1) + 4.0 * np.sin(t2) + np.sin(t4)) / 6.0
+
+    out = np.empty_like(states)
+    out[..., 0] = np.clip(states[..., 0] + dt * dx, -XY_BOUND, XY_BOUND)
+    out[..., 1] = np.clip(states[..., 1] + dt * dy, -XY_BOUND, XY_BOUND)
+    out[..., 2] = np.mod(theta + dt * actions + np.pi, 2.0 * np.pi) - np.pi
+    return out
+
+
+def loop_interpolate(field: GridField, states: np.ndarray) -> np.ndarray:
+    """Trilinear interpolation of a batch (n, 3) through `loop_interp_coeffs`."""
+    idx, w = loop_interp_coeffs(field.spec, states)
+    return np.einsum("cn,cn->n", w, field.values.ravel()[idx])
+
+
 def two_pass_q_from_value(value: GridField, margin: GridField, states, actions, gamma: float, dt: float):
     """Q(z, a) = (1-g) l(z) + g min(l(z), V(f(z, a))) by two whole-batch
-    interpolations: the margin at the states, then the value at the successors."""
+    interpolations: the margin at the states, then the value at the
+    successors of `reference_dynamics_step_batch`."""
     if value.spec != margin.spec:
         raise ValueError("value and margin fields must share a GridSpec")
-    ell = interpolate(margin, states)
-    nxt = interpolate(value, dynamics_step_batch(states, actions, dt))
+    ell = loop_interpolate(margin, states)
+    nxt = loop_interpolate(value, reference_dynamics_step_batch(states, actions, dt))
     return (1.0 - gamma) * ell + gamma * np.minimum(ell, nxt)
 
 

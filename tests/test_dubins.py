@@ -20,6 +20,7 @@ from cbfforge.dubins import (
     wrap_angle,
 )
 from cbfforge.filters import FilterDecision
+from oracles import reference_dynamics_step_batch
 
 
 def euler_reference(state, action, dt, n_sub=20000):
@@ -82,6 +83,44 @@ class TestDynamics:
             dynamics_step(np.zeros(3), 2.5, 0.1)
         with pytest.raises(ValueError):
             dynamics_step(np.zeros(3), 0.0, dt=-0.1)
+
+    def test_dynamics_step_matches_reference(self):
+        # Inside and outside the box, |theta| beyond pi, actions on the bound
+        # and at its slack, per-state and scalar actions, and n = 1.
+        rng = np.random.default_rng(24)
+        n = 100_000
+        states = rng.uniform([-2.5, -2.5, -4.0 * np.pi], [2.5, 2.5, 4.0 * np.pi], (n, 3))
+        actions = rng.uniform(-ACTION_BOUND, ACTION_BOUND, n)
+        actions[:4] = [ACTION_BOUND, -ACTION_BOUND, ACTION_BOUND + 1e-12, -ACTION_BOUND - 1e-12]
+        for dt in (0.1, 0.05):
+            ref = reference_dynamics_step_batch(states, actions, dt)
+            assert np.array_equal(dynamics_step_batch(states, actions, dt), ref)
+        for a in (0.7, ACTION_BOUND, -ACTION_BOUND - 1e-12):
+            assert np.array_equal(dynamics_step_batch(states, a, 0.1), reference_dynamics_step_batch(states, a, 0.1))
+        for s, a in zip(states[:200], actions[:200]):
+            ref = reference_dynamics_step_batch(s[None, :], a, 0.1)
+            assert np.array_equal(dynamics_step_batch(s[None, :], [a], 0.1), ref)
+            assert np.array_equal(dynamics_step(s, a, 0.1), ref[0])
+
+    @pytest.mark.parametrize(
+        "state, action, dt",
+        [
+            ([np.nan, 0.0, 0.0], 0.0, 0.1),
+            ([0.0, np.inf, 0.0], 0.0, 0.1),
+            ([0.0, 0.0, 0.0], np.nan, 0.1),
+            ([0.0, 0.0, 0.0], -np.inf, 0.1),
+            ([0.0, 0.0, 0.0], ACTION_BOUND + 2e-12, 0.1),
+            ([0.0, 0.0, 0.0], -2.5, 0.1),
+            ([0.0, 0.0, 0.0], 0.0, 0.0),
+            ([0.0, 0.0, 0.0], 0.0, -0.1),
+        ],
+    )
+    def test_errors_match_reference(self, state, action, dt):
+        with pytest.raises(ValueError) as ref:
+            reference_dynamics_step_batch(np.array([state]), action, dt)
+        with pytest.raises(ValueError) as got:
+            dynamics_step_batch(np.array([state]), action, dt)
+        assert str(got.value) == str(ref.value)
 
 
 class TestMargin:

@@ -398,6 +398,41 @@ def test_grid_backend_rejects_swapped_fields(solved_grid):
         GridBackend(margin, value, actions=equispaced_actions(25), gamma=0.995, dt=0.1)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"gamma": 1.7}, "gamma"),
+        ({"gamma": -0.1}, "gamma"),
+        ({"gamma": float("nan")}, "gamma"),
+        ({"dt": 0.0}, "dt"),
+        ({"dt": -0.1}, "dt"),
+        ({"dt": float("nan")}, "dt"),
+        ({"actions": np.array([0.0, 2.5])}, "actions"),
+        ({"actions": np.array([0.0, np.nan])}, "actions"),
+        ({"actions": np.zeros((2, 2))}, "actions"),
+        ({"actions": np.array([])}, "actions"),
+    ],
+)
+def test_grid_backend_refuses_bad_parameters(solved_grid, changes, message):
+    margin, value = solved_grid
+    kwargs = {"actions": equispaced_actions(25), "gamma": 0.995, "dt": 0.1, **changes}
+    with pytest.raises(ValueError, match=message):
+        GridBackend(value, margin, **kwargs)
+
+
+def test_grid_backend_refuses_mismatched_fields(solved_grid):
+    margin, value = solved_grid
+    coarse = GridField(GridSpec(11, 11, 6), np.zeros((11, 11, 6)), kind="value")
+    with pytest.raises(ValueError, match="GridSpec"):
+        GridBackend(coarse, margin, actions=equispaced_actions(25), gamma=0.995, dt=0.1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+def test_critic_backend_refuses_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt"):
+        CriticBackend(*_small_nets(), dt=dt)
+
+
 # ------------------------------------------------------------------ filters
 
 

@@ -6,13 +6,15 @@ unknown keys are rejected so typos fail loudly.  List-valued settings use
 commas (``alpha_list = 0.7, 0.95``).
 
 SCHEMA is the one table of each key's type, default, allowed values and
-help text.  load_config checks file settings and overrides against it, so a
-value the library would refuse at run time fails at load instead.
+help text.  load_config checks file settings and overrides against it, and
+the stage dataclasses take their defaults and checks from it too: a field
+declared setting(key) serves one key, and from_config fills it from a config.
 """
 
 from __future__ import annotations
 
 import numbers
+from dataclasses import field, fields, is_dataclass
 
 
 class ConfigError(Exception):
@@ -33,7 +35,7 @@ _QUERY_MODES = ("model_free", "model_based")
 # name -> (type, default, allowed values, help).  Allowed values are None
 # (anything of the type), a tuple of choices, or an interval string such as
 # "[1, inf)" or "(0, 1]"; an infinite end is open, so nan and inf are never
-# in range.  A list key ("ints", "floats", "strs") checks each element.
+# in range.  A list key ("ints", "floats", "strs") is non-empty; each element is checked.
 SCHEMA = {
     # run plumbing
     "experiment": ("str", "filter_comparison", EXPERIMENTS, "which experiment run_experiment executes"),
@@ -45,8 +47,8 @@ SCHEMA = {
     "train_missing": ("bool", True, None, "train prerequisite models on demand instead of erroring"),
     # nominal task policy
     "nominal_mode": ("str", "obstacle_blind", ("obstacle_blind", "obstacle_aware"), "nominal policy variant"),
-    "nominal_goal_x": ("float", 1.3, None, "goal x of the nominal policy"),
-    "nominal_goal_y": ("float", 0.0, None, "goal y of the nominal policy"),
+    "nominal_goal_x": ("float", 1.3, "(-inf, inf)", "goal x of the nominal policy"),
+    "nominal_goal_y": ("float", 0.0, "(-inf, inf)", "goal y of the nominal policy"),
     "nominal_gain": ("float", 2.0, "(0, inf)", "heading gain of the nominal policy"),
     "nominal_noise_std": ("float", 0.0, "[0, inf)", "Gaussian action noise of the nominal policy"),
     # margin network
@@ -98,7 +100,7 @@ SCHEMA = {
     "lip_gamma": ("float", 0.9, "[0, 1)", "discount used by the bound verification"),
     "lip_margin_modes": ("strs", ("exact", "gp", "sat"), ("exact", "gp", "sat"), "margins checked against the bound"),
     "lip_fd_samples": ("int", 2000, "[1, inf)", "samples for the dynamics Lipschitz estimate"),
-    "sat_scale": ("float", 4.0, None, "slope of the saturated-tanh margin variant"),
+    "sat_scale": ("float", 4.0, "(-inf, inf)", "slope of the saturated-tanh margin variant"),
     # throughput benchmark
     "bench_sizes": ("ints", (1, 10, 100, 1000, 10000), "[1, inf)", "candidate batch sizes benchmarked"),
     "bench_reps": ("int", 50, "[1, inf)", "timed repetitions per size (after warmup)"),
@@ -192,17 +194,51 @@ def _allowed(value, allowed) -> bool:
 
 def validate_config(cfg: dict) -> None:
     """Check every value, and every element of a list value, against SCHEMA."""
-    for key, (kind, _, allowed, _) in SCHEMA.items():
-        value, scalar = cfg[key], kind.removesuffix("s")
-        if scalar != kind and not isinstance(value, tuple):
-            raise ConfigError(f"{key}: expected a tuple of {kind}, got {value!r}")
-        for item in value if scalar != kind else (value,):
-            # bool subclasses int, so True would pass as 1 without the second test.
-            if not isinstance(item, _TYPES[scalar]) or (isinstance(item, bool) and scalar != "bool"):
-                raise ConfigError(f"{key}: expected {kind}, got {item!r}")
-            if allowed is not None and not _allowed(item, allowed):
-                where = "one of" if isinstance(allowed, tuple) else "in"
-                raise ConfigError(f"{key}: {item!r} is not {where} {allowed}")
+    for key in SCHEMA:
+        check_setting(key, cfg[key], ConfigError)
+
+
+def check_setting(key: str, value, error: type[Exception]) -> None:
+    """Raise error, its message led by the key, unless value has key's type and
+    allowed values; a list value is a non-empty tuple checked per element."""
+    kind, _, allowed, _ = SCHEMA[key]
+    scalar = kind.removesuffix("s")
+    if scalar != kind and not isinstance(value, tuple):
+        raise error(f"{key}: expected a tuple of {kind}, got {value!r}")
+    if scalar != kind and not value:
+        raise error(f"{key}: expected at least one {scalar}, got none")
+    for item in value if scalar != kind else (value,):
+        # bool subclasses int, so True would pass as 1 without the second test.
+        if not isinstance(item, _TYPES[scalar]) or (isinstance(item, bool) and scalar != "bool"):
+            raise error(f"{key}: expected {kind}, got {item!r}")
+        if allowed is not None and not _allowed(item, allowed):
+            where = "one of" if isinstance(allowed, tuple) else "in"
+            raise error(f"{key}: {item!r} is not {where} {allowed}")
+
+
+def setting(key: str):
+    """A dataclass field with key's SCHEMA default and the key in its metadata;
+    a required setting is field(metadata={"key": key}), with no default."""
+    return field(default=SCHEMA[key][1], metadata={"key": key})
+
+
+def check_fields(obj) -> None:
+    """Check each setting field of a dataclass as load_config checks its key."""
+    for f in fields(obj):
+        if "key" in f.metadata:
+            check_setting(f.metadata["key"], getattr(obj, f.name), ValueError)
+
+
+def from_config(cls, cfg: dict, **extra):
+    """cls with each setting field at cfg[key], each dataclass-made field built
+    from cfg the same way, and the remaining fields from extra."""
+    kwargs = {}
+    for f in fields(cls):
+        if "key" in f.metadata:
+            kwargs[f.name] = cfg[f.metadata["key"]]
+        elif is_dataclass(f.default_factory):
+            kwargs[f.name] = from_config(f.default_factory, cfg)
+    return cls(**kwargs, **extra)
 
 
 def format_config(cfg: dict) -> str:

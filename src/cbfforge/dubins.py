@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import write_csv
+from .config import check_fields, setting
 
 XY_BOUND = 1.5
 ACTION_BOUND = 2.0
-DEFAULT_DT = 0.1
 
 # An executed action counts as an override of the nominal one when the two
 # differ by at least this much.
@@ -126,26 +126,22 @@ def signed_distance_margin(states: np.ndarray):
 
 @dataclass
 class NominalPolicyConfig:
-    """Scripted proportional goal-seeking controller.
+    """Scripted proportional goal-seeking controller, one config key per field.
 
-    obstacle_blind steers straight at the goal; obstacle_aware adds a
-    repulsive heading away from nearby failure circles.  Gaussian heading
+    obstacle_blind steers straight at (goal_x, goal_y); obstacle_aware adds
+    a repulsive heading away from nearby failure circles.  Gaussian heading
     noise (noise_std, in action units) makes the policy multimodal around
     the obstacles.
     """
 
-    goal: tuple[float, float] = (1.3, 0.0)
-    gain: float = 2.0
-    mode: str = "obstacle_blind"
-    noise_std: float = 0.0
+    goal_x: float = setting("nominal_goal_x")
+    goal_y: float = setting("nominal_goal_y")
+    gain: float = setting("nominal_gain")
+    mode: str = setting("nominal_mode")
+    noise_std: float = setting("nominal_noise_std")
 
     def __post_init__(self) -> None:
-        if self.gain <= 0:
-            raise ValueError("gain must be positive")
-        if self.mode not in ("obstacle_blind", "obstacle_aware"):
-            raise ValueError(f"unknown nominal policy mode {self.mode!r}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        check_fields(self)
 
 
 def nominal_policy(
@@ -153,14 +149,13 @@ def nominal_policy(
     cfg: NominalPolicyConfig,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Proportional heading controller toward cfg.goal, clamped to [-2, 2].
+    """Proportional heading controller toward (goal_x, goal_y), clamped to [-2, 2].
 
     With rng None the deterministic part of the policy is returned even if
     noise_std > 0; rollout harnesses pass a per-rollout generator.
     """
     x, y, theta = float(state[0]), float(state[1]), float(state[2])
-    gx, gy = cfg.goal
-    to_goal = np.array([gx - x, gy - y])
+    to_goal = np.array([cfg.goal_x - x, cfg.goal_y - y])
     heading = to_goal / max(np.linalg.norm(to_goal), 1e-9)
 
     if cfg.mode == "obstacle_aware":

@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .codec import write_csv
-from .config import ConfigError, format_config
+from .config import ConfigError, format_config, from_config
 from .dubins import (
     OVERRIDE_THRESHOLD,
     NominalPolicyConfig,
@@ -37,7 +37,7 @@ from .dubins import (
     save_trajectory_csv,
     signed_distance_margin,
 )
-from .filters import CriticBackend, FilterConfig, GridBackend, SamplerSpec, cbf_filter, lr_filter, q_query
+from .filters import CriticBackend, FilterConfig, GridBackend, cbf_filter, lr_filter, q_query
 from .hj import GridSpec, load_field, margin_field, require_converged, save_field, value_iteration, verify_margin_value_bound
 from .margin import (
     MarginTrainConfig,
@@ -88,31 +88,13 @@ class MetricsTable:
 
 
 def nominal_config(cfg: dict) -> NominalPolicyConfig:
-    return NominalPolicyConfig(
-        goal=(cfg["nominal_goal_x"], cfg["nominal_goal_y"]),
-        gain=cfg["nominal_gain"],
-        mode=cfg["nominal_mode"],
-        noise_std=cfg["nominal_noise_std"],
-    )
+    return from_config(NominalPolicyConfig, cfg)
 
 
 def train_margin_net(cfg: dict, use_gp: bool, out_dir: str):
     """Train a margin net on a fresh dataset and save it as margin_<mode>.txt."""
     dataset = build_margin_dataset(cfg["margin_train_points"], seed=cfg["seed"])
-    train_cfg = MarginTrainConfig(
-        lambda_zs=cfg["lambda_zs"],
-        lambda_gp=cfg["lambda_gp"],
-        lambda_sign=cfg["lambda_sign"],
-        beta=cfg["gp_beta"],
-        delta=cfg["sign_delta"],
-        batch_size=cfg["margin_batch_size"],
-        iterations=cfg["margin_iterations"],
-        learning_rate=cfg["margin_learning_rate"],
-        use_gp=use_gp,
-        hidden_dims=tuple(cfg["margin_hidden_dims"]),
-        seed=cfg["seed"],
-    )
-    net = train_margin(dataset, train_cfg)
+    net = train_margin(dataset, from_config(MarginTrainConfig, cfg, use_gp=use_gp))
     save_model(net, os.path.join(out_dir, f"margin_{'gp' if use_gp else 'nogp'}.txt"))
     return net
 
@@ -232,23 +214,7 @@ def train_actor_critic(cfg: dict, out_dir: str, margin_fn, tag: str = "rl"):
     margin_fn labels the replay buffer.  Saved models and train_missing are
     not consulted: callers that always train call this directly.
     """
-    rl_cfg = RlConfig(
-        gamma=cfg["gamma"],
-        critic_lr=cfg["rl_critic_lr"],
-        actor_lr=cfg["rl_actor_lr"],
-        batch_size=cfg["rl_batch_size"],
-        buffer_capacity=cfg["rl_buffer_capacity"],
-        iterations=cfg["rl_iterations"],
-        episode_len=cfg["rl_episode_len"],
-        actor_dims=tuple(cfg["rl_actor_dims"]),
-        critic_dims=tuple(cfg["rl_critic_dims"]),
-        tau=cfg["rl_tau"],
-        exploration_std=cfg["rl_exploration_std"],
-        exploration_std_final=cfg["rl_exploration_std_final"],
-        mix_nominal=cfg["rl_mix_nominal"],
-        seed=cfg["seed"],
-        dt=cfg["dt"],
-    )
+    rl_cfg = from_config(RlConfig, cfg)
     actor, critic, _ = train_safety_rl(margin_fn, nominal_config(cfg), rl_cfg, out_dir=os.path.join(out_dir, tag))
     return actor, critic
 
@@ -275,14 +241,7 @@ def action_filter(method: str, backend, cfg: dict, alpha: float | None = None):
     if method == "lr":
         return lambda state, a_nom: lr_filter(state, a_nom, backend, cfg["epsilon"])
     if method == "cbf":
-        fcfg = FilterConfig(
-            alpha=cfg["alpha"] if alpha is None else alpha,
-            epsilon=cfg["epsilon"],
-            query_mode=cfg["query_mode"],
-            sampler=SamplerSpec(kind="equispaced_1d", n=cfg["n_action_samples"]),
-            gamma=cfg["gamma"],
-            dt=cfg["dt"],
-        )
+        fcfg = from_config(FilterConfig, cfg if alpha is None else dict(cfg, alpha=alpha))
         return lambda state, a_nom: cbf_filter(state, a_nom, backend, fcfg)
     raise ConfigError(f"unknown filter method {method!r}")
 

@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dubins import ACTION_BOUND, DEFAULT_DT, OVERRIDE_THRESHOLD, dynamics_step, equispaced_actions
+from .config import SCHEMA, check_fields, check_setting, setting
+from .dubins import ACTION_BOUND, OVERRIDE_THRESHOLD, dynamics_step, equispaced_actions
 from .hj import GridField, q_from_value
 from .nets import MlpNet, mlp_forward
 
-_QUERY_MODES = ("model_free", "model_based")
 _SAMPLER_KINDS = ("equispaced_1d",)
 
 
@@ -44,54 +44,47 @@ _SAMPLER_KINDS = ("equispaced_1d",)
 class SamplerSpec:
     """Candidate-action sampling scheme for the control-barrier filter.
 
-    kind "equispaced_1d", the only kind, draws n >= 2 equally spaced scalar
-    actions spanning the full action interval, endpoints included.  The
-    nominal and fallback actions are always appended after the n sampled
-    points; duplicates are retained.  The points are built once, with the
-    spec, as the read-only array `points`.
+    kind "equispaced_1d", the only kind, draws n (n_action_samples) equally
+    spaced scalar actions spanning the action interval, endpoints included.
+    The nominal and fallback actions are always appended after the n
+    sampled points; duplicates are retained.  The points are built once,
+    with the spec, as the read-only array `points`.
     """
 
     kind: str = "equispaced_1d"
-    n: int = 25
+    n: int = setting("n_action_samples")
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        points = equispaced_actions(self.n)
+        points = equispaced_actions(self.n)  # names the n < 2 case itself
+        check_fields(self)
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Parameters of the control-barrier filter.
+    """Parameters of the control-barrier filter; each field but sampler
+    serves one config key.
 
-    alpha in [0, 1) is the allowed per-step decay rate of the thresholded
-    safety value; epsilon > 0 is the safety threshold absorbing learning
-    error.  query_mode selects how candidate actions are scored.  gamma and
-    dt are validated but not read: the backend carries the values it was
-    built with.  They stay while the benchmark passes them.
+    alpha is the allowed per-step decay rate of the thresholded safety
+    value; epsilon is the safety threshold absorbing learning error.
+    query_mode selects how candidate actions are scored.  gamma and dt are
+    checked but not read: the backend carries the values it was built with.
+    They stay while the benchmark passes them.
     """
 
-    alpha: float = 0.85
-    epsilon: float = 0.2
-    query_mode: str = "model_free"
+    alpha: float = setting("alpha")
+    epsilon: float = setting("epsilon")
+    query_mode: str = setting("query_mode")
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
-    gamma: float = 0.995
-    dt: float = DEFAULT_DT
+    gamma: float = setting("gamma")
+    dt: float = setting("dt")
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.query_mode not in _QUERY_MODES:
-            raise ValueError(f"unknown query_mode {self.query_mode!r}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        check_fields(self)
 
 
 @dataclass
@@ -160,10 +153,8 @@ class GridBackend:
             raise ValueError("actions must be a non-empty 1-D action set")
         if not (np.abs(self.actions) <= ACTION_BOUND).all():
             raise ValueError(f"actions must be finite turn rates in [-{ACTION_BOUND}, {ACTION_BOUND}]")
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-        if not 0.0 < dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
+        check_setting("gamma", gamma, ValueError)
+        check_setting("dt", dt, ValueError)
         self.gamma = float(gamma)
         self.dt = float(dt)
 
@@ -222,8 +213,7 @@ class CriticBackend:
             raise ValueError("actor must have a single tanh output")
         if critic.input_dim != actor.input_dim + 1:
             raise ValueError("critic input must be the state plus one action")
-        if not 0.0 < dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
+        check_setting("dt", dt, ValueError)
         self.critic = critic
         self.actor = actor
         self.dt = float(dt)
@@ -366,7 +356,7 @@ def cbf_filter(state: np.ndarray, a_nominal: float, backend, cfg: FilterConfig) 
     )
 
 
-def lr_filter(state: np.ndarray, a_nominal: float, backend, epsilon: float = 0.2) -> FilterDecision:
+def lr_filter(state: np.ndarray, a_nominal: float, backend, epsilon: float = SCHEMA["epsilon"][1]) -> FilterDecision:
     """Least-restrictive switching filter.
 
     Executes the nominal action when its direct Q-value clears epsilon

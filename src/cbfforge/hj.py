@@ -62,6 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .codec import read_rows, write_rows
+from .config import SCHEMA
 from .dubins import XY_BOUND, dynamics_step_batch, wrap_angle
 
 FIELD_KINDS = ("margin", "value")
@@ -297,7 +298,7 @@ def value_iteration(
     gamma: float,
     dt: float,
     tol: float,
-    max_iters: int = 2000,
+    max_iters: int = SCHEMA["vi_max_sweeps"][1],
 ) -> ValueSolution:
     """Solve the discounted avoid fixed point by Jacobi sweeps with
     safeguarded Aitken jumps (see accelerated_fixed_point).

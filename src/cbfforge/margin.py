@@ -15,10 +15,11 @@ labelling, saved margin files and every other consumer see float64 nets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_fields, setting
 from .dubins import sample_box_states, signed_distance_margin, wrap_angle
 from .nets import (
     TRAIN_DTYPE,
@@ -54,35 +55,27 @@ def build_margin_dataset(n_total: int, seed: int) -> MarginDataset:
 
 @dataclass
 class MarginTrainConfig:
-    """Loss weights and optimization knobs for train_margin.
+    """Loss weights and optimization knobs for train_margin; each field but
+    use_gp serves one config key, and iterations and seed have no default.
 
     delta is the sign-loss margin of the NoGP objective; the GP objective
     always uses the zero-margin hinge.  hidden_dims sizes the MLP.
     """
 
-    iterations: int
+    iterations: int = field(metadata={"key": "margin_iterations"})
     use_gp: bool
-    seed: int
-    lambda_zs: float = 0.1
-    lambda_gp: float = 10.0
-    lambda_sign: float = 1.0
-    beta: float = 0.1
-    delta: float = 0.75
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    hidden_dims: tuple[int, ...] = (64, 64)
+    seed: int = field(metadata={"key": "seed"})
+    lambda_zs: float = setting("lambda_zs")
+    lambda_gp: float = setting("lambda_gp")
+    lambda_sign: float = setting("lambda_sign")
+    beta: float = setting("gp_beta")
+    delta: float = setting("sign_delta")
+    batch_size: int = setting("margin_batch_size")
+    learning_rate: float = setting("margin_learning_rate")
+    hidden_dims: tuple[int, ...] = setting("margin_hidden_dims")
 
     def __post_init__(self) -> None:
-        if min(self.lambda_zs, self.lambda_gp, self.lambda_sign) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        if self.batch_size < 1 or self.iterations < 1:
-            raise ValueError("batch_size and iterations must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_fields(self)
 
 
 def sign_loss(margin_net: MlpNet, batch_safe: np.ndarray, batch_fail: np.ndarray, delta: float) -> float:

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import write_csv
+from .config import check_fields, setting
 from .dubins import (
     ACTION_BOUND,
-    DEFAULT_DT,
     NominalPolicyConfig,
     dynamics_step,
     nominal_policy,
@@ -60,7 +60,7 @@ ORACLE_PAIRS = 10000  # state-action pairs critic_error_vs_oracle scores
 
 @dataclass(frozen=True)
 class RlConfig:
-    """Hyperparameters of the safety actor-critic.
+    """Hyperparameters of the safety actor-critic, one config key per field.
 
     iterations defaults to a desk-scale 40000; the full-scale 120000 budget
     is available through the same field.  exploration_std anneals linearly
@@ -69,35 +69,24 @@ class RlConfig:
     fallback behavior policies.  dt is the integrator step of collection.
     """
 
-    gamma: float = 0.995
-    critic_lr: float = 3e-4
-    actor_lr: float = 1e-4
-    batch_size: int = 512
-    buffer_capacity: int = 100000
-    iterations: int = 40000
-    episode_len: int = 8
-    actor_dims: tuple = (512, 512, 512)
-    critic_dims: tuple = (512, 512, 512)
-    tau: float = 0.005
-    exploration_std: float = 0.3
-    exploration_std_final: float = 0.05
-    mix_nominal: bool = True
-    seed: int = 0
-    dt: float = DEFAULT_DT
+    gamma: float = setting("gamma")
+    critic_lr: float = setting("rl_critic_lr")
+    actor_lr: float = setting("rl_actor_lr")
+    batch_size: int = setting("rl_batch_size")
+    buffer_capacity: int = setting("rl_buffer_capacity")
+    iterations: int = setting("rl_iterations")
+    episode_len: int = setting("rl_episode_len")
+    actor_dims: tuple = setting("rl_actor_dims")
+    critic_dims: tuple = setting("rl_critic_dims")
+    tau: float = setting("rl_tau")
+    exploration_std: float = setting("rl_exploration_std")
+    exploration_std_final: float = setting("rl_exploration_std_final")
+    mix_nominal: bool = setting("rl_mix_nominal")
+    seed: int = setting("seed")
+    dt: float = setting("dt")
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        for name in ("critic_lr", "actor_lr", "tau", "dt"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("batch_size", "buffer_capacity", "iterations", "episode_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.exploration_std < 0.0 or self.exploration_std_final < 0.0:
-            raise ValueError("exploration noise levels must be non-negative")
-        if min(len(self.actor_dims), len(self.critic_dims)) < 1:
-            raise ValueError("actor and critic need at least one hidden layer")
+        check_fields(self)
 
 
 class ReplayBuffer:

@@ -30,7 +30,8 @@ import tracemalloc
 
 import numpy as np
 
-from cbfforge.dubins import ACTION_BOUND, DEFAULT_DT, OVERRIDE_THRESHOLD, XY_BOUND
+from cbfforge.config import SCHEMA
+from cbfforge.dubins import ACTION_BOUND, OVERRIDE_THRESHOLD, XY_BOUND
 from cbfforge.filters import FeasibleSet, FilterDecision, cbf_constraint_check, q_query, sample_actions
 from cbfforge.hj import GridField, GridSpec, ValueSolution, accelerated_fixed_point
 from cbfforge.margin import interpolate_pair
@@ -103,7 +104,7 @@ def brute_force_avoid_oracle(
     margin_fn,
     action_subset: np.ndarray,
     horizon: int,
-    dt: float = DEFAULT_DT,
+    dt: float = SCHEMA["dt"][1],
 ) -> float:
     """Finite-horizon avoid value by exhaustive sequence enumeration.
 

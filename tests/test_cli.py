@@ -60,8 +60,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         ("train-margin", ["margin_learning_rate = 0", "margin_mode = gp"]),
         ("bench", ["bench_sizes = 0"]),
         ("demo", ["seed = -1"]),
+        ("train-rl", ["rl_actor_dims ="]),
+        ("filter-eval", ["methods ="]),
+        ("filter-eval", ["nominal_goal_x = nan"]),
     ],
-    ids=["vi_max_sweeps", "vi_tol", "grid_nx", "n_action_samples", "margin_learning_rate", "bench_sizes", "seed"],
+    ids=[
+        "vi_max_sweeps", "vi_tol", "grid_nx", "n_action_samples", "margin_learning_rate", "bench_sizes", "seed",
+        "rl_actor_dims-empty", "methods-empty", "nominal_goal_x-nan",
+    ],
 )
 def test_out_of_range_value_exits_2_before_any_artifact(tmp_path, capsys, sub, lines):
     # The library would refuse each value only at run time, some after a net
@@ -70,7 +76,7 @@ def test_out_of_range_value_exits_2_before_any_artifact(tmp_path, capsys, sub, l
     out.mkdir()
     cfg = _write_cfg(tmp_path, *lines)
     assert main([sub, "--config", cfg, "--out", str(out)]) == 2
-    key = lines[0].split(" = ")[0]  # the out-of-range line comes first
+    key = lines[0].split("=")[0].strip()  # the out-of-range line comes first
     assert f"config error: {key}: " in capsys.readouterr().err
     assert list(out.iterdir()) == []
 

@@ -2,7 +2,9 @@
 
 import inspect
 import math
+import operator
 import re
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from cbfforge.config import (
     default_config,
     describe_keys,
     format_config,
+    from_config,
     load_config,
     parse_config_text,
 )
@@ -171,6 +174,13 @@ def test_non_finite_floats_are_refused(key, bad):
         load_config(None, {key: _typed(key, bad)})
 
 
+@pytest.mark.parametrize("key", [key for key, spec in SCHEMA.items() if spec[0].endswith("s")])
+def test_every_list_key_refuses_an_empty_list(key):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        load_config(None, {key: ()})
+    assert parse_config_text(f"{key} =") == {key: ()}  # a file spells the empty list so
+
+
 @pytest.mark.parametrize("key", list(SCHEMA))
 def test_wrongly_typed_override_names_the_key(key):
     kind = SCHEMA[key][0]
@@ -219,6 +229,8 @@ def _grid(**kwargs):
 
 
 LIBRARY = {
+    "nominal_goal_x": [lambda v: NominalPolicyConfig(goal_x=v)],
+    "nominal_goal_y": [lambda v: NominalPolicyConfig(goal_y=v)],
     "nominal_noise_std": [lambda v: NominalPolicyConfig(noise_std=v)],
     "nominal_gain": [lambda v: NominalPolicyConfig(gain=v)],
     "lambda_zs": [lambda v: _margin_cfg(lambda_zs=v)],
@@ -259,7 +271,7 @@ LIBRARY = {
     "bench_reps": [lambda v: _bench((1,), v)],
 }
 # Ranged keys no library object checks: the table is their only owner.
-TABLE_ONLY = {"seed", "n_rollouts", "margin_train_points"}
+TABLE_ONLY = {"seed", "n_rollouts", "margin_train_points", "sat_scale"}
 
 
 def test_every_ranged_key_is_guarded_or_table_only():
@@ -321,8 +333,8 @@ DEFAULT_PAIRS = {
         ("n_action_samples", _FILTER.sampler.n),
     ],
     "NominalPolicyConfig": [
-        ("nominal_goal_x", _NOMINAL.goal[0]),
-        ("nominal_goal_y", _NOMINAL.goal[1]),
+        ("nominal_goal_x", _NOMINAL.goal_x),
+        ("nominal_goal_y", _NOMINAL.goal_y),
         ("nominal_gain", _NOMINAL.gain),
         ("nominal_mode", _NOMINAL.mode),
         ("nominal_noise_std", _NOMINAL.noise_std),
@@ -337,3 +349,56 @@ DEFAULT_PAIRS = {
 )
 def test_schema_default_is_the_library_default(key, library):
     assert SCHEMA[key][1] == library
+
+
+# Mapping guard: from_config fills each stage field from the key it names.
+# Each (class, field, key) triple is checked with an in-range value other
+# than the default, so a field wired to the wrong key, or left at its
+# default, fails.
+STAGES = {RlConfig: {}, MarginTrainConfig: {"use_gp": True}, FilterConfig: {}, NominalPolicyConfig: {}}
+
+
+def _settings(cls, prefix=""):
+    """(field path, key) of every setting field, through nested dataclasses."""
+    for f in fields(cls):
+        if "key" in f.metadata:
+            yield prefix + f.name, f.metadata["key"]
+        elif is_dataclass(f.default_factory):
+            yield from _settings(f.default_factory, f"{prefix}{f.name}.")
+
+
+def _other_value(key):
+    """A value of key other than its default (the test checks it is in range)."""
+    kind, default, allowed, _ = SCHEMA[key]
+    if kind == "bool":
+        return not default
+    if kind == "str":
+        return next(choice for choice in allowed if choice != default)
+    if kind == "ints":
+        return tuple(v + 1 for v in default)
+    if kind == "int":
+        return default + 1
+    return default / 2 if default else 0.5
+
+
+MAPPING = [(cls, path, key) for cls in STAGES for path, key in _settings(cls)]
+
+
+def test_every_setting_key_is_a_schema_key():
+    assert {key for _, _, key in MAPPING} <= set(SCHEMA)
+    triples = {(cls.__name__, path, key) for cls, path, key in MAPPING}
+    assert {
+        ("MarginTrainConfig", "beta", "gp_beta"),
+        ("MarginTrainConfig", "delta", "sign_delta"),
+        ("FilterConfig", "sampler.n", "n_action_samples"),
+    } <= triples
+
+
+@pytest.mark.parametrize(
+    "cls,path,key", [pytest.param(*triple, id=f"{triple[0].__name__}.{triple[1]}-{triple[2]}") for triple in MAPPING]
+)
+def test_from_config_fills_each_field_from_its_key(cls, path, key):
+    value = _other_value(key)
+    assert value != SCHEMA[key][1]
+    cfg = load_config(None, {key: value})
+    assert operator.attrgetter(path)(from_config(cls, cfg, **STAGES[cls])) == value

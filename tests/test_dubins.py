@@ -157,11 +157,11 @@ class TestMargin:
 
 class TestNominalPolicy:
     def test_heading_at_goal_gives_zero(self):
-        cfg = NominalPolicyConfig(goal=(1.3, 0.0), gain=2.0)
+        cfg = NominalPolicyConfig(goal_x=1.3, goal_y=0.0, gain=2.0)
         assert nominal_policy(np.array([-1.0, 0.0, 0.0]), cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_perpendicular_heading_saturates(self):
-        cfg = NominalPolicyConfig(goal=(1.3, 0.0), gain=2.0)
+        cfg = NominalPolicyConfig(goal_x=1.3, goal_y=0.0, gain=2.0)
         assert nominal_policy(np.array([-1.0, 0.0, np.pi / 2]), cfg) == pytest.approx(-2.0)
 
     def test_noise_requires_rng(self):

@@ -6,9 +6,11 @@ unknown keys are rejected so typos fail loudly.  List-valued settings use
 commas (``alpha_list = 0.7, 0.95``).
 
 SCHEMA is the one table of each key's type, default, allowed values and
-help text.  load_config checks file settings and overrides against it, and
-the stage dataclasses take their defaults and checks from it too: a field
-declared setting(key) serves one key, and from_config fills it from a config.
+help text.  load_config checks file settings and overrides against it.  The
+setting dataclasses (the stage configs, hj.GridSpec) take their defaults and
+checks from it: a field declared setting(key) serves one key, and from_config
+fills it from a config.  Library entry points check a setting argument with
+check_setting(key, value, ValueError); only per-step checks stay hand-written.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import write_csv
-from .config import check_fields, setting
+from .config import check_fields, check_setting, setting
 
 XY_BOUND = 1.5
 ACTION_BOUND = 2.0
@@ -36,10 +36,9 @@ def equispaced_actions(n: int) -> np.ndarray:
 
     This is the shared action discretization: the grid solver maximizes over
     it and the action filter samples it (plus the nominal and fallback
-    anchors).
+    anchors).  n is checked as the key n_action_samples.
     """
-    if n < 2:
-        raise ValueError("need at least two actions to span the range")
+    check_setting("n_action_samples", n, ValueError)
     return np.linspace(-ACTION_BOUND, ACTION_BOUND, n)
 
 
@@ -78,6 +77,8 @@ def dynamics_step_batch(states: np.ndarray, actions, dt: float) -> np.ndarray:
     """
     states = np.asarray(states, dtype=float)
     actions = np.broadcast_to(np.asarray(actions, dtype=float), states.shape[:-1])
+    # Hand-written: a check_setting("dt", ...) call takes 1.7-3.1 us (2-core
+    # x86 host), about 2% of a 0.12 ms grid filter step, and this runs per step.
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not np.isfinite(states).all():
@@ -232,15 +233,14 @@ def rollout(
     Args:
         policy: callable state -> nominal action.
         x0: initial state (3,).
-        n_steps: cap on executed steps, >= 1.
+        n_steps: cap on executed steps (key rollout_steps).
         action_filter: callable (state, a_nominal) -> decision, a
             filters.FilterDecision, or None to execute the nominal action.
             A decision's action is executed and its feasible_count /
             q_nominal / q_fallback are recorded per step.
         dt: integrator step.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    check_setting("rollout_steps", n_steps, ValueError)
     state = np.asarray(x0, dtype=float).copy()
     states = [state.copy()]
     margins = [signed_distance_margin(state)]
@@ -313,12 +313,12 @@ def estimate_dynamics_lipschitz(dt: float, n_samples: int, seed: int) -> float:
     distance taken geodesically.
 
     Args:
-        dt: integrator step.
-        n_samples: number of sampled triples, >= 1000 for the reported figure.
+        dt: integrator step (key dt).
+        n_samples: sampled triples (key lip_fd_samples), >= 1000 for the figure.
         seed: RNG seed; the reference figure is the seed-0 run.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    check_setting("dt", dt, ValueError)
+    check_setting("lip_fd_samples", n_samples, ValueError)
     rng = np.random.default_rng(seed)
     states = sample_box_states(rng, n_samples)
     actions = rng.uniform(-ACTION_BOUND, ACTION_BOUND, size=n_samples)

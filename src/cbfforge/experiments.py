@@ -25,8 +25,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .codec import write_csv
-from .config import ConfigError, format_config, from_config
+from .config import ConfigError, check_setting, format_config, from_config
 from .dubins import (
+    ACTION_BOUND,
     OVERRIDE_THRESHOLD,
     NominalPolicyConfig,
     estimate_dynamics_lipschitz,
@@ -178,7 +179,7 @@ def solve_grid(cfg: dict, out_dir: str, margin_fn):
     then raises RuntimeError when it stopped at vi_max_sweeps unconverged;
     only a converged pair is saved, as value_grid.txt and margin_grid.txt.
     """
-    spec = GridSpec(nx=cfg["grid_nx"], ny=cfg["grid_ny"], ntheta=cfg["grid_ntheta"])
+    spec = from_config(GridSpec, cfg)
     margin = margin_field(spec, margin_fn)
     sol = value_iteration(
         margin,
@@ -350,12 +351,12 @@ def _experiment_lipschitz_bound(cfg: dict, out_dir: str) -> MetricsTable:
     """Check the margin-to-value Lipschitz bound for each margin variant."""
     L_f = estimate_dynamics_lipschitz(dt=cfg["dt"], n_samples=cfg["lip_fd_samples"], seed=cfg["seed"])
     gamma = cfg["lip_gamma"]
-    if gamma * L_f >= 1.0:
+    if not gamma * L_f < 1.0:  # a nan L_f fails the hypothesis too
         raise ConfigError(
             f"bound hypothesis violated: lip_gamma * L_f = {gamma * L_f:.4f} >= 1; "
             "lower lip_gamma or shorten dt"
         )
-    spec = GridSpec(nx=cfg["grid_nx"], ny=cfg["grid_ny"], ntheta=cfg["grid_ntheta"])
+    spec = from_config(GridSpec, cfg)
     actions = equispaced_actions(cfg["n_action_samples"])
     rows, report = [], []
     for mode in cfg["lip_margin_modes"]:
@@ -423,13 +424,13 @@ def throughput_benchmark(backend, sizes, query_mode: str, reps: int) -> list:
         List of dicts: query_mode, n_samples, reps, mean_ms, std_ms,
         per_sample_us.
     """
-    if reps < 1 or min(sizes, default=1) < 1:
-        raise ValueError("reps and every size must be positive")
+    check_setting("bench_reps", reps, ValueError)
+    check_setting("bench_sizes", tuple(sizes), ValueError)
     state = np.array([-1.0, 0.4, 0.3])
     fcfg = FilterConfig(query_mode=query_mode)
     out = []
     for n in sizes:
-        actions = np.linspace(-2.0, 2.0, n)
+        actions = np.linspace(-ACTION_BOUND, ACTION_BOUND, n)
         for _ in range(3):
             q_query(backend, state, actions, fcfg)
         times = np.empty(reps)

@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .codec import read_rows, write_rows
-from .config import SCHEMA
+from .config import SCHEMA, check_fields, check_setting
 from .dubins import XY_BOUND, dynamics_step_batch, wrap_angle
 
 FIELD_KINDS = ("margin", "value")
@@ -92,15 +92,12 @@ class GridSpec:
     spacing 2 pi / ntheta (no duplicate node at +pi).
     """
 
-    nx: int
-    ny: int
-    ntheta: int
+    nx: int = field(metadata={"key": "grid_nx"})
+    ny: int = field(metadata={"key": "grid_ny"})
+    ntheta: int = field(metadata={"key": "grid_ntheta"})
 
     def __post_init__(self) -> None:
-        if self.nx < 3 or self.ny < 3:
-            raise ValueError("nx, ny must be >= 3")
-        if self.ntheta < 4:
-            raise ValueError("ntheta must be >= 4")
+        check_fields(self)
 
     @property
     def xs(self) -> np.ndarray:
@@ -330,20 +327,18 @@ def value_iteration(
     Args:
         margin: gridded margin (kind "margin").
         action_set: non-empty 1-D array of turn rates.
-        gamma: discount in [0, 1].
-        dt: dynamics step.
-        tol: sup-norm residual threshold, > 0.
-        max_iters: sweep cap, >= 1.
+        gamma: discount (key gamma).
+        dt: dynamics step (key dt).
+        tol: sup-norm residual threshold (key vi_tol).
+        max_iters: sweep cap (key vi_max_sweeps).
     """
     action_set = np.atleast_1d(np.asarray(action_set, dtype=float))
     if action_set.size == 0:
         raise ValueError("action_set must be non-empty")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    check_setting("gamma", gamma, ValueError)
+    check_setting("dt", dt, ValueError)
+    check_setting("vi_tol", tol, ValueError)
+    check_setting("vi_max_sweeps", max_iters, ValueError)
 
     spec = margin.spec
     nt, nx, ny = spec.ntheta, spec.nx, spec.ny
@@ -517,13 +512,13 @@ def verify_margin_value_bound(
     """Solve the discounted field and check the margin-to-value
     Lipschitz bound L_V <= L_ell * max(1, (1-gamma)/(1-gamma L_f)).
 
-    Rejects gamma * L_f >= 1, where the bound's hypothesis fails, and raises
+    Rejects gamma outside lip_gamma's range and gamma * L_f not below 1
+    (nan included), where the bound's hypothesis fails, and raises
     RuntimeError when the solve stops at max_iters unconverged: L_V of such
     a field says nothing about the value function.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("the bound needs gamma in [0, 1)")
-    if gamma * L_f >= 1.0:
+    check_setting("lip_gamma", gamma, ValueError)
+    if not gamma * L_f < 1.0:  # a nan L_f fails the hypothesis too
         raise ValueError(f"hypothesis violated: gamma * L_f = {gamma * L_f:.4f} >= 1")
     solution = value_iteration(margin, action_set, gamma, dt, tol=vi_tol, max_iters=max_iters)
     require_converged(solution, vi_tol, max_iters)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import write_csv
-from .config import check_fields, setting
+from .config import check_fields, check_setting, setting
 from .dubins import (
     ACTION_BOUND,
     NominalPolicyConfig,
@@ -93,8 +93,7 @@ class ReplayBuffer:
     """Fixed-capacity FIFO store of transition rows (z, a, l, z_next, source)."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+        check_setting("rl_buffer_capacity", capacity, ValueError)
         self.capacity = capacity
         self.z = np.zeros((capacity, 3))
         self.a = np.zeros(capacity)

@@ -25,7 +25,7 @@ from cbfforge.filters import FilterConfig, GridBackend
 from cbfforge.hj import GridField, GridSpec, value_iteration, verify_margin_value_bound
 from cbfforge.margin import MarginTrainConfig
 from cbfforge.nets import mlp_init
-from cbfforge.rl import RlConfig
+from cbfforge.rl import ReplayBuffer, RlConfig
 
 
 def test_defaults_cover_every_key():
@@ -172,6 +172,9 @@ ENDS = [
 def test_non_finite_floats_are_refused(key, bad):
     with pytest.raises(ConfigError, match=f"^{key}: .* is not in "):
         load_config(None, {key: _typed(key, bad)})
+    for library in LIBRARY.get(key, []):
+        with pytest.raises(ValueError):
+            library(_scalar(key, bad))
 
 
 @pytest.mark.parametrize("key", [key for key, spec in SCHEMA.items() if spec[0].endswith("s")])
@@ -201,7 +204,7 @@ def test_wrongly_typed_override_names_the_key(key):
 # table and the library agree at each finite end.  The value just outside is
 # refused by both and a closed end is accepted by both, so load_config never
 # refuses a run the library would accept, nor passes a value the library
-# refuses (non-finite values aside: only the table refuses those).
+# refuses.  Both refuse nan and infinite floats too.
 
 
 def _margin():
@@ -247,12 +250,17 @@ LIBRARY = {
     "grid_ntheta": [lambda v: _grid(ntheta=v)],
     "n_action_samples": [equispaced_actions],
     "gamma": [lambda v: RlConfig(gamma=v), lambda v: FilterConfig(gamma=v), lambda v: _solve(gamma=v)],
-    "dt": [lambda v: RlConfig(dt=v), lambda v: FilterConfig(dt=v), lambda v: _solve(dt=v)],
+    "dt": [
+        lambda v: RlConfig(dt=v),
+        lambda v: FilterConfig(dt=v),
+        lambda v: _solve(dt=v),
+        lambda v: estimate_dynamics_lipschitz(v, 10, 0),
+    ],
     "vi_tol": [lambda v: _solve(tol=v)],
     "vi_max_sweeps": [lambda v: _solve(max_iters=v)],
     "rl_iterations": [lambda v: RlConfig(iterations=v)],
     "rl_batch_size": [lambda v: RlConfig(batch_size=v)],
-    "rl_buffer_capacity": [lambda v: RlConfig(buffer_capacity=v)],
+    "rl_buffer_capacity": [lambda v: RlConfig(buffer_capacity=v), ReplayBuffer],
     "rl_episode_len": [lambda v: RlConfig(episode_len=v)],
     "rl_actor_dims": [lambda v: mlp_init([3, v, 1], seed=0)],
     "rl_critic_dims": [lambda v: mlp_init([4, v, 1], seed=0)],
@@ -290,6 +298,35 @@ def test_every_interval_end_is_enforced(key, outside, closed):
         assert load_config(None, {key: _typed(key, closed)})[key] == _typed(key, closed)
         for library in LIBRARY.get(key, []):
             library(_scalar(key, closed))
+
+
+# Each entry point that checks a setting argument with check_setting names
+# the key in its refusal, as load_config does.
+KEY_LED = [
+    pytest.param("grid_nx", lambda: _grid(nx=2), id="GridSpec-grid_nx"),
+    pytest.param("grid_ny", lambda: _grid(ny=2), id="GridSpec-grid_ny"),
+    pytest.param("grid_ntheta", lambda: _grid(ntheta=3), id="GridSpec-grid_ntheta"),
+    pytest.param("gamma", lambda: _solve(gamma=1.5), id="value_iteration-gamma"),
+    pytest.param("dt", lambda: _solve(dt=math.nan), id="value_iteration-dt"),
+    pytest.param("vi_tol", lambda: _solve(tol=math.nan), id="value_iteration-vi_tol"),
+    pytest.param("vi_max_sweeps", lambda: _solve(max_iters=0), id="value_iteration-vi_max_sweeps"),
+    pytest.param("lip_gamma", lambda: LIBRARY["lip_gamma"][0](1.0), id="verify_margin_value_bound-lip_gamma"),
+    pytest.param("n_action_samples", lambda: equispaced_actions(1), id="equispaced_actions-n_action_samples"),
+    pytest.param("rollout_steps", lambda: LIBRARY["rollout_steps"][0](0), id="rollout-rollout_steps"),
+    pytest.param("dt", lambda: estimate_dynamics_lipschitz(math.inf, 10, 0), id="estimate_dynamics_lipschitz-dt"),
+    pytest.param(
+        "lip_fd_samples", lambda: estimate_dynamics_lipschitz(0.1, 0, 0), id="estimate_dynamics_lipschitz-lip_fd_samples"
+    ),
+    pytest.param("bench_reps", lambda: _bench((1,), 0), id="throughput_benchmark-bench_reps"),
+    pytest.param("bench_sizes", lambda: _bench((0,), 1), id="throughput_benchmark-bench_sizes"),
+    pytest.param("rl_buffer_capacity", lambda: ReplayBuffer(0), id="ReplayBuffer-rl_buffer_capacity"),
+]
+
+
+@pytest.mark.parametrize("key,call", KEY_LED)
+def test_entry_point_refusal_names_its_key(key, call):
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        call()
 
 
 # Defaults drift guard: the benchmark builds these library objects without
@@ -355,7 +392,7 @@ def test_schema_default_is_the_library_default(key, library):
 # Each (class, field, key) triple is checked with an in-range value other
 # than the default, so a field wired to the wrong key, or left at its
 # default, fails.
-STAGES = {RlConfig: {}, MarginTrainConfig: {"use_gp": True}, FilterConfig: {}, NominalPolicyConfig: {}}
+STAGES = {RlConfig: {}, MarginTrainConfig: {"use_gp": True}, FilterConfig: {}, NominalPolicyConfig: {}, GridSpec: {}}
 
 
 def _settings(cls, prefix=""):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cbfforge import experiments
 from cbfforge.config import ConfigError, load_config
 from cbfforge.dubins import nominal_policy, rollout, sample_initial_states, signed_distance_margin
 from cbfforge.experiments import (
@@ -222,6 +223,15 @@ def test_lipschitz_hypothesis_violation_is_config_error(tmp_path):
     cfg = _tiny_cfg("lipschitz_bound", tmp_path, lip_gamma=0.96, lip_fd_samples=500)
     with pytest.raises(ConfigError, match="hypothesis"):
         run_experiment(cfg)
+
+
+def test_lipschitz_nan_estimate_is_config_error(tmp_path, monkeypatch):
+    # A nan L_f fails gamma * L_f >= 1 as well as < 1; the run must stop.
+    monkeypatch.setattr(experiments, "estimate_dynamics_lipschitz", lambda **kwargs: math.nan)
+    cfg = _tiny_cfg("lipschitz_bound", tmp_path, lip_margin_modes=("exact",))
+    with pytest.raises(ConfigError, match="hypothesis violated: lip_gamma \\* L_f = nan"):
+        run_experiment(cfg)
+    assert not (tmp_path / "bound_report.csv").exists()
 
 
 def test_mix_ablation_report(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the runtime safety filters, samplers, and query backends."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,7 @@ def test_sampler_validation():
 def test_sampler_refuses_fewer_than_two_points():
     # One point cannot span the action interval; the spec refuses it when
     # built, not at the first filter step.
-    with pytest.raises(ValueError, match="at least two actions"):
+    with pytest.raises(ValueError, match=re.escape("n_action_samples: 1 is not in [2, inf)")):
         SamplerSpec(kind="equispaced_1d", n=1)
 
 

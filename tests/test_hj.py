@@ -2,6 +2,8 @@
 oracle crosscheck, Lipschitz scans, and field serialization."""
 
 import hashlib
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -198,7 +200,7 @@ class TestValueIteration:
         # A solve with no sweep has no residual for require_converged to
         # report; one sweep is the smallest solve.
         margin = constant_field(GridSpec(nx=5, ny=5, ntheta=4), 0.1)
-        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        with pytest.raises(ValueError, match=re.escape("vi_max_sweeps: 0 is not in [1, inf)")):
             value_iteration(margin, equispaced_actions(3), 0.9, max_iters=0, dt=0.1, tol=1e-6)
         sol = value_iteration(margin, equispaced_actions(3), 0.9, tol=1e-12, max_iters=1, dt=0.1)
         assert sol.sweeps == 1 and len(sol.residuals) == 1
@@ -535,6 +537,12 @@ class TestLipschitzScan:
         with pytest.raises(ValueError):
             verify_margin_value_bound(constant_field(spec, 0.5), 0.995, 0.1, equispaced_actions(5), L_f=1.05, vi_tol=1e-6, max_iters=2000)
 
+    def test_nan_lipschitz_constant_fails_the_hypothesis(self):
+        # gamma * nan >= 1 is False, so a nan L_f must be refused as "not below 1".
+        margin = margin_field(GridSpec(nx=9, ny=9, ntheta=6), signed_distance_margin)
+        with pytest.raises(ValueError, match="hypothesis violated: gamma \\* L_f = nan"):
+            verify_margin_value_bound(margin, 0.9, 0.1, equispaced_actions(5), L_f=math.nan, vi_tol=1e-6, max_iters=2000)
+
 
 class TestFieldIo:
     def test_round_trip(self, tmp_path):
@@ -611,15 +619,15 @@ class TestFieldFiles:
     @pytest.mark.parametrize(
         "header, message",
         [
-            ("grid-hex64 value 0 5 5", "nx, ny must be >= 3"),
-            ("grid-hex64 value 5 2 5", "nx, ny must be >= 3"),
-            ("grid-hex64 value 5 5 0", "ntheta must be >= 4"),
+            pytest.param("grid-hex64 value 0 5 5", "grid_nx: 0 is not in [3, inf)", id="grid_nx"),
+            pytest.param("grid-hex64 value 5 2 5", "grid_ny: 2 is not in [3, inf)", id="grid_ny"),
+            pytest.param("grid-hex64 value 5 5 0", "grid_ntheta: 0 is not in [4, inf)", id="grid_ntheta"),
         ],
     )
     def test_grid_shape_refused_by_name(self, tmp_path, header, message):
         path = tmp_path / "field.txt"
         path.write_text(header + "\n" + "0000000000000000\n" * 36)
-        with pytest.raises(ValueError, match=f"field.txt: {message}"):
+        with pytest.raises(ValueError, match=f"field.txt: {re.escape(message)}"):
             load_field(str(path), kind="value")
 
     def test_bad_count_and_corrupt_value_refused(self, tmp_path):

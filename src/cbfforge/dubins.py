@@ -238,9 +238,10 @@ def rollout(
             filters.FilterDecision, or None to execute the nominal action.
             A decision's action is executed and its feasible_count /
             q_nominal / q_fallback are recorded per step.
-        dt: integrator step.
+        dt: integrator step (key dt).
     """
     check_setting("rollout_steps", n_steps, ValueError)
+    check_setting("dt", dt, ValueError)
     state = np.asarray(x0, dtype=float).copy()
     states = [state.copy()]
     margins = [signed_distance_margin(state)]

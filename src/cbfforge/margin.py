@@ -11,6 +11,11 @@ Both nets train in float32 (nets.TRAIN_DTYPE): the passes, the penalty's
 double backprop and Adam follow the dtype of the weights.  train_margin
 initialises in float64 and returns the exact float64 upcast, so grid
 labelling, saved margin files and every other consumer see float64 nets.
+A run allocates its arrays once: the net on one flat parameter vector,
+Adam's moments and the gradients on vectors of the same layout, the pass
+arrays, the batch rows and the GP interpolation points (MarginBuffers).
+Every iteration writes into them, so Adam and the penalty's weighting run
+once over one vector each.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .nets import (
     TRAIN_DTYPE,
     AdamState,
     MlpNet,
+    PassBuffers,
     adam_step,
     mlp_forward,
     mlp_init,
@@ -85,7 +91,8 @@ def sign_loss(margin_net: MlpNet, batch_safe: np.ndarray, batch_fail: np.ndarray
     batch_fail = np.atleast_2d(batch_fail)
     if batch_safe.shape[0] == 0 or batch_fail.shape[0] == 0:
         raise ValueError("sign_loss needs non-empty batches")
-    value, _ = _hinge(mlp_forward(margin_net, batch_safe)[:, 0], mlp_forward(margin_net, batch_fail)[:, 0], delta)
+    margins = np.concatenate([mlp_forward(margin_net, batch_safe)[:, 0], mlp_forward(margin_net, batch_fail)[:, 0]])
+    value, _ = _hinge(margins, batch_safe.shape[0], delta)
     return float(value)
 
 
@@ -95,30 +102,59 @@ def interpolate_pair(z_plus: np.ndarray, z_minus: np.ndarray, eta) -> np.ndarray
     Takes batches z_plus, z_minus (n, 3) and eta scalar or (n,).
     """
     zp = np.asarray(z_plus, dtype=float)
-    zm = np.asarray(z_minus, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     if np.any(eta_arr < 0.0) or np.any(eta_arr > 1.0):
         raise ValueError("eta must lie in [0, 1]")
-    e = np.broadcast_to(eta_arr, zp.shape[:1]).astype(float)
-    out = np.empty_like(zp)
+    return _interpolate(zp, z_minus, eta_arr, np.empty_like(zp))
+
+
+def _interpolate(z_plus, z_minus, eta, out: np.ndarray) -> np.ndarray:
+    """interpolate_pair without the range check, written into out (n, 3)."""
+    zp = np.asarray(z_plus, dtype=float)
+    zm = np.asarray(z_minus, dtype=float)
+    e = np.full(zp.shape[:1], eta, dtype=float)
     out[:, :2] = (1.0 - e)[:, None] * zp[:, :2] + e[:, None] * zm[:, :2]
     out[:, 2] = wrap_angle(zp[:, 2] + e * wrap_angle(zm[:, 2] - zp[:, 2]))
     return out
 
 
-def _hinge(l_safe: np.ndarray, l_fail: np.ndarray, delta: float):
-    """The hinge mean max(0, delta - l(z+)) + mean max(0, delta + l(z-)).
+def _hinge(margins: np.ndarray, n_s: int, delta: float):
+    """The hinge mean max(0, delta - l(z+)) + mean max(0, delta + l(z-)) of
+    stacked margins l: n_s safe rows, then the fail rows.
 
-    Returns (value, seed): seed is d value / d l over the stacked
-    (safe, fail) outputs, -1/n+ or +1/n- on active hinges and 0 elsewhere.
+    Returns (value, gaps), the gaps being delta - l(z+) and delta + l(z-);
+    a hinge is active where its gap is positive.
     """
-    gap_safe = delta - l_safe
-    gap_fail = delta + l_fail
-    value = np.mean(np.maximum(0.0, gap_safe)) + np.mean(np.maximum(0.0, gap_fail))
-    seed = np.concatenate(
-        [np.where(gap_safe > 0.0, -1.0 / l_safe.size, 0.0), np.where(gap_fail > 0.0, 1.0 / l_fail.size, 0.0)]
-    )
-    return value, seed
+    gaps = np.subtract(delta, margins)
+    np.add(delta, margins[n_s:], out=gaps[n_s:])
+    terms = np.maximum(0.0, gaps)
+    return np.mean(terms[:n_s]) + np.mean(terms[n_s:]), gaps
+
+
+def _seed_rates(cfg: MarginTrainConfig, n_s: int, n_f: int):
+    """Per-row d loss / d l over stacked (safe, fail) outputs: of an active
+    hinge (lambda_sign times -1/n+ or +1/n-), and of the separation term
+    (GP only, else None)."""
+    hinge = np.concatenate([np.full(n_s, cfg.lambda_sign * (-1.0 / n_s)), np.full(n_f, cfg.lambda_sign * (1.0 / n_f))])
+    if not cfg.use_gp:
+        return hinge, None
+    return hinge, np.concatenate([np.full(n_s, -cfg.lambda_zs / n_s), np.full(n_f, cfg.lambda_zs / n_f)])
+
+
+class MarginBuffers:
+    """The arrays of one train_margin run, allocated once and written by
+    every iteration: the batch rows (safe, fail), their stacked cast to the
+    net's dtype, the GP interpolation points, the per-row seed rates of the
+    loss, and the nets.PassBuffers of the parameter and penalty passes."""
+
+    def __init__(self, net: MlpNet, cfg: MarginTrainConfig):
+        n = cfg.batch_size
+        self.safe = np.empty((n, net.input_dim))
+        self.fail = np.empty((n, net.input_dim))
+        self.stacked = np.empty((2 * n, net.input_dim), net.dtype)
+        self.zhat = np.empty((n, net.input_dim))
+        self.rates = _seed_rates(cfg, n, n)
+        self.passes = PassBuffers(net)
 
 
 def margin_loss(
@@ -127,6 +163,7 @@ def margin_loss(
     batch_fail: np.ndarray,
     cfg: MarginTrainConfig,
     rng: np.random.Generator,
+    buffers: MarginBuffers | None,
 ):
     """The objective train_margin minimises, with its parameter gradient.
 
@@ -139,7 +176,9 @@ def margin_loss(
     NoGP: loss = lambda_sign * hinge at cfg.delta.  rng draws the etas.
 
     The hinge and separation seeds are summed before one parameter pass over
-    the stacked (safe, fail) batch; GP adds one penalty pass.
+    the stacked (safe, fail) batch; GP adds one penalty pass.  With buffers
+    (batches of their batch size), every array is the run's, and the
+    gradient returned is a view into them, valid until the next call.
 
     Returns:
         (loss value, MlpGrads).
@@ -151,22 +190,29 @@ def margin_loss(
 
     n_s, n_f = batch_safe.shape[0], batch_fail.shape[0]
     delta = 0.0 if cfg.use_gp else cfg.delta
+    hinge_rate, zs_rate = _seed_rates(cfg, n_s, n_f) if buffers is None else buffers.rates
 
     def stacked_terms(outputs):
-        l_safe, l_fail = outputs[:n_s, 0], outputs[n_s:, 0]
-        hinge, hinge_seed = _hinge(l_safe, l_fail, delta)
-        value, seed = cfg.lambda_sign * hinge, cfg.lambda_sign * hinge_seed
+        hinge, gaps = _hinge(outputs[:, 0], n_s, delta)
+        value, seed = cfg.lambda_sign * hinge, np.where(gaps > 0.0, hinge_rate, 0.0)
         if cfg.use_gp:
-            value += cfg.lambda_zs * (l_fail.mean() - l_safe.mean())
-            seed += np.concatenate([np.full(n_s, -cfg.lambda_zs / n_s), np.full(n_f, cfg.lambda_zs / n_f)])
+            value += cfg.lambda_zs * (outputs[n_s:, 0].mean() - outputs[:n_s, 0].mean())
+            seed += zs_rate
         return value, seed[:, None]
 
-    value, grads = param_gradient(margin_net, np.vstack([batch_safe, batch_fail]), stacked_terms)
+    passes = None if buffers is None else buffers.passes
+    stacked = np.concatenate(
+        (batch_safe, batch_fail), out=None if buffers is None else buffers.stacked, casting="same_kind"
+    )
+    value, grads = param_gradient(margin_net, stacked, stacked_terms, passes)
     if cfg.use_gp:
         n_pairs = min(n_s, n_f)
         eta = rng.uniform(0.0, 1.0, size=n_pairs)
-        zhat = interpolate_pair(batch_safe[:n_pairs], batch_fail[:n_pairs], eta)
-        pen_value, pen_grads = penalty_param_gradient(margin_net, zhat, cfg.beta)
+        if buffers is None:
+            zhat = interpolate_pair(batch_safe[:n_pairs], batch_fail[:n_pairs], eta)
+        else:  # eta ~ U(0, 1) needs no range check
+            zhat = _interpolate(batch_safe[:n_pairs], batch_fail[:n_pairs], eta, buffers.zhat)
+        pen_value, pen_grads = penalty_param_gradient(margin_net, zhat, cfg.beta, passes)
         grads.add_scaled(pen_grads, cfg.lambda_gp)
         value += cfg.lambda_gp * pen_value
     return value, grads
@@ -178,20 +224,25 @@ def train_margin(dataset: MarginDataset, cfg: MarginTrainConfig) -> MlpNet:
     GP mode (cfg.use_gp): identity output, the hinge at delta 0 plus the
     separation term and the gradient penalty.  NoGP mode: tanh output, the
     hinge at cfg.delta only.  Deterministic given (dataset, cfg).  The net
-    trains in TRAIN_DTYPE and is returned as its exact float64 upcast.
+    trains in TRAIN_DTYPE on one flat parameter vector and is returned as
+    its exact float64 upcast.  The run allocates its arrays once
+    (MarginBuffers), and each iteration writes into them.
     """
     if dataset.safe_points.shape[0] == 0 or dataset.fail_points.shape[0] == 0:
         raise ValueError("train_margin needs both classes in the dataset")
     rng = np.random.default_rng(cfg.seed)
     output_act = "identity" if cfg.use_gp else "tanh"
-    net = mlp_init([3, *cfg.hidden_dims, 1], "silu", output_act, seed=cfg.seed).astype(TRAIN_DTYPE)
+    net = mlp_init([3, *cfg.hidden_dims, 1], "silu", output_act, seed=cfg.seed).as_flat(TRAIN_DTYPE)
     adam = AdamState(learning_rate=cfg.learning_rate)
+    buffers = MarginBuffers(net, cfg)
 
     n_s, n_f = dataset.safe_points.shape[0], dataset.fail_points.shape[0]
     for _ in range(cfg.iterations):
-        batch_safe = dataset.safe_points[rng.integers(0, n_s, cfg.batch_size)]
-        batch_fail = dataset.fail_points[rng.integers(0, n_f, cfg.batch_size)]
-        _, grads = margin_loss(net, batch_safe, batch_fail, cfg, rng)
+        # mode="clip" gathers straight into out ("raise" stages a copy); the
+        # drawn indices are in range, so nothing is clipped.
+        np.take(dataset.safe_points, rng.integers(0, n_s, cfg.batch_size), axis=0, out=buffers.safe, mode="clip")
+        np.take(dataset.fail_points, rng.integers(0, n_f, cfg.batch_size), axis=0, out=buffers.fail, mode="clip")
+        _, grads = margin_loss(net, buffers.safe, buffers.fail, cfg, rng, buffers)
         adam_step(net, grads, adam)
     return net.astype(np.float64)
 

@@ -33,16 +33,24 @@ cbfforge.codec a block of weight rows or a bias line at a time, and the
 loader decodes into float64 arrays allocated from the header, so either
 holds about the net itself and nothing the size of its text.
 
-Memory: a pass writes only into arrays it allocated itself.  The forward
-pass adds the bias to the fresh product in place, and a ReLU or tanh layer
+Memory: a pass writes only into arrays it formed itself.  The forward
+pass adds the bias to its product in place, and a ReLU or tanh layer
 writes its value over that pre-activation, whose derivatives can be read
 from the value.  The reverse passes scale their own seeds by the activation
 derivative in place (every seed except the one a caller's ``loss_fn``
-returned), and the parameter pass drops each layer's cached arrays once
-its gradient is formed.  The SiLU derivatives are formed in one or two
-arrays of their own, and the penalty's reverse pass builds its seed in the
-array the second derivative returns.  Caller arrays (inputs, seeds, batches) are never
-written, and every call returns fresh outputs.
+returned); the parameter pass writes each layer's seed over the layer input
+its weight gradient has just read and drops each layer's cached arrays
+once its gradient is formed, and the penalty's reverse pass writes each
+tangent seed over the tangent it read last.  An identity output's
+derivative (1) and second derivative (0) are never formed.  The SiLU
+derivatives are formed in one or two arrays of their own, and the
+penalty's reverse pass builds its seed in the array the second derivative
+returns.  Caller arrays (inputs, seeds, batches) are never written.  A call
+without buffers returns fresh outputs.  A call given run-long buffers (a
+``PassBuffers``, which a trainer makes once per run) forms every array in
+them and returns views into them, the gradient and the outputs its loss
+sees; those views are valid until the next call that uses the same
+buffers (a parameter gradient, until the next parameter pass).
 
 Weights are stored row-major: ``weights[k]`` has shape ``(fan_out, fan_in)``
 and layer k maps ``h -> act(weights[k] @ h + biases[k])``.  Batched calls take
@@ -51,6 +59,7 @@ and layer k maps ``h -> act(weights[k] @ h + biases[k])``.  Batched calls take
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,52 +85,67 @@ TRAIN_DTYPE = np.float32
 # without a cache.  The derivatives read the array the pass kept (the
 # pre-activation, or the value written over it) and the cached aux, so no
 # derivative re-evaluates exp or tanh.  ReLU and identity carry no aux, and
-# cache=False asks for none.
+# cache=False asks for none.  Every array a function forms comes from
+# take(shape, dtype): _fresh lets numpy allocate it, and a PassBuffers hands
+# out a run-long one.  Only the source of the arrays differs.
 
 
-def _relu(x: np.ndarray, cache: bool):
+def _fresh(shape, dtype):
+    return None  # as out=, None makes numpy allocate the result
+
+
+def _filled(take, shape, dtype, value):
+    out = take(shape, dtype)
+    if out is None:
+        return np.full(shape, value, dtype)
+    out.fill(value)
+    return out
+
+
+def _relu(x: np.ndarray, cache: bool, take=_fresh):
     return np.maximum(x, 0.0, out=x), None
 
 
-def _relu_d(x: np.ndarray, aux) -> np.ndarray:
+def _relu_d(x: np.ndarray, aux, take=_fresh) -> np.ndarray:
     # A bool mask; multiplying by it gives the values of a 1.0/0.0 float
     # mask.  Subgradient 0 at exactly 0.
-    return x > 0.0
+    return np.greater(x, 0.0, out=take(x.shape, bool))
 
 
-def _relu_dd(x: np.ndarray, aux) -> np.ndarray:
-    return np.zeros_like(x)
+def _relu_dd(x: np.ndarray, aux, take=_fresh) -> np.ndarray:
+    return _filled(take, x.shape, x.dtype, 0.0)
 
 
-def _silu(x: np.ndarray, cache: bool):
+def _silu(x: np.ndarray, cache: bool, take=_fresh):
     # Overwrites x only without a cache, as the derivatives read x.  The
     # value is x / e, not x * s, which would round differently.
-    e = np.exp(-x)
+    e = np.negative(x, out=take(x.shape, x.dtype))
+    np.exp(e, out=e)
     e += 1.0
     if not cache:
         return np.divide(x, e, out=x), None
-    value = x / e
+    value = np.divide(x, e, out=take(x.shape, x.dtype))
     return value, np.reciprocal(e, out=e)
 
 
-# The SiLU derivatives write into the one or two arrays they allocate, never
+# The SiLU derivatives write into the one or two arrays they take, never
 # into x or s (the forward cache).  Each in-place step keeps the operands of
 # s * (1 + x (1 - s)) and s (1 - s) (2 + x (1 - 2 s)), so the bits are those
 # of the expressions.
 
 
-def _silu_d(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    d = np.subtract(1.0, s)
+def _silu_d(x: np.ndarray, s: np.ndarray, take=_fresh) -> np.ndarray:
+    d = np.subtract(1.0, s, out=take(s.shape, s.dtype))
     d *= x
     d += 1.0
     d *= s
     return d
 
 
-def _silu_dd(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    dd = np.subtract(1.0, s)
+def _silu_dd(x: np.ndarray, s: np.ndarray, take=_fresh) -> np.ndarray:
+    dd = np.subtract(1.0, s, out=take(s.shape, s.dtype))
     dd *= s
-    inner = np.multiply(s, 2.0)
+    inner = np.multiply(s, 2.0, out=take(s.shape, s.dtype))
     np.subtract(1.0, inner, out=inner)
     inner *= x
     inner += 2.0
@@ -129,29 +153,34 @@ def _silu_dd(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return dd
 
 
-def _tanh(x: np.ndarray, cache: bool):
+def _tanh(x: np.ndarray, cache: bool, take=_fresh):
     t = np.tanh(x, out=x)
     return t, t
 
 
-def _tanh_d(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return 1.0 - t * t
+def _tanh_d(x: np.ndarray, t: np.ndarray, take=_fresh) -> np.ndarray:
+    d = np.multiply(t, t, out=take(t.shape, t.dtype))
+    return np.subtract(1.0, d, out=d)  # 1 - t t
 
 
-def _tanh_dd(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return -2.0 * t * (1.0 - t * t)
+def _tanh_dd(x: np.ndarray, t: np.ndarray, take=_fresh) -> np.ndarray:
+    dd = np.multiply(t, -2.0, out=take(t.shape, t.dtype))
+    inner = np.multiply(t, t, out=take(t.shape, t.dtype))
+    np.subtract(1.0, inner, out=inner)
+    dd *= inner  # -2 t (1 - t t)
+    return dd
 
 
-def _identity(x: np.ndarray, cache: bool):
+def _identity(x: np.ndarray, cache: bool, take=_fresh):
     return x, None
 
 
-def _identity_d(x: np.ndarray, aux) -> np.ndarray:
-    return np.ones_like(x)
+def _identity_d(x: np.ndarray, aux, take=_fresh) -> np.ndarray:
+    return _filled(take, x.shape, x.dtype, 1.0)
 
 
-def _identity_dd(x: np.ndarray, aux) -> np.ndarray:
-    return np.zeros_like(x)
+def _identity_dd(x: np.ndarray, aux, take=_fresh) -> np.ndarray:
+    return _filled(take, x.shape, x.dtype, 0.0)
 
 
 # name -> (value and aux, first derivative, second derivative), all elementwise
@@ -163,18 +192,32 @@ _ACT_TABLE = {
 }
 
 
+def _on_flat(flat: np.ndarray, like) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of flat shaped like the weights and biases of like (a net or
+    its gradients), layer by layer, each weight before its bias."""
+    weights, biases, at = [], [], 0
+    for w, b in zip(like.weights, like.biases):
+        weights.append(flat[at : at + w.size].reshape(w.shape))
+        at += w.size
+        biases.append(flat[at : at + b.size])
+        at += b.size
+    return weights, biases
+
+
 @dataclass
 class MlpNet:
     """A dense MLP: per-layer weight matrices, biases, and two activations.
 
     ``hidden_activation`` applies after every layer except the last,
-    ``output_activation`` after the last.
+    ``output_activation`` after the last.  A net from ``as_flat`` keeps
+    every parameter in one vector, ``flat``, which Adam updates in one pass.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     hidden_activation: str
     output_activation: str
+    flat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
@@ -226,27 +269,91 @@ class MlpNet:
             self.output_activation,
         )
 
+    def as_flat(self, dtype) -> "MlpNet":
+        """astype, with every parameter a view into one vector, ``flat``."""
+        flat = np.empty(sum(p.size for p in self.weights + self.biases), dtype)
+        weights, biases = _on_flat(flat, self)
+        for view, p in zip(weights + biases, self.weights + self.biases):
+            view[...] = p  # the cast of astype
+        return MlpNet(weights, biases, self.hidden_activation, self.output_activation, flat)
+
 
 @dataclass
 class MlpGrads:
-    """Per-parameter gradients, shaped exactly like an MlpNet's parameters."""
+    """Per-parameter gradients, shaped exactly like an MlpNet's parameters,
+    and laid out like as_flat's when every array views one vector, ``flat``."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False)
 
     @staticmethod
     def zeros_like(net: MlpNet) -> "MlpGrads":
+        if net.flat is not None:
+            return MlpGrads.flat_zeros(net)
         return MlpGrads(
             [np.zeros_like(w) for w in net.weights],
             [np.zeros_like(b) for b in net.biases],
         )
 
+    @staticmethod
+    def flat_zeros(net: MlpNet) -> "MlpGrads":
+        flat = np.zeros(sum(p.size for p in net.weights + net.biases), net.dtype)
+        return MlpGrads(*_on_flat(flat, net), flat)
+
     def add_scaled(self, other: "MlpGrads", scale: float) -> "MlpGrads":
-        for w, ow in zip(self.weights, other.weights):
-            w += scale * ow
-        for b, ob in zip(self.biases, other.biases):
-            b += scale * ob
+        if self.flat is not None and other.flat is not None:
+            pairs = [(self.flat, other.flat)]
+        else:
+            pairs = zip(self.weights + self.biases, other.weights + other.biases)
+        for a, b in pairs:
+            a += scale * b
         return self
+
+
+_ALIGN = 64  # bytes; every pool array starts on a cache line
+
+
+class PassBuffers:
+    """Run-long arrays for the training passes over one net.
+
+    A trainer makes one per run and hands it to every ``param_gradient``
+    and ``penalty_param_gradient`` call.  Each of the two writes its
+    gradient into a flat vector of its own (``grads``, ``penalty_grads``,
+    laid out like ``as_flat``'s parameters), so a parameter pass's gradient
+    outlives the penalty pass that follows it.  Every other array of a pass
+    is cut from one pool, which each call reuses from its start.  At the
+    start of a call the pool grows to the largest pass seen so far; a call
+    that outgrows it takes fresh arrays for the rest of the pass, so only
+    a run's first calls allocate.
+    """
+
+    def __init__(self, net: MlpNet):
+        self.grads = MlpGrads.flat_zeros(net)
+        self.penalty_grads = MlpGrads.flat_zeros(net)
+        self._pool = np.empty(0, np.uint8)
+        self._views: dict = {}  # (offset, shape, dtype) -> (view, next offset)
+        self._used = self._need = 0
+
+    def _start(self):
+        if self._need > self._pool.size:
+            self._pool = self._views = None  # freed before its successor is allocated
+            self._pool, self._views = np.empty(self._need, np.uint8), {}
+        self._used = 0
+        return self._take
+
+    def _take(self, shape: tuple, dtype):
+        hit = self._views.get((self._used, shape, dtype))
+        if hit is None:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            end = self._used + -(-nbytes // _ALIGN) * _ALIGN
+            if end > self._pool.size:
+                self._used = self._need = max(self._need, end)
+                return None
+            view = self._pool[self._used : self._used + nbytes].view(dtype).reshape(shape)
+            hit = self._views[(self._used, shape, dtype)] = (view, end)
+        self._used = hit[1]
+        return hit[0]
 
 
 def mlp_init(
@@ -277,7 +384,19 @@ def mlp_init(
     return MlpNet(weights, biases, hidden_activation, output_activation)
 
 
-def _forward(net: MlpNet, x: np.ndarray, cache: bool):
+def _cast(a, dtype, take) -> np.ndarray:
+    """a as an array of dtype: a itself if it is one, else a cast copy."""
+    a = np.asarray(a)
+    if a.dtype == dtype:
+        return a
+    out = take(a.shape, dtype)
+    if out is None:
+        return a.astype(dtype)
+    out[...] = a
+    return out
+
+
+def _forward(net: MlpNet, x: np.ndarray, cache: bool, take=_fresh):
     """Batched forward pass; bias and activation are written into the
     product the pass owns.
 
@@ -290,10 +409,10 @@ def _forward(net: MlpNet, x: np.ndarray, cache: bool):
     """
     h, layers = x, []
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        s = h @ w.T
+        s = np.matmul(h, w.T, out=take((h.shape[0], w.shape[0]), net.dtype))
         s += b
         act, _, _ = net._activation_at(k)
-        h_next, aux = act(s, cache)
+        h_next, aux = act(s, cache, take)
         if cache:
             layers.append((h, s, aux))
         h = h_next
@@ -308,50 +427,63 @@ def mlp_forward(net: MlpNet, x: np.ndarray) -> np.ndarray:
     return h[0] if single else h
 
 
-def _param_backward(net: MlpNet, layers, out_seed: np.ndarray) -> MlpGrads:
+def _derivative(net: MlpNet, k: int, layer, take):
+    """Layer k's first activation derivative from its cached (h, s, aux);
+    None for an identity output, whose derivative is 1 and never formed."""
+    if k + 1 == len(net.weights) and net.output_activation == "identity":
+        return None
+    _, s, aux = layer
+    return net._activation_at(k)[1](s, aux, take)
+
+
+def _param_backward(net: MlpNet, layers, out_seed: np.ndarray, take, grads: MlpGrads | None) -> MlpGrads:
     """Reverse pass from d(loss)/d(output) seeds to parameter gradients.
 
-    Gradients are summed over the batch.  The product that would carry the
-    seed past layer 0 to the input is never formed.  Consumes ``layers``:
-    each layer's cached arrays are dropped once its gradient is formed.
+    Gradients are summed over the batch, into grads' arrays when given.
+    The product that would carry the seed past layer 0 to the input is
+    never formed.  Each layer's seed is written over that layer's input,
+    which its weight gradient has just read; the derivative it is scaled by
+    is formed first, as for ReLU that input is also the pre-activation the
+    derivative reads.  Consumes ``layers``.
     """
     n_layers = len(layers)
-    grad_w, grad_b = [None] * n_layers, [None] * n_layers
+    grad_w, grad_b = (grads.weights, grads.biases) if grads is not None else ([None] * n_layers, [None] * n_layers)
     u = out_seed
+    d = _derivative(net, n_layers - 1, layers[-1], take)
+    if d is not None:
+        u = np.multiply(d, u, out=d)  # the caller's seed is not written
     for k in reversed(range(n_layers)):
         h, s, aux = layers.pop()
-        _, act_d, _ = net._activation_at(k)
-        if k + 1 == n_layers:
-            u = u * act_d(s, aux)  # the caller's seed is not written
-        else:
-            u *= act_d(s, aux)
-        del s, aux  # free this layer before the next product allocates
-        grad_w[k] = u.T @ h
-        grad_b[k] = u.sum(axis=0)
+        del s, aux  # free this layer before the next array is formed
+        grad_w[k] = np.matmul(u.T, h, out=grad_w[k])
+        grad_b[k] = np.add.reduce(u, axis=0, out=grad_b[k])
         if k > 0:
-            u = u @ net.weights[k]
-    return MlpGrads(grad_w, grad_b)
+            d = _derivative(net, k - 1, layers[-1], take)
+            u = np.matmul(u, net.weights[k], out=h)
+            u *= d
+    return grads if grads is not None else MlpGrads(grad_w, grad_b)
 
 
-def _input_backward(net: MlpNet, layers):
+def _input_backward(net: MlpNet, layers, take=_fresh):
     """Input gradient of a scalar-output network from a cached forward pass.
 
     Forms only the chain d y / d h_k, no parameter-gradient products.
     Returns (d y / d x of shape (n, d), each layer's first activation
-    derivative) so that later passes need not recompute the derivatives.
+    derivative, None for an identity output) so that later passes need not
+    recompute the derivatives.
     """
     d1 = [None] * len(layers)
-    u = np.ones((layers[0][0].shape[0], 1), dtype=net.dtype)
+    u = _filled(take, (layers[0][0].shape[0], 1), net.dtype, 1.0)
     for k in reversed(range(len(layers))):
-        _, s, aux = layers[k]
-        _, act_d, _ = net._activation_at(k)
-        d1[k] = act_d(s, aux)
-        u *= d1[k]
-        u = u @ net.weights[k]
+        d1[k] = _derivative(net, k, layers[k], take)
+        if d1[k] is not None:
+            u *= d1[k]
+        w = net.weights[k]
+        u = np.matmul(u, w, out=take((u.shape[0], w.shape[1]), net.dtype))
     return u, d1
 
 
-def param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn):
+def param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn, buffers: PassBuffers | None = None):
     """Value and parameter gradient of a scalar loss of the network outputs.
 
     Args:
@@ -360,14 +492,19 @@ def param_gradient(net: MlpNet, inputs: np.ndarray, loss_fn):
         loss_fn: maps outputs (n, out) to (scalar loss, d loss / d outputs
             of shape (n, out)).  Affine combinations, squares and hinges of
             outputs all fit this shape.
+        buffers: run-long arrays to compute in (None: fresh ones).  The
+            outputs loss_fn sees and the gradient returned are then views
+            into buffers.
 
     Returns:
         (loss value, MlpGrads).
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=net.dtype))
-    out, layers = _forward(net, inputs, cache=True)
+    take = _fresh if buffers is None else buffers._start()
+    grads = None if buffers is None else buffers.grads
+    inputs = np.atleast_2d(_cast(inputs, net.dtype, take))
+    out, layers = _forward(net, inputs, cache=True, take=take)
     loss, out_seed = loss_fn(out)
-    return float(loss), _param_backward(net, layers, np.asarray(out_seed, dtype=net.dtype))
+    return float(loss), _param_backward(net, layers, _cast(out_seed, net.dtype, take), take, grads)
 
 
 def input_gradient(net: MlpNet, x: np.ndarray):
@@ -383,7 +520,7 @@ def input_gradient(net: MlpNet, x: np.ndarray):
     return y, g
 
 
-def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
+def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float, buffers: PassBuffers | None = None):
     """Mean gradient-norm penalty over points and its parameter gradient.
 
     The penalty per point z is ``(||g(z)|| - beta)^2`` with ``g = d y / d z``.
@@ -398,59 +535,89 @@ def penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
         net: scalar-output network.
         points: (n, d) batch of evaluation points.
         beta: target gradient norm, >= 0.
+        buffers: run-long arrays to compute in (None: fresh ones).  The
+            gradient returned is then a view into buffers.
 
     Returns:
         (mean penalty value, MlpGrads of the mean penalty).
     """
     if net.output_dim != 1:
         raise ValueError("penalty_param_gradient requires a scalar-output network")
-    z = np.atleast_2d(np.asarray(points, dtype=net.dtype))
+    take = _fresh if buffers is None else buffers._start()
+    grads = None if buffers is None else buffers.penalty_grads
+    z = np.atleast_2d(_cast(points, net.dtype, take))
     n = z.shape[0]
 
-    _, layers = _forward(net, z, cache=True)
-    g, d1 = _input_backward(net, layers)
-    norms = np.linalg.norm(g, axis=1)
-    value = float(np.mean((norms - beta) ** 2))
+    _, layers = _forward(net, z, cache=True, take=take)
+    g, d1 = _input_backward(net, layers, take)
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm's arithmetic
+    gap = norms - beta
+    value = float(np.mean(gap**2))
 
     live = norms >= GRAD_NORM_FLOOR
-    if not np.any(live):
-        return value, MlpGrads.zeros_like(net)
-    safe_norms = np.where(live, norms, 1.0)
-    w_dir = (2.0 * (norms - beta) / safe_norms)[:, None] * g
-    w_dir[~live] = 0.0
+    n_live = np.count_nonzero(live)
+    if n_live == 0:
+        if grads is None:
+            return value, MlpGrads.zeros_like(net)
+        grads.flat.fill(0.0)
+        return value, grads
+    # w_dir = 2 (||g|| - beta) / ||g|| * g, written over g; 0 on dead rows.
+    scale = np.multiply(gap, 2.0)
+    scale /= norms if n_live == n else np.where(live, norms, 1.0)
+    w_dir = np.multiply(g, scale[:, None], out=g)
+    if n_live < n:
+        w_dir[~live] = 0.0
 
-    # Tangent pass: directional derivative of every intermediate along w_dir.
+    # Tangent pass: directional derivative of every intermediate along
+    # w_dir.  An identity output's tangent feeds nothing (its second
+    # derivative is 0), and nothing reads the output tangent's image under
+    # the output derivative.
+    n_layers = len(layers)
     tangents_pre, tangents_post = [], []
     r = w_dir
-    for k, w in enumerate(net.weights):
-        t = r @ w.T
+    for k in range(n_layers if d1[-1] is not None else n_layers - 1):
+        w = net.weights[k]
+        t = np.matmul(r, w.T, out=take((n, w.shape[0]), net.dtype))
         tangents_pre.append(t)
-        r = d1[k] * t
-        tangents_post.append(r)
+        if k + 1 < n_layers:
+            r = np.multiply(d1[k], t, out=take(t.shape, net.dtype))
+            tangents_post.append(r)
 
     # Reverse pass over the augmented (forward + tangent) computation.  The
     # scalar being differentiated is mean_i of the tangent output r_L[i].
-    n_layers = len(layers)
-    grad_w, grad_b = [None] * n_layers, [None] * n_layers
-    r_bar = np.full((n, 1), 1.0 / n, dtype=net.dtype)
-    h_bar = np.zeros((n, 1), dtype=net.dtype)
+    grad_w, grad_b = (grads.weights, grads.biases) if grads is not None else ([None] * n_layers, [None] * n_layers)
+    r_bar = _filled(take, (n, 1), net.dtype, 1.0 / n)
+    h_bar = None  # zero above the output
     for k in reversed(range(n_layers)):
         h, s, aux = layers[k]
-        _, _, act_dd = net._activation_at(k)
-        t_bar = r_bar * d1[k]
-        # s_bar = r_bar * act_dd * tangents_pre[k] + h_bar * d1[k], built in
-        # the fresh array act_dd returns.
-        s_bar = act_dd(s, aux)
-        s_bar *= r_bar
-        s_bar *= tangents_pre[k]
-        s_bar += h_bar * d1[k]
         r_prev = w_dir if k == 0 else tangents_post[k - 1]
-        grad_w[k] = s_bar.T @ h + t_bar.T @ r_prev
-        grad_b[k] = s_bar.sum(axis=0)
+        if d1[k] is None:
+            t_bar, s_bar = r_bar, None  # identity output: t_bar = r_bar * 1, s_bar = 0
+            grad_w[k] = np.matmul(t_bar.T, r_prev, out=grad_w[k])
+            if grad_b[k] is None:
+                grad_b[k] = np.zeros_like(net.biases[k])
+            else:
+                grad_b[k].fill(0.0)
+        else:
+            # s_bar = r_bar * act_dd * tangents_pre[k] + h_bar * d1[k], built
+            # in the array act_dd returns; then t_bar = r_bar * d1[k] is
+            # written over r_bar, and h_bar * d1[k] over h_bar.
+            s_bar = net._activation_at(k)[2](s, aux, take)
+            s_bar *= r_bar
+            s_bar *= tangents_pre[k]
+            t_bar = np.multiply(r_bar, d1[k], out=r_bar)
+            if h_bar is not None:
+                h_bar *= d1[k]
+                s_bar += h_bar
+            grad_w[k] = np.matmul(s_bar.T, h, out=grad_w[k])
+            grad_w[k] += np.matmul(t_bar.T, r_prev, out=take(grad_w[k].shape, net.dtype))
+            grad_b[k] = np.add.reduce(s_bar, axis=0, out=grad_b[k])
         if k > 0:
-            h_bar = s_bar @ net.weights[k]
-            r_bar = t_bar @ net.weights[k]
-    return value, MlpGrads(grad_w, grad_b)
+            if s_bar is not None:
+                h_bar = np.matmul(s_bar, net.weights[k], out=take(h.shape, net.dtype))
+            # r_prev has been read for the last time: the next r_bar goes there.
+            r_bar = np.matmul(t_bar, net.weights[k], out=r_prev)
+    return value, grads if grads is not None else MlpGrads(grad_w, grad_b)
 
 
 @dataclass
@@ -467,7 +634,12 @@ class AdamState:
 
 
 def adam_step(net: MlpNet, grads: MlpGrads, state: AdamState) -> None:
-    """Apply one in-place Adam update to the network parameters."""
+    """Apply one in-place Adam update to the network parameters.
+
+    When the net, the gradients and the moments each lie on one flat vector
+    (a net from as_flat), the update runs once over those vectors; the
+    arithmetic is elementwise, so the bits are those of the per-array loop.
+    """
     if state.first_moment is None:
         state.first_moment = MlpGrads.zeros_like(net)
         state.second_moment = MlpGrads.zeros_like(net)
@@ -475,11 +647,14 @@ def adam_step(net: MlpNet, grads: MlpGrads, state: AdamState) -> None:
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    params = net.weights + net.biases
-    gs = grads.weights + grads.biases
-    ms = state.first_moment.weights + state.first_moment.biases
-    vs = state.second_moment.weights + state.second_moment.biases
-    for p, g, m, v in zip(params, gs, ms, vs):
+    m_all, v_all = state.first_moment, state.second_moment
+    flats = (net.flat, grads.flat, m_all.flat, v_all.flat)
+    if all(a is not None for a in flats):
+        arrays = [flats]
+    else:
+        arrays = zip(net.weights + net.biases, grads.weights + grads.biases,
+                     m_all.weights + m_all.biases, v_all.weights + v_all.biases)
+    for p, g, m, v in arrays:
         # Two temporaries per parameter; the arithmetic and its order are
         # those of m += (1-b1) g, v += (1-b2) g g, p -= lr (m/c1) / (sqrt(v/c2) + eps).
         step = np.multiply(g, 1.0 - state.beta1)

@@ -13,12 +13,16 @@ two-pass grid Q query (one whole-batch interpolation of the margin at the
 states, then one of the value at the successors, with those coefficients
 and that step) that the blocked single-pass query replaced, the
 two-query filters (fallback_action, then the candidates' scores) that
-anchored_q replaced, and the 17-significant-digit decimal model and grid
+anchored_q replaced, the margin trainer that allocated every array per
+iteration, and the 17-significant-digit decimal model and grid
 files that the hex-float64 codec replaced.
 None of it shares code with the package implementations it checks, with
-one exception.  The gather value iteration runs its sweeps through the
+two exceptions.  The gather value iteration runs its sweeps through the
 solver's own `hj.accelerated_fixed_point`, which `test_hj` tests on its own,
-so the oracle checks the sweep operator at the solver's sweep count.
+so the oracle checks the sweep operator at the solver's sweep count.  The
+allocating margin trainer calls `margin.margin_loss` without buffers, which
+`test_margin` checks against the three-pass objective, so it checks the
+run-long buffers and the one-vector Adam against fresh arrays.
 ``traced_peak_bytes`` is the one measuring helper: the memory budgets of
 the net passes are read from tracemalloc through it.
 """
@@ -34,8 +38,8 @@ from cbfforge.config import SCHEMA
 from cbfforge.dubins import ACTION_BOUND, OVERRIDE_THRESHOLD, XY_BOUND
 from cbfforge.filters import FeasibleSet, FilterDecision, cbf_constraint_check, q_query, sample_actions
 from cbfforge.hj import GridField, GridSpec, ValueSolution, accelerated_fixed_point
-from cbfforge.margin import interpolate_pair
-from cbfforge.nets import MlpGrads, MlpNet, input_gradient, penalty_param_gradient
+from cbfforge.margin import interpolate_pair, margin_loss
+from cbfforge.nets import TRAIN_DTYPE, AdamState, MlpGrads, MlpNet, input_gradient, mlp_init, penalty_param_gradient
 
 
 def fd_input_gradient(net_eval, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -447,6 +451,26 @@ def three_pass_margin_loss(net: MlpNet, batch_safe, batch_fail, cfg, rng):
         grads.add_scaled(wgan_grads, 1.0)
         value += wgan_value
     return value, grads
+
+
+def allocating_train_margin(dataset, cfg) -> MlpNet:
+    """train_margin as it ran before its run-long buffers.
+
+    The batch rows are drawn by fancy indexing, margin_loss computes in
+    fresh arrays (no buffers), and Adam updates one parameter array at a
+    time on a net of separate arrays.  Same seed stream, same dtype.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    output_act = "identity" if cfg.use_gp else "tanh"
+    net = mlp_init([3, *cfg.hidden_dims, 1], "silu", output_act, seed=cfg.seed).astype(TRAIN_DTYPE)
+    adam = AdamState(learning_rate=cfg.learning_rate)
+    safe, fail = dataset.safe_points, dataset.fail_points
+    for _ in range(cfg.iterations):
+        batch_safe = safe[rng.integers(0, safe.shape[0], cfg.batch_size)]
+        batch_fail = fail[rng.integers(0, fail.shape[0], cfg.batch_size)]
+        _, grads = margin_loss(net, batch_safe, batch_fail, cfg, rng, None)
+        reference_adam_step(net, grads, adam)
+    return net.astype(np.float64)
 
 
 def decimal_save_model(net: MlpNet, path: str) -> None:

@@ -255,6 +255,7 @@ LIBRARY = {
         lambda v: FilterConfig(dt=v),
         lambda v: _solve(dt=v),
         lambda v: estimate_dynamics_lipschitz(v, 10, 0),
+        lambda v: rollout(lambda s: 0.0, np.array([-1.0, 0.4, 0.0]), 5, None, v),
     ],
     "vi_tol": [lambda v: _solve(tol=v)],
     "vi_max_sweeps": [lambda v: _solve(max_iters=v)],
@@ -313,6 +314,7 @@ KEY_LED = [
     pytest.param("lip_gamma", lambda: LIBRARY["lip_gamma"][0](1.0), id="verify_margin_value_bound-lip_gamma"),
     pytest.param("n_action_samples", lambda: equispaced_actions(1), id="equispaced_actions-n_action_samples"),
     pytest.param("rollout_steps", lambda: LIBRARY["rollout_steps"][0](0), id="rollout-rollout_steps"),
+    pytest.param("dt", lambda: LIBRARY["dt"][-1](0.0), id="rollout-dt"),
     pytest.param("dt", lambda: estimate_dynamics_lipschitz(math.inf, 10, 0), id="estimate_dynamics_lipschitz-dt"),
     pytest.param(
         "lip_fd_samples", lambda: estimate_dynamics_lipschitz(0.1, 0, 0), id="estimate_dynamics_lipschitz-lip_fd_samples"

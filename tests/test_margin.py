@@ -26,7 +26,7 @@ from cbfforge.margin import (
     train_margin,
 )
 from cbfforge.nets import TRAIN_DTYPE, AdamState, MlpNet, adam_step, load_model, mlp_forward, mlp_init, save_model
-from oracles import flat_grads, relative_error, three_pass_margin_loss, traced_peak_bytes
+from oracles import allocating_train_margin, flat_grads, relative_error, three_pass_margin_loss, traced_peak_bytes
 
 
 def constant_net(c: float) -> MlpNet:
@@ -117,7 +117,7 @@ class TestMarginLoss:
         cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0, iterations=8000, use_gp=True, seed=0)
         safe = np.array([[1.0, 0.0, 0.0]])
         fail = np.array([[-1.0, 0.0, 0.0]])
-        value, _ = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed))
+        value, _ = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed), None)
         assert value == pytest.approx(-0.2, abs=1e-12)
 
     def test_penalty_contributes(self):
@@ -126,7 +126,7 @@ class TestMarginLoss:
         cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=1.0, iterations=8000, use_gp=True, seed=0)
         safe = np.array([[0.5, 0.0, 0.0]])
         fail = np.array([[-0.5, 0.0, 0.0]])
-        value, _ = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed))
+        value, _ = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed), None)
         assert value == pytest.approx(0.1 * (-1.0 - 1.0) + 10.0, abs=1e-12)
 
     def test_linear_closed_form_gradient(self):
@@ -138,7 +138,7 @@ class TestMarginLoss:
         cfg = MarginTrainConfig(lambda_zs=0.1, lambda_gp=10.0, lambda_sign=0.0, beta=0.1, iterations=8000, use_gp=True, seed=0)
         safe = rng.normal(size=(6, 3))
         fail = rng.normal(size=(6, 3))
-        value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed))
+        value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(cfg.seed), None)
         norm = np.linalg.norm(w)
         expect_w = cfg.lambda_zs * (fail.mean(axis=0) - safe.mean(axis=0))
         expect_w = expect_w + cfg.lambda_gp * 2.0 * (norm - cfg.beta) * w / norm
@@ -151,7 +151,7 @@ class TestMarginLoss:
     def test_penalty_zero_iff_norm_beta(self):
         net = linear_net(np.array([0.3, 0.0, 0.0]))
         cfg = MarginTrainConfig(lambda_zs=0.0, lambda_gp=5.0, lambda_sign=0.0, beta=0.3, iterations=8000, use_gp=True, seed=0)
-        value, grads = margin_loss(net, np.ones((3, 3)), -np.ones((3, 3)), cfg, np.random.default_rng(cfg.seed))
+        value, grads = margin_loss(net, np.ones((3, 3)), -np.ones((3, 3)), cfg, np.random.default_rng(cfg.seed), None)
         assert value == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(flat_grads(grads), 0.0, atol=1e-12)
 
@@ -170,7 +170,7 @@ class TestMarginLoss:
         net = net.astype(dtype)
         tol = 1e-13 * np.finfo(dtype).eps / np.finfo(np.float64).eps
         cfg = MarginTrainConfig(use_gp=True, seed=seed, iterations=8000)
-        value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
+        value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(seed), None)
         ref_value, ref_grads = three_pass_margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
         assert flat_grads(grads).dtype == flat_grads(ref_grads).dtype == dtype
         assert relative_error(flat_grads(grads), flat_grads(ref_grads)) <= tol
@@ -180,7 +180,7 @@ class TestMarginLoss:
     def test_nogp_equals_hinge_pass_exactly(self, seed):
         safe, fail, net = _fixed_batches(seed, 256, 256, use_gp=False)
         cfg = MarginTrainConfig(use_gp=False, seed=seed, iterations=8000)
-        value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(seed))
+        value, grads = margin_loss(net, safe, fail, cfg, np.random.default_rng(seed), None)
         ref_value, ref_grads = three_pass_margin_loss(net, safe, fail, cfg, None)
         assert np.array_equal(flat_grads(grads), flat_grads(ref_grads))
         assert value == ref_value
@@ -200,7 +200,7 @@ class TestMarginLoss:
         for name in ("param_gradient", "penalty_param_gradient"):
             monkeypatch.setattr(margin_module, name, counted(name))
         safe, fail, net = _fixed_batches(0, 64, 64, use_gp=True)
-        margin_loss(net, safe, fail, MarginTrainConfig(use_gp=True, iterations=8000, seed=0), np.random.default_rng(0))
+        margin_loss(net, safe, fail, MarginTrainConfig(use_gp=True, iterations=8000, seed=0), np.random.default_rng(0), None)
         assert sorted(calls) == ["param_gradient", "penalty_param_gradient"]
 
 
@@ -305,7 +305,7 @@ class TestTrainingDtype:
         for _ in range(cfg.iterations):
             batch_safe = safe[rng.integers(0, safe.shape[0], cfg.batch_size)]
             batch_fail = fail[rng.integers(0, fail.shape[0], cfg.batch_size)]
-            _, grads = margin_loss(net, batch_safe, batch_fail, cfg, rng)
+            _, grads = margin_loss(net, batch_safe, batch_fail, cfg, rng, None)
             adam_step(net, grads, adam)
         expected = net.astype(np.float64)
         got = train_margin(dataset, cfg)
@@ -327,29 +327,52 @@ def test_one_training_iteration_peak(use_gp, budget):
     assert traced_peak_bytes(lambda: train_margin(dataset, cfg)) <= budget * MARGIN_BLOCK
 
 
-# 200 GP iterations at the defaults (50k points, batch 256) in a fresh
-# interpreter.  glibc's mmap and heap-trim thresholds there are the ones the
-# dataset's freed arrays left; a float64 iteration's temporaries are handed
-# back to the kernel and faulted in again every iteration (about 600 minor
-# faults), a float32 iteration's stay in the heap (about 1).
+@pytest.mark.parametrize("batch_size", [64, 256])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("use_gp", [True, False], ids=["gp", "nogp"])
+def test_run_long_buffers_give_the_allocating_loops_bits(use_gp, seed, batch_size):
+    dataset = build_margin_dataset(2000, seed=seed)
+    cfg = MarginTrainConfig(use_gp=use_gp, iterations=30, seed=seed, batch_size=batch_size)
+    got, expected = train_margin(dataset, cfg), allocating_train_margin(dataset, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(got.weights + got.biases, expected.weights + expected.biases))
+
+
+# GP iterations at the defaults (batch 256) in a fresh interpreter, counted
+# with getrusage.  glibc gives memory at the top of its heap back to the
+# kernel once more than M_TRIM_THRESHOLD is free there, and serves requests
+# of M_MMAP_THRESHOLD or more with mappings of their own, unmapped on free.
+# Both thresholds start at 128 KiB and follow the largest mapped chunk freed
+# so far, so the faults of arrays allocated and freed every iteration depend
+# on what the process freed before: a float32 GP iteration that allocated
+# its pass arrays took about 380 minor faults at 2,000 points and about 1 at
+# 50,000, whose dataset arrays had raised the thresholds (a float64 one,
+# about 600).  The trainer's run-long arrays are faulted in once, whatever
+# the thresholds.
 FAULT_SCRIPT = """
 import resource
 from cbfforge.margin import MarginTrainConfig, build_margin_dataset, train_margin
-dataset = build_margin_dataset(50_000, seed=0)
+dataset = build_margin_dataset({points}, seed=0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-train_margin(dataset, MarginTrainConfig(use_gp=True, iterations=200, seed=0))
+train_margin(dataset, MarginTrainConfig(use_gp=True, iterations={iterations}, seed=0))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def test_gp_training_in_a_fresh_process_takes_few_page_faults():
+def _fresh_process_faults(points: int, iterations: int) -> int:
     src = os.path.dirname(os.path.dirname(os.path.abspath(cbfforge.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", FAULT_SCRIPT], env=env, capture_output=True, text=True, timeout=300
-    )
+    script = FAULT_SCRIPT.format(points=points, iterations=iterations)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) <= 20 * 200
+    return int(proc.stdout.split()[-1])
+
+
+def test_gp_training_in_a_fresh_process_takes_few_page_faults():
+    assert _fresh_process_faults(50_000, 200) <= 20 * 200
+
+
+def test_small_dataset_gp_training_in_a_fresh_process_takes_few_page_faults():
+    assert _fresh_process_faults(2_000, 100) < 20 * 100
 
 
 class TestEvaluateMargin:

@@ -14,6 +14,7 @@ from cbfforge.nets import (
     AdamState,
     MlpGrads,
     MlpNet,
+    PassBuffers,
     adam_step,
     input_gradient,
     load_model,
@@ -454,6 +455,61 @@ class TestDtype:
         loaded = load_model(str(tmp_path / "low.txt"))
         assert loaded.dtype == np.float64
         assert all(np.array_equal(a, b) for a, b in zip(_params(loaded), _params(net)))
+
+
+class TestPassBuffers:
+    """Passes given run-long buffers compute the fresh passes' bits in them."""
+
+    @pytest.mark.parametrize("hidden,output", CALLER_CASES)
+    def test_buffered_passes_equal_fresh_ones(self, hidden, output):
+        rng = np.random.default_rng(57)
+        net = random_net(rng, dims=[3, 16, 16, 1], hidden=hidden, output=output).as_flat(np.float32)
+        x, seed = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
+
+        def loss(outputs):
+            return float(outputs.sum()), seed
+
+        _, ref = param_gradient(net, x, loss)
+        _, ref_pen = penalty_param_gradient(net, x[:25], 0.1)
+        buffers = PassBuffers(net)
+        for _ in range(3):  # the first calls outgrow the pool, the last reuses it
+            _, got = param_gradient(net, x, loss, buffers)
+            _, got_pen = penalty_param_gradient(net, x[:25], 0.1, buffers)
+            assert np.array_equal(flat_grads(got), flat_grads(ref))  # outlives the penalty pass
+            assert np.array_equal(flat_grads(got_pen), flat_grads(ref_pen))
+        assert got.flat is buffers.grads.flat and got_pen.flat is buffers.penalty_grads.flat
+
+    def test_a_warm_pass_forms_no_batch_sized_array(self):
+        rng = np.random.default_rng(58)
+        net = random_net(rng, dims=[3, 64, 64, 1]).as_flat(np.float32)
+        x, seed = rng.normal(size=(1024, 3)), rng.normal(size=(1024, 1))
+        buffers = PassBuffers(net)
+
+        def passes():
+            param_gradient(net, x, lambda outputs: (0.0, seed), buffers)
+            penalty_param_gradient(net, x, 0.1, buffers)
+
+        passes()
+        passes()
+        # A (1024, 64) float32 array is 256 KiB.  What a warm call still
+        # forms is numpy's 32 KiB iterator buffer for the bias broadcasts
+        # and the penalty's per-row norms and directions, about 40 KiB.
+        assert traced_peak_bytes(passes) <= 64 * 1024
+
+    def test_flat_net_and_adam_equal_the_per_array_ones(self):
+        rng = np.random.default_rng(59)
+        net = random_net(rng, dims=[3, 16, 16, 1]).astype(np.float32)
+        flat = net.as_flat(np.float32)
+        state, flat_state = AdamState(learning_rate=1e-3), AdamState(learning_rate=1e-3)
+        for _ in range(5):
+            grads = MlpGrads.zeros_like(net)
+            on_flat = MlpGrads.flat_zeros(flat)
+            for a, b in zip(grads.weights + grads.biases, on_flat.weights + on_flat.biases):
+                a[...] = b[...] = rng.normal(size=a.shape)
+            adam_step(net, grads, state)
+            adam_step(flat, on_flat, flat_state)
+        assert flat_state.first_moment.flat is not None
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, flat.weights + flat.biases))
 
 
 class TestAdam:

@@ -11,9 +11,11 @@ BENCH_<number>.json (to --out, default <root>/BENCH_<number>.json) with:
 
 - per run: the workload, seed, end-to-end metrics, output-check counts,
   environment record and host_slowdown record of perfbench's result file;
-- tier-1: the passed and failed counts, wall time, and the peak RSS of the
+- tier-1: the passed and failed counts, wall time, the peak RSS of the
   pytest process tree, read with resource.getrusage(RUSAGE_CHILDREN) right
-  after it exits, before any benchmark run has started;
+  after it exits, before any benchmark run has started, and the time of
+  each test in tests/test_acceptance.py (set-up, call and tear-down), read
+  with xml.etree from the JUnit XML file this run of pytest writes;
 - the line count of each src/cbfforge/*.py.
 
 Standard library only; nothing under perfbench/ is changed, but its runs
@@ -30,7 +32,9 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
+import xml.etree.ElementTree as ET
 
 WORKLOADS = ("vi_solve", "filter_rollouts", "train_nets")
 SEEDS = (1, 2, 3)
@@ -40,21 +44,36 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 
 def run_tier1(root: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True)
-    wall_s = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as tmp:
+        junit = os.path.join(tmp, "tier1.xml")
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *TIER1, f"--junitxml={junit}"], cwd=root, env=env,
+                              capture_output=True, text=True)
+        wall_s = time.perf_counter() - start
+        acceptance_s = acceptance_times(junit) if os.path.exists(junit) else {}
     peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KB on Linux
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {key: int(num) for num, key in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
     return {
-        "command": " ".join(["python", *TIER1]),
+        "command": " ".join(["python", *TIER1, "--junitxml=<tmp>/tier1.xml"]),
         "returncode": proc.returncode,
         "summary": summary,
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0),
         "wall_s": round(wall_s, 2),
         "peak_rss_mb": round(peak_kb / 1024.0, 1),
+        "acceptance_s": acceptance_s,
     }
+
+
+def acceptance_times(junit_path: str) -> dict:
+    """Test name -> seconds for every test of tests/test_acceptance.py in a
+    pytest JUnit XML file."""
+    times = {}
+    for case in ET.parse(junit_path).getroot().iter("testcase"):
+        if case.get("classname", "").endswith("test_acceptance"):
+            times[case.get("name")] = round(float(case.get("time", "nan")), 2)
+    return times
 
 
 def run_workload(root: str, workload: str, seed: int) -> dict:

@@ -96,23 +96,19 @@ def sign_loss(margin_net: MlpNet, batch_safe: np.ndarray, batch_fail: np.ndarray
     return float(value)
 
 
-def interpolate_pair(z_plus: np.ndarray, z_minus: np.ndarray, eta) -> np.ndarray:
+def interpolate_pair(z_plus: np.ndarray, z_minus: np.ndarray, eta, out: np.ndarray | None) -> np.ndarray:
     """Row-wise (1 - eta) z+ + eta z-, theta along the shorter arc.
 
-    Takes batches z_plus, z_minus (n, 3) and eta scalar or (n,).
+    Takes batches z_plus, z_minus (n, 3) and eta scalar or (n,); writes
+    into out (n, 3), or into a fresh array when out is None.
     """
     zp = np.asarray(z_plus, dtype=float)
+    zm = np.asarray(z_minus, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     if np.any(eta_arr < 0.0) or np.any(eta_arr > 1.0):
         raise ValueError("eta must lie in [0, 1]")
-    return _interpolate(zp, z_minus, eta_arr, np.empty_like(zp))
-
-
-def _interpolate(z_plus, z_minus, eta, out: np.ndarray) -> np.ndarray:
-    """interpolate_pair without the range check, written into out (n, 3)."""
-    zp = np.asarray(z_plus, dtype=float)
-    zm = np.asarray(z_minus, dtype=float)
-    e = np.full(zp.shape[:1], eta, dtype=float)
+    e = np.broadcast_to(eta_arr, zp.shape[:1]).astype(float)
+    out = np.empty_like(zp) if out is None else out
     out[:, :2] = (1.0 - e)[:, None] * zp[:, :2] + e[:, None] * zm[:, :2]
     out[:, 2] = wrap_angle(zp[:, 2] + e * wrap_angle(zm[:, 2] - zp[:, 2]))
     return out
@@ -142,18 +138,16 @@ def _seed_rates(cfg: MarginTrainConfig, n_s: int, n_f: int):
 
 
 class MarginBuffers:
-    """The arrays of one train_margin run, allocated once and written by
-    every iteration: the batch rows (safe, fail), their stacked cast to the
-    net's dtype, the GP interpolation points, the per-row seed rates of the
-    loss, and the nets.PassBuffers of the parameter and penalty passes."""
+    """The arrays of one train_margin run at batch size n, allocated once
+    and written by every iteration: the batch rows (safe, fail), their
+    stacked cast to the net's dtype, the GP interpolation points, and the
+    nets.PassBuffers of the parameter and penalty passes."""
 
-    def __init__(self, net: MlpNet, cfg: MarginTrainConfig):
-        n = cfg.batch_size
+    def __init__(self, net: MlpNet, n: int):
         self.safe = np.empty((n, net.input_dim))
         self.fail = np.empty((n, net.input_dim))
         self.stacked = np.empty((2 * n, net.input_dim), net.dtype)
         self.zhat = np.empty((n, net.input_dim))
-        self.rates = _seed_rates(cfg, n, n)
         self.passes = PassBuffers(net)
 
 
@@ -190,7 +184,7 @@ def margin_loss(
 
     n_s, n_f = batch_safe.shape[0], batch_fail.shape[0]
     delta = 0.0 if cfg.use_gp else cfg.delta
-    hinge_rate, zs_rate = _seed_rates(cfg, n_s, n_f) if buffers is None else buffers.rates
+    hinge_rate, zs_rate = _seed_rates(cfg, n_s, n_f)
 
     def stacked_terms(outputs):
         hinge, gaps = _hinge(outputs[:, 0], n_s, delta)
@@ -208,10 +202,9 @@ def margin_loss(
     if cfg.use_gp:
         n_pairs = min(n_s, n_f)
         eta = rng.uniform(0.0, 1.0, size=n_pairs)
-        if buffers is None:
-            zhat = interpolate_pair(batch_safe[:n_pairs], batch_fail[:n_pairs], eta)
-        else:  # eta ~ U(0, 1) needs no range check
-            zhat = _interpolate(batch_safe[:n_pairs], batch_fail[:n_pairs], eta, buffers.zhat)
+        zhat = interpolate_pair(
+            batch_safe[:n_pairs], batch_fail[:n_pairs], eta, None if buffers is None else buffers.zhat
+        )
         pen_value, pen_grads = penalty_param_gradient(margin_net, zhat, cfg.beta, passes)
         grads.add_scaled(pen_grads, cfg.lambda_gp)
         value += cfg.lambda_gp * pen_value
@@ -234,7 +227,7 @@ def train_margin(dataset: MarginDataset, cfg: MarginTrainConfig) -> MlpNet:
     output_act = "identity" if cfg.use_gp else "tanh"
     net = mlp_init([3, *cfg.hidden_dims, 1], "silu", output_act, seed=cfg.seed).as_flat(TRAIN_DTYPE)
     adam = AdamState(learning_rate=cfg.learning_rate)
-    buffers = MarginBuffers(net, cfg)
+    buffers = MarginBuffers(net, cfg.batch_size)
 
     n_s, n_f = dataset.safe_points.shape[0], dataset.fail_points.shape[0]
     for _ in range(cfg.iterations):

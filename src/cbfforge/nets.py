@@ -311,7 +311,9 @@ class MlpGrads:
         return self
 
 
-_ALIGN = 64  # bytes; every pool array starts on a cache line
+# Pool offsets are multiples of _ALIGN bytes from the pool's start, which
+# keeps every float32, float64 and bool view the pool hands out aligned.
+_ALIGN = 64
 
 
 class PassBuffers:

@@ -17,12 +17,9 @@ anchored_q replaced, the margin trainer that allocated every array per
 iteration, and the 17-significant-digit decimal model and grid
 files that the hex-float64 codec replaced.
 None of it shares code with the package implementations it checks, with
-two exceptions.  The gather value iteration runs its sweeps through the
+one exception.  The gather value iteration runs its sweeps through the
 solver's own `hj.accelerated_fixed_point`, which `test_hj` tests on its own,
-so the oracle checks the sweep operator at the solver's sweep count.  The
-allocating margin trainer calls `margin.margin_loss` without buffers, which
-`test_margin` checks against the three-pass objective, so it checks the
-run-long buffers and the one-vector Adam against fresh arrays.
+so the oracle checks the sweep operator at the solver's sweep count.
 ``traced_peak_bytes`` is the one measuring helper: the memory budgets of
 the net passes are read from tracemalloc through it.
 """
@@ -35,11 +32,18 @@ import tracemalloc
 import numpy as np
 
 from cbfforge.config import SCHEMA
-from cbfforge.dubins import ACTION_BOUND, OVERRIDE_THRESHOLD, XY_BOUND
+from cbfforge.dubins import ACTION_BOUND, OVERRIDE_THRESHOLD, XY_BOUND, wrap_angle
 from cbfforge.filters import FeasibleSet, FilterDecision, cbf_constraint_check, q_query, sample_actions
 from cbfforge.hj import GridField, GridSpec, ValueSolution, accelerated_fixed_point
-from cbfforge.margin import interpolate_pair, margin_loss
-from cbfforge.nets import TRAIN_DTYPE, AdamState, MlpGrads, MlpNet, input_gradient, mlp_init, penalty_param_gradient
+from cbfforge.nets import (
+    GRAD_NORM_FLOOR,
+    TRAIN_DTYPE,
+    AdamState,
+    MlpGrads,
+    MlpNet,
+    input_gradient,
+    mlp_init,
+)
 
 
 def fd_input_gradient(net_eval, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -307,12 +311,23 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# name -> (value, first derivative), both from the pre-activation alone.
+def _silu_dd(x: np.ndarray) -> np.ndarray:
+    s = _sigmoid(x)
+    return (1.0 - s) * s * (2.0 + x * (1.0 - 2.0 * s))
+
+
+def _tanh_dd(x: np.ndarray) -> np.ndarray:
+    t = np.tanh(x)
+    return -2.0 * t * (1.0 - t * t)
+
+
+# name -> (value, first derivative, second derivative), all from the
+# pre-activation alone.
 _REFERENCE_ACTS = {
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(x.dtype)),
-    "silu": (lambda x: x / (1.0 + np.exp(-x)), lambda x: _sigmoid(x) * (1.0 + x * (1.0 - _sigmoid(x)))),
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) * np.tanh(x)),
-    "identity": (lambda x: x, np.ones_like),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(x.dtype), np.zeros_like),
+    "silu": (lambda x: x / (1.0 + np.exp(-x)), lambda x: _sigmoid(x) * (1.0 + x * (1.0 - _sigmoid(x))), _silu_dd),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) * np.tanh(x), _tanh_dd),
+    "identity": (lambda x: x, np.ones_like, np.zeros_like),
 }
 
 
@@ -370,6 +385,43 @@ def reference_input_gradient(net: MlpNet, x: np.ndarray) -> np.ndarray:
     return g
 
 
+def reference_penalty_param_gradient(net: MlpNet, points: np.ndarray, beta: float):
+    """penalty_param_gradient by a tangent pass and a reverse pass that form
+    every factor, an identity output's 1 and 0 included, with every
+    derivative from the pre-activation and a fresh array per product."""
+    dtype = net.weights[0].dtype
+    z = np.atleast_2d(np.asarray(points, dtype=dtype))
+    n, n_layers = z.shape[0], len(net.weights)
+    _, pre_acts, acts = _reference_forward_layers(net, z)
+    d1 = [_reference_act(net, k)[1](pre_acts[k]) for k in range(n_layers)]
+    _, g = _reference_backward(net, pre_acts, acts, np.ones((n, 1), dtype=dtype))
+    norms = np.linalg.norm(g, axis=1)
+    value = float(np.mean((norms - beta) ** 2))
+    live = norms >= GRAD_NORM_FLOOR
+    grads = MlpGrads.zeros_like(net)
+    if not np.any(live):
+        return value, grads
+    w_dir = (2.0 * (norms - beta) / np.where(live, norms, 1.0))[:, None] * g
+    w_dir[~live] = 0.0
+
+    tangents_pre, tangents_post, r = [], [w_dir], w_dir
+    for k, w in enumerate(net.weights):
+        tangents_pre.append(r @ w.T)
+        r = d1[k] * tangents_pre[k]
+        tangents_post.append(r)
+
+    r_bar = np.full((n, 1), 1.0 / n, dtype=dtype)
+    h_bar = np.zeros((n, 1), dtype=dtype)
+    for k in reversed(range(n_layers)):
+        t_bar = r_bar * d1[k]
+        s_bar = _reference_act(net, k)[2](pre_acts[k]) * r_bar * tangents_pre[k] + h_bar * d1[k]
+        grads.weights[k] += s_bar.T @ acts[k] + t_bar.T @ tangents_post[k]
+        grads.biases[k] += s_bar.sum(axis=0)
+        h_bar = s_bar @ net.weights[k]
+        r_bar = t_bar @ net.weights[k]
+    return value, grads
+
+
 def reference_adam_step(net: MlpNet, grads: MlpGrads, state) -> None:
     """Adam with one temporary per operation, in the dtype of the parameters."""
     if state.first_moment is None:
@@ -408,6 +460,14 @@ def two_pass_actor_update(actor: MlpNet, critic: MlpNet, batch: dict, opt) -> fl
     return loss
 
 
+def reference_interpolate_pair(z_plus: np.ndarray, z_minus: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Row-wise (1 - eta) z+ + eta z- with theta along the shorter arc, eta (n,)."""
+    out = np.empty_like(z_plus)
+    out[:, :2] = (1.0 - eta)[:, None] * z_plus[:, :2] + eta[:, None] * z_minus[:, :2]
+    out[:, 2] = wrap_angle(z_plus[:, 2] + eta * wrap_angle(z_minus[:, 2] - z_plus[:, 2]))
+    return out
+
+
 def wgan_loss(net: MlpNet, batch_safe, batch_fail, cfg, rng):
     """Separation term plus gradient penalty, each from its own pass.
 
@@ -424,8 +484,8 @@ def wgan_loss(net: MlpNet, batch_safe, batch_fail, cfg, rng):
     value, grads = reference_param_gradient(net, np.vstack([batch_safe, batch_fail]), zs_term)
     n_pairs = min(n_s, n_f)
     eta = rng.uniform(0.0, 1.0, size=n_pairs)
-    zhat = interpolate_pair(batch_safe[:n_pairs], batch_fail[:n_pairs], eta)
-    pen_value, pen_grads = penalty_param_gradient(net, zhat, cfg.beta)
+    zhat = reference_interpolate_pair(batch_safe[:n_pairs], batch_fail[:n_pairs], eta)
+    pen_value, pen_grads = reference_penalty_param_gradient(net, zhat, cfg.beta)
     grads.add_scaled(pen_grads, cfg.lambda_gp)
     return value + cfg.lambda_gp * pen_value, grads
 
@@ -453,12 +513,44 @@ def three_pass_margin_loss(net: MlpNet, batch_safe, batch_fail, cfg, rng):
     return value, grads
 
 
+def one_pass_margin_loss(net: MlpNet, batch_safe, batch_fail, cfg, rng):
+    """margin_loss without buffers, on the reference passes: the hinge and
+    separation seeds summed before one parameter pass, plus one penalty pass
+    blended array by array."""
+    n_s, n_f = batch_safe.shape[0], batch_fail.shape[0]
+    delta = 0.0 if cfg.use_gp else cfg.delta
+
+    def stacked_terms(outputs):
+        l_safe, l_fail = outputs[:n_s, 0], outputs[n_s:, 0]
+        gap_safe, gap_fail = delta - l_safe, delta + l_fail
+        value = cfg.lambda_sign * (np.mean(np.maximum(0.0, gap_safe)) + np.mean(np.maximum(0.0, gap_fail)))
+        seed = cfg.lambda_sign * np.concatenate(
+            [np.where(gap_safe > 0.0, -1.0 / n_s, 0.0), np.where(gap_fail > 0.0, 1.0 / n_f, 0.0)]
+        )
+        if cfg.use_gp:
+            value += cfg.lambda_zs * (l_fail.mean() - l_safe.mean())
+            seed += np.concatenate([np.full(n_s, -cfg.lambda_zs / n_s), np.full(n_f, cfg.lambda_zs / n_f)])
+        return value, seed[:, None]
+
+    value, grads = reference_param_gradient(net, np.vstack([batch_safe, batch_fail]), stacked_terms)
+    if cfg.use_gp:
+        n_pairs = min(n_s, n_f)
+        eta = rng.uniform(0.0, 1.0, size=n_pairs)
+        zhat = reference_interpolate_pair(batch_safe[:n_pairs], batch_fail[:n_pairs], eta)
+        pen_value, pen_grads = reference_penalty_param_gradient(net, zhat, cfg.beta)
+        for a, b in zip(grads.weights + grads.biases, pen_grads.weights + pen_grads.biases):
+            a += cfg.lambda_gp * b
+        value += cfg.lambda_gp * pen_value
+    return value, grads
+
+
 def allocating_train_margin(dataset, cfg) -> MlpNet:
     """train_margin as it ran before its run-long buffers.
 
-    The batch rows are drawn by fancy indexing, margin_loss computes in
-    fresh arrays (no buffers), and Adam updates one parameter array at a
-    time on a net of separate arrays.  Same seed stream, same dtype.
+    The batch rows are drawn by fancy indexing, one_pass_margin_loss
+    computes in fresh arrays on the reference passes, and Adam updates one
+    parameter array at a time on a net of separate arrays.  Same seed
+    stream, same dtype.
     """
     rng = np.random.default_rng(cfg.seed)
     output_act = "identity" if cfg.use_gp else "tanh"
@@ -468,7 +560,7 @@ def allocating_train_margin(dataset, cfg) -> MlpNet:
     for _ in range(cfg.iterations):
         batch_safe = safe[rng.integers(0, safe.shape[0], cfg.batch_size)]
         batch_fail = fail[rng.integers(0, fail.shape[0], cfg.batch_size)]
-        _, grads = margin_loss(net, batch_safe, batch_fail, cfg, rng, None)
+        _, grads = one_pass_margin_loss(net, batch_safe, batch_fail, cfg, rng)
         reference_adam_step(net, grads, adam)
     return net.astype(np.float64)
 

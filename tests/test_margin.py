@@ -91,22 +91,28 @@ class TestInterpolatePair:
     def test_endpoints(self):
         zp = np.array([[0.2, -0.3, 1.0]])
         zm = np.array([[-0.5, 0.8, -2.0]])
-        np.testing.assert_allclose(interpolate_pair(zp, zm, 0.0), zp)
-        np.testing.assert_allclose(interpolate_pair(zp, zm, 1.0), zm)
+        np.testing.assert_allclose(interpolate_pair(zp, zm, 0.0, None), zp)
+        np.testing.assert_allclose(interpolate_pair(zp, zm, 1.0, None), zm)
 
     def test_midpoint_with_shorter_arc(self):
-        got = interpolate_pair(np.array([[0.0, 0.0, 0.1]]), np.array([[1.0, 1.0, -0.1]]), 0.5)
+        got = interpolate_pair(np.array([[0.0, 0.0, 0.1]]), np.array([[1.0, 1.0, -0.1]]), 0.5, None)
         np.testing.assert_allclose(got, [[0.5, 0.5, 0.0]], atol=1e-12)
 
     def test_arc_across_wrap(self):
         # From theta = pi - 0.1 to theta = -pi + 0.1 the shorter arc crosses
         # the wrap plane; the midpoint is at the wrap, not at 0.
-        got = interpolate_pair(np.array([[0.0, 0.0, np.pi - 0.1]]), np.array([[0.0, 0.0, -np.pi + 0.1]]), 0.5)
+        got = interpolate_pair(np.array([[0.0, 0.0, np.pi - 0.1]]), np.array([[0.0, 0.0, -np.pi + 0.1]]), 0.5, None)
         assert abs(got[0, 2]) == pytest.approx(np.pi)
+
+    def test_writes_into_out(self):
+        zp, zm, eta = np.zeros((4, 3)), np.ones((4, 3)), np.linspace(0.0, 1.0, 4)
+        out = np.empty((4, 3))
+        assert interpolate_pair(zp, zm, eta, out) is out
+        assert np.array_equal(out, interpolate_pair(zp, zm, eta, None))
 
     def test_eta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            interpolate_pair(np.zeros((1, 3)), np.ones((1, 3)), 1.5)
+            interpolate_pair(np.zeros((1, 3)), np.ones((1, 3)), 1.5, None)
 
 
 class TestMarginLoss:

@@ -35,6 +35,7 @@ from oracles import (
     reference_forward,
     reference_input_gradient,
     reference_param_gradient,
+    reference_penalty_param_gradient,
     relative_error,
     traced_peak_bytes,
 )
@@ -258,6 +259,17 @@ class TestPenaltyGradient:
         z = rng.normal(size=(8, 3))
         value, _ = penalty_param_gradient(net, z, 0.25)
         assert value == pytest.approx(float(np.mean(penalty_values(net, z, 0.25))), rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("hidden,output", [("silu", "identity"), ("relu", "identity"), ("silu", "tanh")])
+    def test_equals_the_pass_that_forms_every_factor(self, hidden, output, dtype):
+        rng = np.random.default_rng(33)
+        net = random_net(rng, dims=[3, 32, 32, 1], hidden=hidden, output=output).astype(dtype)
+        z = rng.uniform(-1.5, 1.5, size=(64, 3))
+        value, grads = penalty_param_gradient(net, z, 0.5)
+        ref_value, ref_grads = reference_penalty_param_gradient(net, z, 0.5)
+        assert value == ref_value
+        assert np.array_equal(flat_grads(grads), flat_grads(ref_grads))
 
     def test_vanishing_gradient_gives_zero_penalty_gradient(self):
         net = mlp_init([3, 4, 1], seed=2)
